@@ -231,14 +231,7 @@ def cmd_evaluate(args) -> int:
 
 def _model_closure(spec, params, dtype):
     def model(image: imaging.Image) -> np.ndarray:
-        h, w, c = spec.input_shape
-        resized = imaging.resize(image, w, h)
-        if resized.channels != c:
-            if c == 1:
-                resized = imaging.to_grayscale(resized)
-            else:
-                resized = imaging.Image.from_array(np.repeat(resized.pixels, 3, axis=2))
-        x = imaging.normalize(resized).astype(dtype)
+        x = imaging.normalize(training.fit_to_input(image, spec)).astype(dtype)
         probs, _ = network.forward(spec, params, x)
         return np.asarray(probs, dtype=np.float64)
 
@@ -318,6 +311,8 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     lines = []
     history = training.read_history(args.history)
+    if not history.epochs:
+        raise UsageError(f"history {args.history} holds no epochs")
     lines.append(f"Training history: {args.history}")
     lines.append("epoch  train_loss  train_acc  val_loss  val_acc")
     for i, rec in enumerate(history.epochs, start=1):

@@ -7,10 +7,12 @@ by a baseline color (per-image mean unless overridden).
 
 The KernelSHAP solver enforces local accuracy exactly: the last
 coefficient is eliminated through the constraint sum(phi) = v(full) -
-v(empty), so the attributions always sum to the model delta no matter how
-coalitions were sampled.  With full coalition enumeration the solution
-coincides with the factorial-weighted Shapley definition, and
-:func:`exact_shapley` provides that brute-force form as an oracle.
+v(empty), and the reduced system is solved by minimum-norm least squares,
+so the attributions sum to the model delta even when the sampled
+coalitions leave that system rank-deficient.  With full coalition
+enumeration the solution coincides with the factorial-weighted Shapley
+definition, and :func:`exact_shapley` provides that brute-force form as
+an oracle.
 """
 
 from __future__ import annotations
@@ -112,67 +114,65 @@ def slic_superpixels(
     return SuperpixelMap(width=w, height=h, labels=labels, count=int(labels.max()) + 1)
 
 
+def _first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Renumber values 0..n-1 in row-major order of first occurrence."""
+    _, first, inverse = np.unique(values.ravel(), return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
+    return rank[inverse].reshape(values.shape), len(first)
+
+
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
-    """Merge orphan fragments into their largest adjacent segment."""
-    h, w = labels.shape
-    comp_of = np.full((h, w), -1, dtype=np.int32)
-    comp_label: list[int] = []
-    comp_pixels: list[np.ndarray] = []
-    for sy, sx in np.ndindex(h, w):
-        if comp_of[sy, sx] != -1:
-            continue
-        cid = len(comp_label)
-        seg = labels[sy, sx]
-        stack = [(sy, sx)]
-        comp_of[sy, sx] = cid
-        pixels = [(sy, sx)]
-        while stack:
-            y, x = stack.pop()
-            for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                if 0 <= ny < h and 0 <= nx < w and comp_of[ny, nx] == -1 and labels[ny, nx] == seg:
-                    comp_of[ny, nx] = cid
-                    stack.append((ny, nx))
-                    pixels.append((ny, nx))
-        comp_label.append(int(seg))
-        comp_pixels.append(np.array(pixels))
+    """Merge orphan fragments into their largest adjacent segment.
 
-    # anchor = largest component of each segment (first found wins ties)
+    Each segment keeps its largest 4-connected component, the first in
+    row-major order on a tie.  The other components (orphans), taken in
+    row-major first-pixel order, join the 4-adjacent settled segment with
+    the largest running size, the lowest id on a tie; an orphan with no
+    settled neighbor waits for the next pass.
+    """
+    local = np.zeros(labels.shape, dtype=np.int64)
+    for seg in np.unique(labels):
+        inside = labels == seg
+        local[inside] = label_components(inside, connectivity=4)[0][inside]
+    comp, count = _first_occurrence_ids(labels.astype(np.int64) * labels.size + local)
+    sizes = np.bincount(comp.ravel()).tolist()
+    seg_of = np.empty(count, dtype=np.int64)
+    seg_of[comp.ravel()] = labels.ravel()
+    seg_of = seg_of.tolist()
+
+    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1].ravel()]).astype(np.int64)
+    b = np.concatenate([comp[:, 1:].ravel(), comp[1:].ravel()]).astype(np.int64)
+    neighbors: list[set[int]] = [set() for _ in range(count)]
+    for edge in np.unique((a * count + b)[a != b]).tolist():
+        x, y = divmod(edge, count)
+        neighbors[x].add(y)
+        neighbors[y].add(x)
+
     anchor: dict[int, int] = {}
-    for cid, seg in enumerate(comp_label):
-        if seg not in anchor or len(comp_pixels[cid]) > len(comp_pixels[anchor[seg]]):
+    for cid, seg in enumerate(seg_of):
+        if seg not in anchor or sizes[cid] > sizes[anchor[seg]]:
             anchor[seg] = cid
-    settled = {anchor[seg] for seg in anchor}
-    seg_sizes = {seg: len(comp_pixels[anchor[seg]]) for seg in anchor}
+    settled = set(anchor.values())
+    seg_sizes = {seg: sizes[cid] for seg, cid in anchor.items()}
 
-    out = labels.copy()
-    orphans = [cid for cid in range(len(comp_label)) if cid not in settled]
+    orphans = [cid for cid in range(count) if cid not in settled]
     while orphans:
         remaining = []
         for cid in orphans:
-            neighbor_segs = set()
-            for y, x in comp_pixels[cid]:
-                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                    if 0 <= ny < h and 0 <= nx < w and comp_of[ny, nx] in settled:
-                        neighbor_segs.add(int(out[ny, nx]))
+            neighbor_segs = {seg_of[n] for n in neighbors[cid] if n in settled}
             if not neighbor_segs:
                 remaining.append(cid)
                 continue
             target = max(neighbor_segs, key=lambda s: (seg_sizes[s], -s))
-            for y, x in comp_pixels[cid]:
-                out[y, x] = target
-            seg_sizes[target] += len(comp_pixels[cid])
+            seg_of[cid] = target
+            seg_sizes[target] += sizes[cid]
             settled.add(cid)
         if len(remaining) == len(orphans):
             raise RuntimeError("connectivity enforcement failed to converge")
         orphans = remaining
 
-    # compact ids to 0..count-1 in row-major first-occurrence order
-    remap: dict[int, int] = {}
-    flat = out.ravel()
-    for v in flat:
-        if int(v) not in remap:
-            remap[int(v)] = len(remap)
-    return np.array([remap[int(v)] for v in flat], dtype=np.int32).reshape(h, w)
+    return _first_occurrence_ids(np.array(seg_of)[comp])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,12 @@ def _constrained_solve(
     v_empty: float,
     delta: float,
 ) -> np.ndarray:
-    """WLS with the efficiency constraint eliminated through the last player."""
+    """WLS with the efficiency constraint eliminated through the last player.
+
+    The reduced normal equations are solved by minimum-norm least squares,
+    so coalition samples that do not pin down every player give the
+    smallest consistent psi instead of an ill-conditioned exact solve.
+    """
     m = masks.shape[1]
     z_last = masks[:, -1]
     design = masks[:, :-1] - z_last[:, None]
@@ -426,10 +431,7 @@ def _constrained_solve(
     wx = design * weights[:, None]
     gram = design.T @ wx
     rhs = wx.T @ rhs_vec
-    try:
-        psi = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        psi = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+    psi = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     phi = np.empty(m)
     phi[:-1] = psi
     phi[-1] = delta - psi.sum()

@@ -248,6 +248,7 @@ _NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 def _hysteresis(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
     """8-connected flood from strong pixels across the candidate set."""
+    # not label_components: labelling weak-only components too doubles the cost per call
     h, w = strong.shape
     visited = strong.copy()
     queue = deque(zip(*np.nonzero(strong)))

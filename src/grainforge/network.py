@@ -14,6 +14,7 @@ order, then each tensor's raw little-endian float32 values row-major.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -102,24 +103,31 @@ class Parameters:
         )
 
 
-def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
-    """Output shape after each layer; raises NetworkError on any mismatch."""
+def _layer_plan(spec: NetworkSpec) -> list[tuple]:
+    """(layer, out_shape, weight_shape, bias_shape) per layer.
+
+    The parameter shapes are None for pool and flatten layers.  Raises
+    NetworkError on any mismatch.
+    """
     if not spec.layers:
         raise NetworkError("network must have at least one layer")
     shape: tuple[int, ...] = tuple(spec.input_shape)
     if len(shape) != 3 or any(d < 1 for d in shape):
         raise NetworkError(f"input shape must be positive (H,W,C), got {shape}")
-    shapes = []
+    plan = []
     for i, layer in enumerate(spec.layers):
+        weight_shape = bias_shape = None
         if layer.kind == "conv2d":
             if len(shape) != 3:
                 raise NetworkError(f"layer {i}: conv2d needs (H,W,C) input, got {shape}")
-            h, w, _ = shape
+            h, w, cin = shape
             if h < KERNEL_SIZE or w < KERNEL_SIZE:
                 raise NetworkError(f"layer {i}: input {h}x{w} smaller than 3x3 kernel")
             if layer.filters < 1:
                 raise NetworkError(f"layer {i}: conv2d needs a positive filter count")
             shape = (h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1, layer.filters)
+            weight_shape = (KERNEL_SIZE, KERNEL_SIZE, cin, layer.filters)
+            bias_shape = (layer.filters,)
         elif layer.kind == "maxpool2d":
             if len(shape) != 3:
                 raise NetworkError(f"layer {i}: maxpool needs (H,W,C) input, got {shape}")
@@ -136,6 +144,8 @@ def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
                 raise NetworkError(f"layer {i}: dense needs a flat input, got {shape}")
             if layer.units < 1:
                 raise NetworkError(f"layer {i}: dense needs a positive unit count")
+            weight_shape = (shape[0], layer.units)
+            bias_shape = (layer.units,)
             shape = (layer.units,)
         else:
             raise NetworkError(f"layer {i}: unknown kind {layer.kind!r}")
@@ -143,14 +153,19 @@ def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
             raise NetworkError(f"layer {i}: unknown activation {layer.activation!r}")
         if layer.activation == "softmax" and i != len(spec.layers) - 1:
             raise NetworkError(f"layer {i}: softmax is only valid on the final layer")
-        shapes.append(shape)
+        plan.append((layer, shape, weight_shape, bias_shape))
     last = spec.layers[-1]
     if last.kind != "dense" or last.activation != "softmax" or last.units != spec.num_classes:
         raise NetworkError(
             "final layer must be dense with softmax over "
             f"{spec.num_classes} classes, got {last}"
         )
-    return shapes
+    return plan
+
+
+def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
+    """Output shape after each layer; raises NetworkError on any mismatch."""
+    return [out_shape for _, out_shape, _, _ in _layer_plan(spec)]
 
 
 def build_rice_cnn() -> NetworkSpec:
@@ -191,19 +206,10 @@ def build_disease_cnn() -> NetworkSpec:
 
 def layer_param_counts(spec: NetworkSpec) -> list[int]:
     """Trainable scalar count per layer (0 for pool/flatten)."""
-    shapes = infer_shapes(spec)
-    counts = []
-    shape = tuple(spec.input_shape)
-    for layer, out_shape in zip(spec.layers, shapes):
-        if layer.kind == "conv2d":
-            cin = shape[2]
-            counts.append(KERNEL_SIZE * KERNEL_SIZE * cin * layer.filters + layer.filters)
-        elif layer.kind == "dense":
-            counts.append(shape[0] * layer.units + layer.units)
-        else:
-            counts.append(0)
-        shape = out_shape
-    return counts
+    return [
+        math.prod(wshape) + math.prod(bshape) if wshape else 0
+        for _, _, wshape, bshape in _layer_plan(spec)
+    ]
 
 
 def param_count(spec: NetworkSpec) -> int:
@@ -216,24 +222,13 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters
     Each layer draws from its own derived stream, so adding or removing a
     layer does not perturb the draws of the others.
     """
-    shapes = infer_shapes(spec)
     params = Parameters()
-    shape = tuple(spec.input_shape)
-    for i, (layer, out_shape) in enumerate(zip(spec.layers, shapes)):
-        if layer.kind == "conv2d":
-            cin = shape[2]
-            fan_in = KERNEL_SIZE * KERNEL_SIZE * cin
-            fan_out = KERNEL_SIZE * KERNEL_SIZE * layer.filters
-            wshape = (KERNEL_SIZE, KERNEL_SIZE, cin, layer.filters)
-            bshape = (layer.filters,)
-        elif layer.kind == "dense":
-            fan_in, fan_out = shape[0], layer.units
-            wshape = (shape[0], layer.units)
-            bshape = (layer.units,)
-        else:
+    for i, (layer, _, wshape, bshape) in enumerate(_layer_plan(spec)):
+        if wshape is None:
             params.layers.append(None)
-            shape = out_shape
             continue
+        receptive = math.prod(wshape[:-2])  # 3x3 for conv, 1 for dense
+        fan_in, fan_out = receptive * wshape[-2], receptive * wshape[-1]
         stream = rng.child(f"layer{i}")
         if layer.activation == "relu":
             weight = stream.normal(0.0, np.sqrt(2.0 / fan_in), wshape)
@@ -243,30 +238,20 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters
         params.layers.append(
             LayerParams(weight.astype(dtype), np.zeros(bshape, dtype=dtype))
         )
-        shape = out_shape
     return params
 
 
 def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
-    shapes = infer_shapes(spec)
+    plan = _layer_plan(spec)
     if len(params.layers) != len(spec.layers):
         raise NetworkError(
             f"parameter list length {len(params.layers)} does not match "
             f"{len(spec.layers)} layers"
         )
-    shape = tuple(spec.input_shape)
-    for i, (layer, out_shape) in enumerate(zip(spec.layers, shapes)):
-        lp = params.layers[i]
-        if layer.kind == "conv2d":
-            expect_w = (KERNEL_SIZE, KERNEL_SIZE, shape[2], layer.filters)
-            expect_b = (layer.filters,)
-        elif layer.kind == "dense":
-            expect_w = (shape[0], layer.units)
-            expect_b = (layer.units,)
-        else:
+    for i, ((layer, _, expect_w, expect_b), lp) in enumerate(zip(plan, params.layers)):
+        if expect_w is None:
             if lp is not None:
                 raise NetworkError(f"layer {i} ({layer.kind}) must not carry parameters")
-            shape = out_shape
             continue
         if lp is None or lp.weight is None or lp.bias is None:
             raise NetworkError(f"layer {i} ({layer.kind}) is missing parameters")
@@ -275,7 +260,6 @@ def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
                 f"layer {i}: expected weight {expect_w} / bias {expect_b}, "
                 f"got {lp.weight.shape} / {lp.bias.shape}"
             )
-        shape = out_shape
 
 
 def forward(spec: NetworkSpec, params: Parameters, batch: Tensor):

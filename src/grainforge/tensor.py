@@ -172,9 +172,3 @@ def softmax(logits: Tensor) -> Tensor:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def check_finite(x: Tensor, name: str) -> Tensor:
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError(f"non-finite values in tensor {name!r}")
-    return x

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import imaging
 from .imaging import Image
-from .metrics import ClassScore, ConfusionMatrix, class_report, confusion_from_pairs
+from .metrics import ClassScore, ConfusionMatrix, accuracy, class_report, confusion_from_pairs
 from .network import (
     NetworkSpec,
     Parameters,
@@ -163,10 +163,13 @@ class TrainConfig:
             raise ValueError(f"L2 coefficient must be >= 0, got {self.lam}")
 
 
-def _match_channels(image: Image, channels: int) -> Image:
-    if image.channels == channels:
+def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
+    """Resize to the network's input size and match its channel count."""
+    h, w, c = spec.input_shape
+    image = imaging.resize(image, w, h)
+    if image.channels == c:
         return image
-    if channels == 1:
+    if c == 1:
         return imaging.to_grayscale(image)
     return Image.from_array(np.repeat(image.pixels, 3, axis=2))
 
@@ -185,9 +188,7 @@ def load_example_image(path, spec: NetworkSpec, config: TrainConfig) -> Image:
     if config.use_segment:
         mask = imaging.segment_grain(image)
         image = imaging.apply_segment_mask(image, mask)
-    h, w, c = spec.input_shape
-    image = imaging.resize(image, w, h)
-    return _match_channels(image, c)
+    return fit_to_input(image, spec)
 
 
 def _to_array(image: Image, dtype) -> np.ndarray:
@@ -380,7 +381,7 @@ def train_arrays(
             train_loss=loss_sum / len(train_x),
             train_acc=correct / len(train_x),
             val_loss=val.loss,
-            val_acc=float(np.trace(val.confusion.counts)) / val.confusion.total,
+            val_acc=accuracy(val.confusion),
         )
         history.epochs.append(record)
 

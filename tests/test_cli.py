@@ -384,3 +384,11 @@ class TestReport:
         assert code == 0
         assert stdout.strip() == str(out)
         assert "best epoch" in out.read_text()
+
+    def test_empty_history_is_usage_error(self, tmp_path, capsys):
+        history = tmp_path / "history.csv"
+        history.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n")
+        code, stdout, stderr = run_cli(capsys, "report", "--history", str(history))
+        assert code == 2
+        assert stdout == ""
+        assert "no epochs" in stderr

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from grainforge import explain
+from grainforge import explain, network
 from grainforge.explain import SuperpixelMap
-from grainforge.imaging import Image, label_components
+from grainforge.imaging import Image, label_components, normalize
 from grainforge.rng import Rng
+from grainforge.synthetic import SHAPE_CLASSES, render_shape
+from grainforge.training import fit_to_input
 
 from conftest import random_image
 
@@ -78,6 +80,113 @@ class TestSlic:
     def test_target_larger_than_pixel_count_rejected(self, rng):
         with pytest.raises(ValueError, match="cannot split"):
             explain.slic_superpixels(random_image(rng, 3, 3), 10)
+
+
+def connectivity_reference(labels: np.ndarray) -> np.ndarray:
+    """Per-pixel loop form of the orphan-merge policy, kept as the oracle."""
+    h, w = labels.shape
+    comp_of = np.full((h, w), -1)
+    pixels: list[list[tuple[int, int]]] = []
+    for sy, sx in np.ndindex(h, w):
+        if comp_of[sy, sx] != -1:
+            continue
+        comp_of[sy, sx] = len(pixels)
+        stack, members = [(sy, sx)], [(sy, sx)]
+        while stack:
+            y, x = stack.pop()
+            for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if (0 <= ny < h and 0 <= nx < w and comp_of[ny, nx] == -1
+                        and labels[ny, nx] == labels[sy, sx]):
+                    comp_of[ny, nx] = len(pixels)
+                    stack.append((ny, nx))
+                    members.append((ny, nx))
+        pixels.append(members)
+    anchor: dict[int, int] = {}
+    for cid, members in enumerate(pixels):
+        seg = int(labels[members[0]])
+        if seg not in anchor or len(members) > len(pixels[anchor[seg]]):
+            anchor[seg] = cid
+    settled = set(anchor.values())
+    sizes = {seg: len(pixels[cid]) for seg, cid in anchor.items()}
+    out = labels.copy()
+    orphans = [cid for cid in range(len(pixels)) if cid not in settled]
+    while orphans:
+        remaining = []
+        for cid in orphans:
+            segs = {
+                int(out[ny, nx])
+                for y, x in pixels[cid]
+                for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1))
+                if 0 <= ny < h and 0 <= nx < w and comp_of[ny, nx] in settled
+            }
+            if not segs:
+                remaining.append(cid)
+                continue
+            target = max(segs, key=lambda s: (sizes[s], -s))
+            for y, x in pixels[cid]:
+                out[y, x] = target
+            sizes[target] += len(pixels[cid])
+            settled.add(cid)
+        assert len(remaining) < len(orphans)
+        orphans = remaining
+    remap: dict[int, int] = {}
+    for v in out.ravel():
+        remap.setdefault(int(v), len(remap))
+    return np.vectorize(remap.get)(out).astype(np.int32)
+
+
+class TestEnforceConnectivity:
+    def test_orphan_joins_larger_neighbor_and_ids_compact(self):
+        # the lone 9 touches segment 5 (6 px) and segment 2 (5 px)
+        labels = np.array(
+            [[5, 5, 5, 2],
+             [5, 9, 2, 2],
+             [5, 5, 2, 2],
+             [9, 9, 9, 9]], dtype=np.int32
+        )
+        expected = np.array(
+            [[0, 0, 0, 1],
+             [0, 0, 1, 1],
+             [0, 0, 1, 1],
+             [2, 2, 2, 2]]
+        )
+        out = explain._enforce_connectivity(labels)
+        assert out.dtype == np.int32
+        assert np.array_equal(out, expected)
+
+    def test_equal_size_tie_goes_to_lower_id(self):
+        # the lone 6 touches segments 4 and 1 (4 px each) and 5 (1 px)
+        labels = np.array(
+            [[4, 4, 6, 1, 1],
+             [4, 4, 5, 1, 1],
+             [6, 6, 6, 6, 6]], dtype=np.int32
+        )
+        expected = np.array(
+            [[0, 0, 1, 1, 1],
+             [0, 0, 2, 1, 1],
+             [3, 3, 3, 3, 3]]
+        )
+        assert np.array_equal(explain._enforce_connectivity(labels), expected)
+
+    def test_orphan_enclosed_by_orphan_settles_on_second_pass(self):
+        # the corner 3 touches only the 8-orphan; that one joins segment 1
+        # (6 px, larger than segment 3's 5 px) and the corner follows it
+        labels = np.array(
+            [[3, 8, 1, 1, 1],
+             [8, 8, 1, 1, 1],
+             [3, 3, 3, 3, 3],
+             [8, 8, 8, 8, 8]], dtype=np.int32
+        )
+        expected = np.repeat(np.array([0, 0, 1, 2])[:, None], 5, axis=1)
+        assert np.array_equal(explain._enforce_connectivity(labels), expected)
+
+    def test_matches_reference_on_random_label_maps(self):
+        gen = np.random.default_rng(7)
+        for _ in range(60):
+            h, w = (int(v) for v in gen.integers(1, 14, 2))
+            labels = gen.integers(0, int(gen.integers(1, 6)), (h, w)).astype(np.int32)
+            out = explain._enforce_connectivity(labels)
+            assert np.array_equal(out, connectivity_reference(labels))
 
 
 class TestPerturb:
@@ -279,6 +388,28 @@ class TestKernelShap:
         )
         delta = lookup(np.ones(m))[0] - lookup(np.zeros(m))[0]
         assert attribution.weights.sum() == pytest.approx(delta, abs=1e-9)
+
+    def test_rank_deficient_samples_keep_local_accuracy_on_a_cnn(self):
+        # 100 sampled coalitions for 100 segments leave the reduced normal
+        # equations rank-deficient; an exact solve returned |psi| ~ 1e27 here
+        spec = network.build_disease_cnn()
+        params = network.init_parameters(spec, Rng(51).child("weights"), dtype=np.float32)
+        image = render_shape(SHAPE_CLASSES[0], 224, Rng(51).child("image-0"))
+
+        def model(img: Image) -> np.ndarray:
+            x = normalize(fit_to_input(img, spec)).astype(np.float32)
+            return np.asarray(network.forward(spec, params, x)[0], dtype=np.float64)
+
+        spmap = explain.slic_superpixels(image, 100)
+        target = int(np.argmax(model(image)))
+        baseline = explain.mean_baseline(image)
+        attribution = explain.kernel_shap(
+            model, image, spmap, target, baseline=baseline, n_samples=100, rng=Rng(51)
+        )
+        empty = explain.perturb(image, spmap, np.zeros(spmap.count), baseline)
+        delta = model(image)[target] - model(empty)[target]
+        assert abs(attribution.weights.sum() - delta) <= 1e-6
+        assert np.abs(attribution.weights).max() <= 1.0
 
     def test_single_segment_gets_the_delta(self):
         image, spmap = banded_setup(1)
