@@ -30,6 +30,17 @@ class UsageError(ValueError):
     pass
 
 
+# JSON value types each RunConfig annotation accepts; an integer is a valid
+# float, but a bool is never a number and a float is never an integer
+_JSON_TYPES = {
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "bool": (bool,),
+    "None": (type(None),),
+}
+
+
 @dataclass
 class RunConfig:
     model: str = "rice"
@@ -133,6 +144,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(file_cfg) - known
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for f in fields(RunConfig):
+        if f.name in file_cfg:
+            _check_type(f.name, f.type, file_cfg[f.name])
 
     cfg = RunConfig()
     for f in fields(RunConfig):
@@ -148,6 +162,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
     cfg.validate()
     return cfg
+
+
+def _check_type(name: str, annotation: str, value) -> None:
+    """Reject a config-file value whose JSON type the field cannot hold."""
+    allowed = tuple(t for part in annotation.split(" | ") for t in _JSON_TYPES[part])
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        raise UsageError(
+            f"config key {name!r} must be {annotation}, got {type(value).__name__} {value!r}"
+        )
 
 
 def _emit(path) -> None:

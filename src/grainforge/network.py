@@ -427,43 +427,55 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
         header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WeightsFormatError(f"unreadable JSON header: {exc}", 12) from exc
+    if not isinstance(header, dict):
+        raise WeightsFormatError("JSON header is not an object", 12)
     if header.get("version") != 1:
         raise WeightsFormatError(f"unsupported header version {header.get('version')}", 12)
     if header.get("dtype") != "f32":
         raise WeightsFormatError(f"unsupported dtype {header.get('dtype')!r}", 12)
 
-    spec = NetworkSpec(
-        input_shape=tuple(header["input_shape"]),
-        layers=tuple(
-            LayerSpec(
-                kind=entry["kind"],
-                filters=entry["filters"],
-                units=entry["units"],
-                activation=entry["activation"],
-            )
-            for entry in header["layers"]
-        ),
-        num_classes=header["num_classes"],
-    )
-    infer_shapes(spec)
+    try:
+        spec = NetworkSpec(
+            input_shape=tuple(header["input_shape"]),
+            layers=tuple(
+                LayerSpec(
+                    kind=entry["kind"],
+                    filters=entry["filters"],
+                    units=entry["units"],
+                    activation=entry["activation"],
+                )
+                for entry in header["layers"]
+            ),
+            num_classes=header["num_classes"],
+        )
+        tensors = [(entry["layer"], entry["name"], entry["shape"]) for entry in header["tensors"]]
+        infer_shapes(spec)
+    except KeyError as exc:
+        raise WeightsFormatError(f"JSON header lacks key {exc}", 12) from exc
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. "units": "2"
+        raise WeightsFormatError(f"malformed JSON header: {exc}", 12) from exc
 
     params = Parameters([None] * len(spec.layers))
     pos = 12 + header_len
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        nbytes = 4 * int(np.prod(shape))
-        if len(data) - pos < nbytes:
+    for i, name, shape in tensors:
+        if not (type(i) is int and 0 <= i < len(spec.layers)):
             raise WeightsFormatError(
-                f"truncated tensor payload for layer {entry['layer']} {entry['name']}",
-                len(data),
+                f"tensor {name!r} names layer {i!r}, outside 0..{len(spec.layers) - 1}", 12
             )
-        arr = np.frombuffer(data, dtype="<f4", count=int(np.prod(shape)), offset=pos)
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise WeightsFormatError(f"tensor {name!r} of layer {i} has bad shape {shape}", 12)
+        shape = tuple(shape)
+        count = math.prod(shape)
+        if len(data) - pos < 4 * count:
+            raise WeightsFormatError(
+                f"truncated tensor payload for layer {i} {name}", len(data)
+            )
+        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
         arr = arr.reshape(shape).copy()
-        pos += nbytes
-        i = entry["layer"]
+        pos += 4 * count
         if params.layers[i] is None:
             params.layers[i] = LayerParams(None, None)  # filled by both names
-        setattr(params.layers[i], entry["name"], arr)
+        setattr(params.layers[i], name, arr)
     if pos != len(data):
         raise WeightsFormatError(f"{len(data) - pos} unexpected trailing bytes", pos)
     check_parameters(spec, params)

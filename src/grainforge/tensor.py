@@ -8,9 +8,11 @@ requests.  Forward kernels return the auxiliary state (pooling argmax
 indices, pre-activation caches) needed by the explicit backward passes in
 :mod:`grainforge.network`.
 
-Convolutions run as shift-and-accumulate matrix products so the heavy
-lifting lands in BLAS; the test suite checks every kernel element-by-
-element against naive nested-loop oracles.
+The forward convolution is one im2col matrix product (Chellapilla et al.,
+2006) so the heavy lifting lands in BLAS; its backward pass accumulates
+one product per kernel offset.  Max pooling selects between the four
+window corners with elementwise maxima and comparisons.  The test suite
+checks every kernel element-by-element against naive nested-loop oracles.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ def _crop(x: Tensor, dy: int, dx: int, oh: int, ow: int) -> Tensor:
 def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid-padding stride-1 convolution of (B,H,W,Cin) with (Kh,Kw,Cin,Cout).
 
-    Computed by shift-and-accumulate: one (B*H'*W', Cin) x (Cin, Cout)
-    product per kernel offset, which keeps every copy and product on
-    contiguous buffers.
+    Computed by im2col: each output pixel's Kh x Kw x Cin window becomes
+    one row of a contiguous (B*H'*W', Kh*Kw*Cin) matrix, which is
+    multiplied once by the kernels flattened to (Kh*Kw*Cin, Cout).
     """
     if x.ndim != 4:
         raise ShapeError(f"conv input must be 4-d (B,H,W,C), got shape {x.shape}")
@@ -54,19 +56,12 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     oh, ow = h - kh + 1, w - kw + 1
-    out = np.empty((b * oh * ow, cout), dtype=np.result_type(x, kernels))
-    out[:] = bias
-    for dy in range(kh):
-        for dx in range(kw):
-            out += _crop(x, dy, dx, oh, ow) @ kernels[dy, dx]
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    # (B, H', W', Cin, Kh, Kw) -> rows ordered (Kh, Kw, Cin) like the kernels
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+    out = cols @ kernels.reshape(-1, cout)
+    out += bias
     return out.reshape(b, oh, ow, cout)
-
-
-def conv2d_forward(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Single-image convolution: (H,W,Cin) -> (H-Kh+1, W-Kw+1, Cout)."""
-    if x.ndim != 3:
-        raise ShapeError(f"conv input must be 3-d (H,W,C), got shape {x.shape}")
-    return conv2d_batch(x[None], kernels, bias)[0]
 
 
 def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor):
@@ -93,36 +88,29 @@ def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor):
 def maxpool2d_batch(x: Tensor):
     """2x2 stride-2 max pooling of (B,H,W,C); trailing odd row/col dropped.
 
-    Returns (pooled, argmax) where argmax holds the within-window winner
-    index in {0,1,2,3} (row-major over the window) for the backward pass.
-    Ties go to the first maximum in that order.
+    Returns (pooled, argmax) where argmax is a uint8 array holding the
+    within-window winner index in {0,1,2,3} (row-major over the window)
+    for the backward pass.  Ties go to the first maximum in that order.
+    A NaN anywhere in a window makes its pooled value NaN.
     """
     if x.ndim != 4:
         raise ShapeError(f"pool input must be 4-d (B,H,W,C), got shape {x.shape}")
-    b, h, w, c = x.shape
+    n, h, w, ch = x.shape
     if h < 2 or w < 2:
         raise ShapeError(f"pool input spatial axes {h}x{w} must be at least 2x2")
     oh, ow = h // 2, w // 2
-    corners = np.stack(
-        [
-            x[:, 0 : 2 * oh : 2, 0 : 2 * ow : 2, :],
-            x[:, 0 : 2 * oh : 2, 1 : 2 * ow : 2, :],
-            x[:, 1 : 2 * oh : 2, 0 : 2 * ow : 2, :],
-            x[:, 1 : 2 * oh : 2, 1 : 2 * ow : 2, :],
-        ],
-        axis=-1,
-    )  # (B, oh, ow, C, 4), window positions row-major
-    argmax = corners.argmax(axis=-1)
-    pooled = np.take_along_axis(corners, argmax[..., None], axis=-1)[..., 0]
+    win = x[:, : 2 * oh, : 2 * ow, :].reshape(n, oh, 2, ow, 2, ch)
+    # window corners  a b / c d
+    a, b = win[:, :, 0, :, 0], win[:, :, 0, :, 1]
+    c, d = win[:, :, 1, :, 0], win[:, :, 1, :, 1]
+    # on a tie np.maximum returns its second operand, so the earlier corner
+    # is passed second and the pooled value keeps its bits (signed zeros)
+    top = np.maximum(b, a)
+    bot = np.maximum(d, c)
+    pooled = np.maximum(bot, top)
+    # strict comparisons keep the first maximum of each pair and of the two rows
+    argmax = np.where(bot > top, (d > c) + np.uint8(2), (b > a).view(np.uint8))
     return pooled, argmax
-
-
-def maxpool2d_forward(x: Tensor):
-    """Single-image pooling: (H,W,C) -> (floor(H/2), floor(W/2), C)."""
-    if x.ndim != 3:
-        raise ShapeError(f"pool input must be 3-d (H,W,C), got shape {x.shape}")
-    pooled, argmax = maxpool2d_batch(x[None])
-    return pooled[0], argmax[0]
 
 
 def maxpool2d_backward(x_shape, argmax: Tensor, dout: Tensor) -> Tensor:

@@ -173,6 +173,26 @@ class TestTrain:
         assert code == 2
         assert "epoochs" in stderr
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"epochs": "3"}, "epochs"), ({"seed": 4.0}, "seed"), ({"canny": 1}, "canny")],
+    )
+    def test_mistyped_config_value_rejected(self, tiny_shape_dataset, tmp_path, capsys, config, key):
+        root, _, _ = tiny_shape_dataset
+        manifest = tmp_path / "m.csv"
+        run_cli(capsys, "ingest", str(root), "--out", str(manifest))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, stdout, stderr = run_cli(
+            capsys,
+            "train", "--manifest", str(manifest), "--data-root", str(root),
+            "--config", str(cfg),
+            "--out", str(tmp_path / "w.gfw"), "--history", str(tmp_path / "h.csv"),
+        )
+        assert code == 2
+        assert f"config key {key!r}" in stderr
+        assert stdout == ""
+
     def test_seed_env_fallback(self, tiny_shape_dataset, tmp_path, capsys, monkeypatch):
         root, _, _ = tiny_shape_dataset
         manifest = tmp_path / "m.csv"

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -329,4 +332,48 @@ class TestSerialization:
         network.save_weights(spec, params, path)
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(WeightsFormatError, match="trailing"):
+            network.load_weights(path)
+
+    @staticmethod
+    def _with_header(tmp_path, edit):
+        """A saved mini-spec weights file whose JSON header ``edit`` has changed."""
+        spec = mini_spec()
+        path = tmp_path / "w.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(16)), path)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", data[4:12])
+        header = json.loads(data[12 : 12 + header_len])
+        edit(header)
+        header_bytes = json.dumps(header).encode()
+        path.write_bytes(
+            data[:4] + struct.pack("<Q", len(header_bytes)) + header_bytes
+            + data[12 + header_len :]
+        )
+        return path
+
+    def test_out_of_range_tensor_layer_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(layer=99))
+        with pytest.raises(WeightsFormatError, match="layer 99.*byte offset 12"):
+            network.load_weights(path)
+
+    def test_missing_layers_key_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h.pop("layers"))
+        with pytest.raises(WeightsFormatError, match="'layers'.*byte offset 12"):
+            network.load_weights(path)
+
+    def test_negative_tensor_shape_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(shape=[-1, 3]))
+        with pytest.raises(WeightsFormatError, match=r"shape \[-1, 3\].*byte offset 12"):
+            network.load_weights(path)
+
+    def test_mistyped_header_parts_rejected(self, tmp_path):
+        for edit in (
+            lambda h: h["tensors"].__setitem__(0, [1]),
+            lambda h: h["layers"][-1].update(units="3"),
+        ):
+            path = self._with_header(tmp_path, edit)
+            with pytest.raises(WeightsFormatError, match="malformed JSON header.*byte offset 12"):
+                network.load_weights(path)
+        path.write_bytes(b"GFW1" + struct.pack("<Q", 2) + b"[]")
+        with pytest.raises(WeightsFormatError, match="not an object.*byte offset 12"):
             network.load_weights(path)

@@ -49,14 +49,14 @@ class TestConv2d:
     def test_table_shape(self, rng):
         x = rng.normal(0, 1, (50, 50, 3))
         k = rng.normal(0, 1, (3, 3, 3, 32))
-        out = tensor.conv2d_forward(x, k, np.zeros(32))
+        out = tensor.conv2d_batch(x[None], k, np.zeros(32))[0]
         assert out.shape == (48, 48, 32)
 
     def test_single_pixel_identity(self):
         x = np.array([[[2.5]]])
         k = np.array([[[[3.0]]]])
         b = np.array([0.75])
-        out = tensor.conv2d_forward(x, k, b)
+        out = tensor.conv2d_batch(x[None], k, b)[0]
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == pytest.approx(3.0 * 2.5 + 0.75)
 
@@ -64,7 +64,7 @@ class TestConv2d:
         x = rng.normal(0, 1, (5, 5, 2))
         k = rng.normal(0, 1, (3, 3, 2, 4))
         b = rng.normal(0, 1, (4,))
-        out = tensor.conv2d_forward(x, k, b)
+        out = tensor.conv2d_batch(x[None], k, b)[0]
         assert np.abs(out - naive_conv(x, k, b)).max() < 1e-12
 
     def test_all_small_shapes_match_naive(self, rng):
@@ -74,20 +74,20 @@ class TestConv2d:
                     x = rng.normal(0, 1, (h, w, cin))
                     k = rng.normal(0, 1, (3, 3, cin, cout))
                     b = rng.normal(0, 1, (cout,))
-                    got = tensor.conv2d_forward(x, k, b)
+                    got = tensor.conv2d_batch(x[None], k, b)[0]
                     assert np.abs(got - naive_conv(x, k, b)).max() < 1e-12
 
     def test_channel_mismatch_names_axes(self, rng):
         x = rng.normal(0, 1, (5, 5, 2))
         k = rng.normal(0, 1, (3, 3, 3, 4))
         with pytest.raises(tensor.ShapeError, match="channel"):
-            tensor.conv2d_forward(x, k, np.zeros(4))
+            tensor.conv2d_batch(x[None], k, np.zeros(4))
 
     def test_too_small_input_rejected(self, rng):
         x = rng.normal(0, 1, (2, 5, 3))
         k = rng.normal(0, 1, (3, 3, 3, 4))
         with pytest.raises(tensor.ShapeError, match="smaller than kernel"):
-            tensor.conv2d_forward(x, k, np.zeros(4))
+            tensor.conv2d_batch(x[None], k, np.zeros(4))
 
     def test_linearity_with_zero_bias(self, rng):
         k = rng.normal(0, 1, (3, 3, 2, 3))
@@ -96,34 +96,48 @@ class TestConv2d:
             x1 = rng.normal(0, 1, (6, 6, 2))
             x2 = rng.normal(0, 1, (6, 6, 2))
             a, b = rng.uniform(-3, 3, 2)
-            lhs = tensor.conv2d_forward(a * x1 + b * x2, k, zero)
-            rhs = a * tensor.conv2d_forward(x1, k, zero) + b * tensor.conv2d_forward(
-                x2, k, zero
+            lhs = tensor.conv2d_batch((a * x1 + b * x2)[None], k, zero)[0]
+            rhs = (
+                a * tensor.conv2d_batch(x1[None], k, zero)[0]
+                + b * tensor.conv2d_batch(x2[None], k, zero)[0]
             )
             assert np.abs(lhs - rhs).max() < 1e-10
+
+
+    @pytest.mark.parametrize("hw, cin, cout", [((6, 7), 3, 32), ((5, 5), 32, 64)])
+    def test_float32_matches_float64_oracle(self, rng, hw, cin, cout):
+        # the channel counts of the first two convs of both networks; float32
+        # products summed in BLAS order stay within 1e-5 of the largest output
+        x = rng.normal(0, 1, (*hw, cin)).astype(np.float32)
+        k = rng.normal(0, 0.2, (3, 3, cin, cout)).astype(np.float32)
+        b = rng.normal(0, 1, (cout,)).astype(np.float32)
+        got = tensor.conv2d_batch(x[None], k, b)[0]
+        assert got.dtype == np.float32
+        want = naive_conv(x.astype(np.float64), k.astype(np.float64), b.astype(np.float64))
+        assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
 
 
 class TestMaxPool:
     def test_table_shape(self, rng):
         x = rng.normal(0, 1, (48, 48, 32))
-        out, _ = tensor.maxpool2d_forward(x)
+        out = tensor.maxpool2d_batch(x[None])[0][0]
         assert out.shape == (24, 24, 32)
 
     def test_constant_input(self):
         x = np.full((6, 6, 2), 3.25)
-        out, _ = tensor.maxpool2d_forward(x)
+        out = tensor.maxpool2d_batch(x[None])[0][0]
         assert np.all(out == 3.25)
 
     def test_matches_window_scan(self, rng):
         x = rng.normal(0, 1, (6, 6, 1))
-        out, _ = tensor.maxpool2d_forward(x)
+        out = tensor.maxpool2d_batch(x[None])[0][0]
         assert np.array_equal(out, naive_pool(x))
 
     def test_all_small_shapes_match_scan(self, rng):
         for h in range(2, 9):
             for w in range(2, 9):
                 x = rng.normal(0, 1, (h, w, 2))
-                out, _ = tensor.maxpool2d_forward(x)
+                out = tensor.maxpool2d_batch(x[None])[0][0]
                 assert np.array_equal(out, naive_pool(x)), (h, w)
 
     def test_backward_routes_to_argmax(self, rng):
@@ -134,6 +148,34 @@ class TestMaxPool:
         # each window contributes exactly one gradient, at its max
         assert dx.sum() == pooled.size
         assert np.all((dx > 0) == (x == np.repeat(np.repeat(pooled, 2, 1), 2, 2)))
+
+
+    def test_ties_go_to_first_maximum(self):
+        # every 2x2 window over {0, 1}, then an all-equal negative window,
+        # side by side along the width
+        windows = [np.array(bits, dtype=float).reshape(2, 2) for bits in np.ndindex(2, 2, 2, 2)]
+        windows.append(np.full((2, 2), -1.5))
+        x = np.concatenate(windows, axis=1)[None, :, :, None]
+        pooled, argmax = tensor.maxpool2d_batch(x)
+        assert argmax.dtype == np.uint8
+        first = [int(np.argmax(win.reshape(-1))) for win in windows]
+        assert argmax[0, 0, :, 0].tolist() == first
+        assert pooled[0, 0, :, 0].tolist() == [win.max() for win in windows]
+        dout = np.arange(1.0, len(windows) + 1)[None, None, :, None]
+        dx = tensor.maxpool2d_backward(x.shape, argmax, dout)
+        for j in range(len(windows)):
+            want = np.zeros(4)
+            want[first[j]] = j + 1.0
+            assert np.array_equal(dx[0, :, 2 * j : 2 * j + 2, 0].reshape(-1), want), j
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_in_any_corner_pools_to_nan(self, dtype):
+        x = np.zeros((4, 2, 2, 2), dtype=dtype)
+        for corner in range(4):
+            x[corner, corner // 2, corner % 2, 0] = np.nan
+        pooled, _ = tensor.maxpool2d_batch(x)
+        assert np.all(np.isnan(pooled[:, 0, 0, 0]))
+        assert np.array_equal(pooled[:, 0, 0, 1], np.zeros(4, dtype=dtype))
 
 
 class TestDense:
