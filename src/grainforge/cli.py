@@ -1,10 +1,15 @@
 """Command-line interface: ingest, train, evaluate, explain, report.
 
-Option precedence is CLI flag, then JSON config file (``--config``), then
-built-in defaults; the environment variable ``GRAINFORGE_SEED`` acts as a
-seed fallback below all three.  Every command prints the paths of the
-files it wrote, one per line, and exits 0 on success, 1 on runtime
-failure, 2 on usage or validation errors.
+Every setting is a field of ``RunConfig`` (``training.TrainConfig`` plus
+the model, split and explanation fields).  The field's metadata names the
+subcommands that take it as a flag (``--`` plus the name with dashes, or
+``--class`` for ``target_class``), and the field name is its key in the
+JSON config file.  Option precedence is CLI flag, then config file
+(``--config``), then built-in defaults; the environment variable
+``GRAINFORGE_SEED`` acts as a seed fallback below all three.  The merged
+settings are validated once, before any file is read.  Every command
+prints the paths of the files it wrote, one per line, and exits 0 on
+success, 1 on runtime failure, 2 on usage or validation errors.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from . import explain as explain_mod
 from . import imaging, metrics, network, training
 from .rng import Rng
+from .training import option
 
 SEED_ENV_VAR = "GRAINFORGE_SEED"
 IMAGE_EXTENSIONS = (".ppm", ".pgm")
@@ -30,99 +36,45 @@ class UsageError(ValueError):
     pass
 
 
-# JSON value types each RunConfig annotation accepts; an integer is a valid
-# float, but a bool is never a number and a float is never an integer
-_JSON_TYPES = {
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "bool": (bool,),
-    "None": (type(None),),
-}
+# Python type of each annotation part of a config field
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool, "None": type(None)}
 
 
 @dataclass
-class RunConfig:
-    model: str = "rice"
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 30
-    patience: int = 10
-    seed: int = 0
-    l2: float = 1e-4
-    canny: bool = False
-    segment: bool = False
-    augment: bool = False
-    canny_sigma: float = 1.0
-    canny_low: float = 50.0
-    canny_high: float = 100.0
-    dtype: str = "f32"
-    split: str = "test"
-    method: str = "lime"
-    target_class: int | None = None
-    segments: int | None = None
-    compactness: float = 10.0
-    slic_iters: int = 10
-    samples: int = 1000
-    kernel_width: float = 0.25
-    ridge: float = 1.0
-    top_k: int = 5
-    baseline: str = "mean"
+class RunConfig(training.TrainConfig):
+    """Every setting of a command: the training settings plus model, split and explanation."""
+
+    model: str = option("rice", "train", choices=("rice", "disease"))
+    split: str = option("test", "evaluate", choices=training.SPLIT_TAGS)
+    method: str = option("lime", "explain", choices=("lime", "shap"))
+    target_class: int | None = option(
+        None, "explain", flag="--class", help="class to explain (default: the argmax class)"
+    )
+    segments: int | None = option(None, "explain", help="target superpixel count")
+    compactness: float = option(10.0, "explain")
+    slic_iters: int = option(10, "explain")
+    samples: int = option(1000, "explain", help="perturbation sample budget")
+    kernel_width: float = option(0.25, "explain")
+    ridge: float = option(1.0, "explain")
+    top_k: int = option(5, "explain")
+    baseline: str = option("mean", "explain", choices=("mean", "gray"))
 
     def validate(self) -> None:
-        if self.model not in ("rice", "disease"):
-            raise UsageError(f"unknown model {self.model!r}")
-        if self.optimizer not in ("sgd", "adam", "adamax"):
-            raise UsageError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate < 0:
-            raise UsageError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise UsageError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise UsageError(f"patience must be >= 1, got {self.patience}")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise UsageError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.l2 < 0:
-            raise UsageError(f"l2 must be >= 0, got {self.l2}")
-        if not 0 <= self.canny_low < self.canny_high:
-            raise UsageError(
-                f"canny thresholds need 0 <= low < high, got {self.canny_low}, {self.canny_high}"
-            )
-        if self.dtype not in ("f32", "f64"):
-            raise UsageError(f"dtype must be f32 or f64, got {self.dtype!r}")
-        if self.split not in training.SPLIT_TAGS:
-            raise UsageError(f"split must be one of {training.SPLIT_TAGS}")
-        if self.method not in ("lime", "shap"):
-            raise UsageError(f"method must be lime or shap, got {self.method!r}")
+        super().validate()
+        if self.segments is not None and self.segments < 1:
+            raise ValueError(f"segments must be >= 1, got {self.segments}")
+        if self.compactness < 0:
+            raise ValueError(f"compactness must be >= 0, got {self.compactness}")
+        if self.slic_iters < 1:
+            raise ValueError(f"slic_iters must be >= 1, got {self.slic_iters}")
         if self.samples < 1:
-            raise UsageError(f"samples must be >= 1, got {self.samples}")
-        if self.baseline not in ("mean", "gray"):
-            raise UsageError(f"baseline must be mean or gray, got {self.baseline!r}")
-
-    def numpy_dtype(self):
-        return np.float32 if self.dtype == "f32" else np.float64
-
-    def train_config(self, data_root) -> training.TrainConfig:
-        return training.TrainConfig(
-            data_root=data_root,
-            optimizer=self.optimizer,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            epochs=self.epochs,
-            patience=self.patience,
-            seed=self.seed,
-            lam=self.l2,
-            use_canny=self.canny,
-            use_segment=self.segment,
-            use_augment=self.augment,
-            canny_sigma=self.canny_sigma,
-            canny_low=self.canny_low,
-            canny_high=self.canny_high,
-            dtype=self.numpy_dtype(),
-        )
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.kernel_width <= 0:
+            raise ValueError(f"kernel_width must be > 0, got {self.kernel_width}")
+        if self.ridge < 0:
+            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
+        if self.top_k < 0:
+            raise ValueError(f"top_k must be >= 0, got {self.top_k}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -140,15 +92,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
 
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(file_cfg) - known
+    keys = {f.name: f.type for f in fields(RunConfig) if f.metadata}
+    unknown = set(file_cfg) - set(keys)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for f in fields(RunConfig):
-        if f.name in file_cfg:
-            _check_type(f.name, f.type, file_cfg[f.name])
+    for name, value in file_cfg.items():
+        _check_type(name, keys[name], value)
 
     cfg = RunConfig()
+    # data_root, the one field without metadata, can only come from --data-root
     for f in fields(RunConfig):
         cli_value = getattr(args, f.name, None)
         if cli_value is not None:
@@ -160,14 +112,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 cfg.seed = int(os.environ[SEED_ENV_VAR])
             except ValueError as exc:
                 raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 
 def _check_type(name: str, annotation: str, value) -> None:
-    """Reject a config-file value whose JSON type the field cannot hold."""
-    allowed = tuple(t for part in annotation.split(" | ") for t in _JSON_TYPES[part])
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+    """Reject a config-file value whose JSON type the field cannot hold.
+
+    An integer is a valid float, but a bool is never a number and a float is
+    never an integer.
+    """
+    allowed = {_TYPES[part] for part in annotation.split(" | ")}
+    if type(value) not in allowed and not (type(value) is int and float in allowed):
         raise UsageError(
             f"config key {name!r} must be {annotation}, got {type(value).__name__} {value!r}"
         )
@@ -219,9 +178,7 @@ def cmd_train(args) -> int:
     manifest = training.read_manifest(args.manifest)
     spec = _build_spec(cfg.model)
     assignment = training.split(manifest, cfg.seed)
-    params, history = training.train(
-        spec, manifest, assignment, cfg.train_config(args.data_root)
-    )
+    params, history = training.train(spec, manifest, assignment, cfg)
     network.save_weights(spec, params.astype(np.float32), args.out)
     training.write_history(history, args.history)
     _emit(args.out)
@@ -235,9 +192,7 @@ def cmd_evaluate(args) -> int:
     manifest = training.read_manifest(args.manifest)
     assignment = training.split(manifest, cfg.seed)
     indices = assignment.indices(cfg.split)
-    result = training.evaluate(
-        spec, params, manifest, indices, cfg.train_config(args.data_root)
-    )
+    result = training.evaluate(spec, params, manifest, indices, cfg)
     curve = metrics.roc_micro(result.probabilities, result.labels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,7 +221,7 @@ def cmd_explain(args) -> int:
     spec, params = network.load_weights(args.weights)
     image_path = Path(args.image)
     image = imaging.read_image(image_path)
-    model = _model_closure(spec, params, cfg.numpy_dtype())
+    model = _model_closure(spec, params, training.DTYPES[cfg.dtype])
 
     target = cfg.target_class
     if target is None:
@@ -368,6 +323,16 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_config_flag(parser: argparse.ArgumentParser, f) -> None:
+    """Add the flag of config field ``f``; an unset flag parses to None."""
+    if f.type == "bool":
+        kind = {"action": "store_const", "const": True}
+    else:
+        kind = {"type": _TYPES[f.type.split(" | ")[0]], "choices": f.metadata["choices"]}
+    flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+    parser.add_argument(flag, dest=f.name, help=f.metadata["help"], **kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grainforge",
@@ -380,72 +345,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--out", default="manifest.csv", help="manifest path to write")
     p_ingest.set_defaults(func=cmd_ingest)
 
-    def add_common(p):
-        p.add_argument("--config", help="JSON config file (flags override it)")
-        p.add_argument("--seed", type=int)
-
     p_train = sub.add_parser("train", help="train a model from a manifest")
     p_train.add_argument("--manifest", required=True)
     p_train.add_argument("--data-root", required=True)
     p_train.add_argument("--out", default="weights.gfw", help="weights file to write")
     p_train.add_argument("--history", default="history.csv", help="history CSV to write")
-    p_train.add_argument("--model", choices=["rice", "disease"])
-    p_train.add_argument("--optimizer", choices=["sgd", "adam", "adamax"])
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--patience", type=int)
-    p_train.add_argument("--l2", type=float, help="L2 regularization coefficient")
-    p_train.add_argument("--canny", action="store_const", const=True, default=None,
-                         help="replace inputs with Canny edge maps")
-    p_train.add_argument("--segment", action="store_const", const=True, default=None,
-                         help="zero background via Otsu segmentation")
-    p_train.add_argument("--augment", action="store_const", const=True, default=None,
-                         help="expand training data with rotations and flips")
-    p_train.add_argument("--canny-sigma", dest="canny_sigma", type=float)
-    p_train.add_argument("--canny-low", dest="canny_low", type=float)
-    p_train.add_argument("--canny-high", dest="canny_high", type=float)
-    p_train.add_argument("--dtype", choices=["f32", "f64"])
-    add_common(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="score saved weights on a manifest split")
+    p_eval = sub.add_parser(
+        "evaluate", help="score saved weights on a manifest split",
+        description="--canny, --segment and the --canny-* settings must match training",
+    )
     p_eval.add_argument("--weights", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--data-root", required=True)
-    p_eval.add_argument("--split", choices=list(training.SPLIT_TAGS))
     p_eval.add_argument("--out-dir", default=".")
-    p_eval.add_argument("--batch-size", dest="batch_size", type=int)
-    p_eval.add_argument("--canny", action="store_const", const=True, default=None,
-                        help="must match the preprocessing used at training time")
-    p_eval.add_argument("--segment", action="store_const", const=True, default=None,
-                        help="must match the preprocessing used at training time")
-    p_eval.add_argument("--canny-sigma", dest="canny_sigma", type=float)
-    p_eval.add_argument("--canny-low", dest="canny_low", type=float)
-    p_eval.add_argument("--canny-high", dest="canny_high", type=float)
-    p_eval.add_argument("--dtype", choices=["f32", "f64"])
-    add_common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_explain = sub.add_parser("explain", help="attribute one prediction to superpixels")
     p_explain.add_argument("--weights", required=True)
     p_explain.add_argument("--image", required=True)
-    p_explain.add_argument("--method", choices=["lime", "shap"])
-    p_explain.add_argument("--class", dest="target_class", type=int,
-                           help="class to explain (default: the argmax class)")
-    p_explain.add_argument("--segments", type=int, help="target superpixel count")
-    p_explain.add_argument("--compactness", type=float)
-    p_explain.add_argument("--slic-iters", dest="slic_iters", type=int)
-    p_explain.add_argument("--samples", type=int, help="perturbation sample budget")
-    p_explain.add_argument("--kernel-width", dest="kernel_width", type=float)
-    p_explain.add_argument("--ridge", type=float)
-    p_explain.add_argument("--top-k", dest="top_k", type=int)
-    p_explain.add_argument("--baseline", choices=["mean", "gray"])
     p_explain.add_argument("--out-dir", default=None,
                            help="output directory (default: next to the image)")
-    p_explain.add_argument("--dtype", choices=["f32", "f64"])
-    add_common(p_explain)
     p_explain.set_defaults(func=cmd_explain)
+
+    for command, p in (("train", p_train), ("evaluate", p_eval), ("explain", p_explain)):
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        for f in fields(RunConfig):
+            if command in f.metadata.get("commands", ()):
+                _add_config_flag(p, f)
 
     p_report = sub.add_parser("report", help="summarize history and metrics as text")
     p_report.add_argument("--history", required=True)

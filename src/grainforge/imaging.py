@@ -107,6 +107,8 @@ def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token, end = _read_header_token(data, pos)
     if not token.isdigit():
         raise NetpbmError(f"malformed {what} token {token!r}", end - len(token))
+    if int(token) == 0:
+        raise NetpbmError(f"{what} must be positive, got {token!r}", end - len(token))
     return int(token), end
 
 

@@ -458,6 +458,8 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
     params = Parameters([None] * len(spec.layers))
     pos = 12 + header_len
     for i, name, shape in tensors:
+        if name not in ("weight", "bias"):
+            raise WeightsFormatError(f"tensor of layer {i!r} has unknown name {name!r}", 12)
         if not (type(i) is int and 0 <= i < len(spec.layers)):
             raise WeightsFormatError(
                 f"tensor {name!r} names layer {i!r}, outside 0..{len(spec.layers) - 1}", 12

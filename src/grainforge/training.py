@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,16 @@ def read_manifest(path) -> Manifest:
         header = next(reader, None)
         if header != ["path", "label"]:
             raise ValueError(f"manifest must start with 'path,label', got {header}")
-        records = [ManifestRecord(path=row[0], label=row[1]) for row in reader if row]
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValueError(
+                    f"manifest {path}, line {reader.line_num}, column {min(len(row), 2) + 1}: "
+                    f"expected the 2 columns path,label, got {len(row)}"
+                )
+            records.append(ManifestRecord(path=row[0], label=row[1]))
     return manifest_from_records(records)
 
 
@@ -132,35 +141,73 @@ def split(manifest: Manifest, seed: int, ratios=DEFAULT_RATIOS) -> SplitAssignme
 # ---------------------------------------------------------------------------
 
 
+# numpy type of each ``dtype`` setting
+DTYPES = {"f32": np.float32, "f64": np.float64}
+
+
+def option(
+    default, *commands: str, help: str | None = None, choices=None, flag: str | None = None
+):
+    """A config field: a config-file key and a flag of each CLI subcommand in ``commands``.
+
+    ``choices`` lists the allowed values for both the flag and ``validate``;
+    ``flag`` overrides the flag name derived from the field name.
+    """
+    metadata = {"commands": commands, "help": help, "choices": choices, "flag": flag}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class TrainConfig:
+    """The settings that training and evaluation read.
+
+    ``data_root`` is set by the caller; every other field is made by ``option``.
+    """
+
     data_root: Path | str = "."
-    optimizer: str = "adam"
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 30
-    patience: int = 10
-    seed: int = 0
-    lam: float = 1e-4
-    use_canny: bool = False
-    use_segment: bool = False
-    use_augment: bool = False
-    canny_sigma: float = 1.0
-    canny_low: float = 50.0
-    canny_high: float = 100.0
-    dtype: type = np.float32
+    optimizer: str = option("adam", "train", choices=("sgd", "adam", "adamax"))
+    learning_rate: float = option(1e-3, "train")
+    batch_size: int = option(32, "train", "evaluate")
+    epochs: int = option(30, "train")
+    patience: int = option(10, "train")
+    seed: int = option(0, "train", "evaluate", "explain")
+    l2: float = option(1e-4, "train", help="L2 regularization coefficient")
+    canny: bool = option(False, "train", "evaluate", help="replace inputs with Canny edge maps")
+    segment: bool = option(False, "train", "evaluate", help="zero background via Otsu segmentation")
+    augment: bool = option(False, "train", help="expand training data with rotations and flips")
+    canny_sigma: float = option(1.0, "train", "evaluate")
+    canny_low: float = option(50.0, "train", "evaluate")
+    canny_high: float = option(100.0, "train", "evaluate")
+    dtype: str = option("f32", "train", "evaluate", "explain", choices=tuple(DTYPES))
 
     def validate(self) -> None:
+        """Raise ValueError for the first setting outside its allowed values."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata.get("choices") and value not in f.metadata["choices"]:
+                choices = ", ".join(f.metadata["choices"])
+                raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+        if self.learning_rate < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.lam < 0:
-            raise ValueError(f"L2 coefficient must be >= 0, got {self.lam}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if self.l2 < 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2}")
+        if self.canny_sigma <= 0:
+            raise ValueError(f"canny_sigma must be > 0, got {self.canny_sigma}")
+        if not 0 <= self.canny_low < self.canny_high:
+            raise ValueError(
+                "canny thresholds need 0 <= canny_low < canny_high, "
+                f"got {self.canny_low}, {self.canny_high}"
+            )
 
 
 def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
@@ -180,12 +227,12 @@ def load_example_image(path, spec: NetworkSpec, config: TrainConfig) -> Image:
         image = imaging.read_image(path)
     except (OSError, ValueError) as exc:
         raise TrainingError(f"failed to read image {path}: {exc}") from exc
-    if config.use_canny:
+    if config.canny:
         edges = imaging.canny(
             image, config.canny_sigma, config.canny_low, config.canny_high
         )
         image = imaging.edge_map_to_image(edges)
-    if config.use_segment:
+    if config.segment:
         mask = imaging.segment_grain(image)
         image = imaging.apply_segment_mask(image, mask)
     return fit_to_input(image, spec)
@@ -211,7 +258,7 @@ def load_dataset(
         image = load_example_image(root / rec.path, spec, config)
         variants = imaging.augment(image) if augment else [image]
         for variant in variants:
-            xs.append(_to_array(variant, config.dtype))
+            xs.append(_to_array(variant, DTYPES[config.dtype]))
             ys.append(class_index[rec.label])
     return np.stack(xs), np.array(ys, dtype=np.int64)
 
@@ -235,6 +282,9 @@ class EpochRecord:
     val_acc: float
 
 
+HISTORY_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc")
+
+
 @dataclass
 class TrainingHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
@@ -244,7 +294,7 @@ class TrainingHistory:
 def write_history(history: TrainingHistory, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "train_acc", "val_loss", "val_acc"])
+        writer.writerow(["epoch", *HISTORY_COLUMNS])
         for i, rec in enumerate(history.epochs, start=1):
             writer.writerow(
                 [
@@ -262,14 +312,16 @@ def read_history(path) -> TrainingHistory:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
-            history.epochs.append(
-                EpochRecord(
-                    train_loss=float(row["train_loss"]),
-                    train_acc=float(row["train_acc"]),
-                    val_loss=float(row["val_loss"]),
-                    val_acc=float(row["val_acc"]),
-                )
-            )
+            values = {}
+            for column in HISTORY_COLUMNS:
+                try:
+                    values[column] = float(row.get(column))
+                except (TypeError, ValueError):  # None when the column is missing
+                    raise ValueError(
+                        f"history {path}, line {reader.line_num}, column {column!r}: "
+                        f"expected a number, got {row.get(column)!r}"
+                    ) from None
+            history.epochs.append(EpochRecord(**values))
     if history.epochs:
         history.best_epoch = min(
             range(len(history.epochs)), key=lambda i: history.epochs[i].val_loss
@@ -349,7 +401,7 @@ def train_arrays(
         raise TrainingError("train and validation splits must be non-empty")
     k = spec.num_classes
     base_rng = Rng(config.seed)
-    params = init_parameters(spec, base_rng.child("init"), dtype=config.dtype)
+    params = init_parameters(spec, base_rng.child("init"), dtype=DTYPES[config.dtype])
     state = OptimizerState(
         algorithm=config.optimizer, learning_rate=config.learning_rate
     )
@@ -369,13 +421,13 @@ def train_arrays(
             batch_labels = train_y[take]
             y = onehot(batch_labels, k, batch.dtype)
             probs, cache = forward(spec, params, batch)
-            loss_sum += loss_fn(probs, y, params, config.lam) * len(take)
+            loss_sum += loss_fn(probs, y, params, config.l2) * len(take)
             correct += int((probs.argmax(axis=1) == batch_labels).sum())
-            grads = backward(spec, params, cache, y, config.lam)
+            grads = backward(spec, params, cache, y, config.l2)
             params, state = step(state, params, grads)
 
         val = evaluate_arrays(
-            spec, params, val_x, val_y, lam=config.lam, batch_size=config.batch_size
+            spec, params, val_x, val_y, lam=config.l2, batch_size=config.batch_size
         )
         record = EpochRecord(
             train_loss=loss_sum / len(train_x),
@@ -410,7 +462,7 @@ def train(
             f"expects {spec.num_classes}"
         )
     train_x, train_y = load_dataset(
-        manifest, assignment.indices("train"), spec, config, augment=config.use_augment
+        manifest, assignment.indices("train"), spec, config, augment=config.augment
     )
     val_x, val_y = load_dataset(manifest, assignment.indices("val"), spec, config)
     return train_arrays(spec, train_x, train_y, val_x, val_y, config)

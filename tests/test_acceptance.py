@@ -91,7 +91,7 @@ def test_criterion_3_end_to_end_learnability(tmp_path):
     )
     spec = network.build_rice_cnn()
     config = training.TrainConfig(
-        data_root=tmp_path, optimizer="adam", epochs=30, seed=7, dtype=np.float32
+        data_root=tmp_path, optimizer="adam", epochs=30, seed=7, dtype="f32"
     )
     _, history = training.train(spec, manifest, assignment, config)
     hit = [
@@ -138,7 +138,7 @@ def test_criterion_4_rice_subset_macro_f1(tmp_path):
     spec = network.build_rice_cnn()
     config = training.TrainConfig(
         data_root=root, optimizer="adam", batch_size=32, epochs=30, seed=42,
-        lam=1e-4, dtype=np.float32,
+        l2=1e-4, dtype="f32",
     )
     params, _ = training.train(spec, manifest, assignment, config)
     result = training.evaluate(
@@ -313,7 +313,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path, rng):
     )
     spec = network.build_rice_cnn()
     config = training.TrainConfig(
-        data_root=tmp_path / "data", epochs=3, seed=9, dtype=np.float64
+        data_root=tmp_path / "data", epochs=3, seed=9, dtype="f64"
     )
     histories = []
     saved = []

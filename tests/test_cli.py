@@ -1,12 +1,15 @@
+import argparse
 import csv
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grainforge import imaging, network
-from grainforge.cli import main
+from grainforge.cli import UsageError, build_parser, main, resolve_config
 from grainforge.imaging import Image
 from grainforge.rng import Rng
 
@@ -412,3 +415,117 @@ class TestReport:
         assert code == 2
         assert stdout == ""
         assert "no epochs" in stderr
+
+
+# The flags of each subcommand and the config-file keys, as the parser built
+# them by hand; a parser derived from the config fields must match exactly.
+CLI_OPTIONS = {
+    "ingest": {"-h", "--help", "directory", "--out"},
+    "train": {
+        "-h", "--help", "--manifest", "--data-root", "--out", "--history", "--model",
+        "--optimizer", "--learning-rate", "--batch-size", "--epochs", "--patience", "--l2",
+        "--canny", "--segment", "--augment", "--canny-sigma", "--canny-low", "--canny-high",
+        "--dtype", "--config", "--seed",
+    },
+    "evaluate": {
+        "-h", "--help", "--weights", "--manifest", "--data-root", "--split", "--out-dir",
+        "--batch-size", "--canny", "--segment", "--canny-sigma", "--canny-low",
+        "--canny-high", "--dtype", "--config", "--seed",
+    },
+    "explain": {
+        "-h", "--help", "--weights", "--image", "--method", "--class", "--segments",
+        "--compactness", "--slic-iters", "--samples", "--kernel-width", "--ridge", "--top-k",
+        "--baseline", "--out-dir", "--dtype", "--config", "--seed",
+    },
+    "report": {"-h", "--help", "--history", "--metrics", "--out"},
+}
+CONFIG_KEYS = {
+    "model", "optimizer", "learning_rate", "batch_size", "epochs", "patience", "seed", "l2",
+    "canny", "segment", "augment", "canny_sigma", "canny_low", "canny_high", "dtype", "split",
+    "method", "target_class", "segments", "compactness", "slic_iters", "samples",
+    "kernel_width", "ridge", "top_k", "baseline",
+}
+NOT_CONFIG_KEYS = {
+    "data_root", "manifest", "weights", "image", "out", "out_dir", "history", "config",
+    "command", "func", "directory", "metrics",
+}
+# the required arguments of each subcommand that reads a config file
+REQUIRED_ARGS = {
+    "train": ["train", "--manifest", "m.csv", "--data-root", "data"],
+    "evaluate": ["evaluate", "--weights", "w.gfw", "--manifest", "m.csv", "--data-root", "data"],
+    "explain": ["explain", "--weights", "w.gfw", "--image", "i.ppm"],
+}
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestConfig:
+    def test_flags_and_config_keys_are_pinned(self, tmp_path):
+        parsers = subcommand_parsers()
+        assert set(parsers) == set(CLI_OPTIONS)
+        for name, sub in parsers.items():
+            options = {s for a in sub._actions for s in (a.option_strings or [a.dest])}
+            assert options == CLI_OPTIONS[name], name
+            accepted = set()
+            if "--config" in options:
+                for key in sorted(CONFIG_KEYS | NOT_CONFIG_KEYS):
+                    path = tmp_path / f"{name}-{key}.json"
+                    path.write_text(json.dumps({key: None}))
+                    args = build_parser().parse_args([*REQUIRED_ARGS[name], "--config", str(path)])
+                    try:
+                        resolve_config(args)
+                    except UsageError as exc:
+                        if "unknown config keys" in str(exc):
+                            continue
+                    accepted.add(key)
+            assert accepted == (CONFIG_KEYS if "--config" in options else set()), name
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["explain", "--segments", "0"], "segments"),
+            (["explain", "--slic-iters", "0"], "slic_iters"),
+            (["explain", "--kernel-width", "0"], "kernel_width"),
+            (["explain", "--ridge", "-1"], "ridge"),
+            (["explain", "--top-k", "-2"], "top_k"),
+            (["explain", "--compactness", "-5"], "compactness"),
+            (["train", "--canny", "--canny-sigma", "0"], "canny_sigma"),
+            (["evaluate", "--canny", "--canny-sigma", "0"], "canny_sigma"),
+            (["train", "--learning-rate", "inf"], "learning_rate"),
+            (["explain", "--kernel-width", "nan"], "kernel_width"),
+        ],
+    )
+    def test_bad_value_rejected_before_any_file_is_read(
+        self, tmp_path, capsys, monkeypatch, argv, key
+    ):
+        # none of the named files exist, so a check made after reading one would exit 1
+        monkeypatch.chdir(tmp_path)
+        code, stdout, stderr = run_cli(capsys, *REQUIRED_ARGS[argv[0]], *argv[1:])
+        assert code == 2
+        assert stdout == ""
+        assert key in stderr
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        command=st.sampled_from(["train", "evaluate", "explain"]),
+        config=st.dictionaries(
+            st.sampled_from(sorted(CONFIG_KEYS)) | st.text(max_size=6),
+            st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+            | st.text(max_size=6) | st.lists(st.integers(), max_size=2),
+            max_size=6,
+        ),
+    )
+    def test_fuzz_config_file_raises_only_usage_error(self, tmp_path, command, config):
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(config))
+        args = build_parser().parse_args([*REQUIRED_ARGS[command], "--config", str(path)])
+        try:
+            resolve_config(args)
+        except UsageError:
+            pass

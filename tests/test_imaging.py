@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grainforge import imaging
 from grainforge.imaging import Image
@@ -79,6 +81,42 @@ class TestNetpbm:
     def test_malformed_header_token(self):
         with pytest.raises(imaging.NetpbmError, match="width"):
             imaging.decode_netpbm(b"P6\nxx 2\n255\n")
+
+    @pytest.mark.parametrize(
+        "data, what, offset",
+        [(b"P6\n0 3\n255\n", "width", 3), (b"P5 2 00 255 \x00\x00", "height", 5)],
+    )
+    def test_zero_size_reports_token_offset(self, data, what, offset):
+        with pytest.raises(imaging.NetpbmError, match=f"{what}.*byte offset {offset}\\)") as info:
+            imaging.decode_netpbm(data)
+        assert info.value.offset == offset
+
+    @staticmethod
+    def _decodes_or_raises_netpbm_error(data: bytes) -> None:
+        try:
+            image = imaging.decode_netpbm(data)
+        except imaging.NetpbmError:
+            return
+        assert image.pixels.size == image.width * image.height * image.channels > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_fuzz_arbitrary_bytes(self, data):
+        self._decodes_or_raises_netpbm_error(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P5", b"P6", b"P3"]),
+        sizes=st.lists(
+            st.integers(0, 4) | st.integers(0, 2**70) | st.sampled_from([255, 256, 65535]),
+            min_size=3, max_size=3,
+        ),
+        separator=st.sampled_from([b" ", b"\n", b"\t", b" # note\n", b""]),
+        payload=st.binary(max_size=60),
+    )
+    def test_fuzz_headers(self, magic, sizes, separator, payload):
+        header = magic + b"".join(separator + b"%d" % n for n in sizes) + b"\n"
+        self._decodes_or_raises_netpbm_error(header + payload)
 
 
 class TestGrayscale:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grainforge import network
 from grainforge.network import (
@@ -377,3 +379,53 @@ class TestSerialization:
         path.write_bytes(b"GFW1" + struct.pack("<Q", 2) + b"[]")
         with pytest.raises(WeightsFormatError, match="not an object.*byte offset 12"):
             network.load_weights(path)
+
+    @pytest.mark.parametrize("name", ["wieght", ["weight"]])
+    def test_unknown_tensor_name_rejected(self, tmp_path, name):
+        path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(name=name))
+        with pytest.raises(WeightsFormatError, match="unknown name.*byte offset 12"):
+            network.load_weights(path)
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_fuzz_header_raises_only_documented_errors(self, tmp_path, data):
+        def replace_one_value(header):
+            *parents, last = data.draw(st.sampled_from(list(json_paths(header))[1:]))
+            node = header
+            for key in parents:
+                node = node[key]
+            node[last] = data.draw(JSON_VALUES)
+
+        path = self._with_header(tmp_path, replace_one_value)
+        cut = data.draw(st.none() | st.integers(0, path.stat().st_size))
+        if cut is not None:
+            path.write_bytes(path.read_bytes()[:cut])
+        try:
+            network.load_weights(path)
+        except (WeightsFormatError, NetworkError):
+            pass
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**66), 2**66) | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+
+
+def json_paths(node, prefix=()):
+    """The key/index path of every value in a parsed JSON document, the root's () first."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, (*prefix, key))

@@ -117,6 +117,30 @@ class TestManifestIo:
         with pytest.raises(ValueError, match="path,label"):
             training.read_manifest(path)
 
+    @pytest.mark.parametrize("row, column", [("x.ppm", 2), ("x.ppm,a,extra", 3)])
+    def test_wrong_field_count_names_line_and_column(self, tmp_path, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"path,label\ny.ppm,a\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad.csv, line 3, column {column}:"):
+            training.read_manifest(path)
+
+
+class TestHistoryIo:
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("epoch,train_acc,val_loss,val_acc\n1,0.5,0.7,0.5\n", 2, "train_loss"),
+            ("epoch,train_loss,train_acc,val_loss,val_acc\n1,0.9,0.5,0.7,0.5\n2,x,0.5,0.6,0.5\n",
+             3, "train_loss"),
+            ("epoch,train_loss,train_acc,val_loss,val_acc\n1,0.9,0.5\n", 2, "val_loss"),
+        ],
+    )
+    def test_bad_cell_names_file_line_and_column(self, tmp_path, text, line, column):
+        path = tmp_path / "history.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"history.csv, line {line}, column '{column}':"):
+            training.read_history(path)
+
 
 class TestTrainLoop:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam", "adamax"])
@@ -125,7 +149,7 @@ class TestTrainLoop:
         x = rng.normal(0, 1, (12, 4, 4, 1))
         y = rng.integers(0, 2, 12)
         cfg = TrainConfig(epochs=1, batch_size=4, seed=3, optimizer=optimizer,
-                          learning_rate=0.0, dtype=np.float64)
+                          learning_rate=0.0, dtype="f64")
         params, _ = training.train_arrays(spec, x, y, x[:4], y[:4], cfg)
         fresh = network.init_parameters(spec, Rng(3).child("init"), dtype=np.float64)
         for a, b in zip(params.layers, fresh.layers):
@@ -137,7 +161,7 @@ class TestTrainLoop:
         spec = flat_spec()
         x = rng.normal(0, 1, (20, 4, 4, 1))
         y = rng.integers(0, 2, 20)
-        cfg = TrainConfig(epochs=3, batch_size=5, seed=7, dtype=np.float64)
+        cfg = TrainConfig(epochs=3, batch_size=5, seed=7, dtype="f64")
         p1, h1 = training.train_arrays(spec, x, y, x[:6], y[:6], cfg)
         p2, h2 = training.train_arrays(spec, x, y, x[:6], y[:6], cfg)
         assert len(h1.epochs) == 3
@@ -151,11 +175,11 @@ class TestTrainLoop:
         spec = flat_spec()
         x = rng.normal(0, 1, (24, 4, 4, 1))
         y = rng.integers(0, 2, 24)
-        cfg = TrainConfig(epochs=4, batch_size=6, seed=13, lam=1e-3, dtype=np.float64)
+        cfg = TrainConfig(epochs=4, batch_size=6, seed=13, l2=1e-3, dtype="f64")
         params, history = training.train_arrays(spec, x, y, x[:8], y[:8], cfg)
         best = history.epochs[history.best_epoch]
         result = training.evaluate_arrays(
-            spec, params, x[:8], y[:8], lam=cfg.lam, batch_size=cfg.batch_size
+            spec, params, x[:8], y[:8], lam=cfg.l2, batch_size=cfg.batch_size
         )
         assert result.loss == pytest.approx(best.val_loss, abs=1e-12)
         assert all(best.val_loss <= e.val_loss for e in history.epochs)
@@ -164,7 +188,7 @@ class TestTrainLoop:
         spec = flat_spec()
         x = rng.normal(0, 1, (16, 4, 4, 1))
         y = rng.integers(0, 2, 16)
-        cfg = TrainConfig(epochs=50, patience=2, batch_size=8, seed=5, dtype=np.float64)
+        cfg = TrainConfig(epochs=50, patience=2, batch_size=8, seed=5, dtype="f64")
         _, history = training.train_arrays(spec, x, y, x[:4], y[:4], cfg)
         assert len(history.epochs) <= 50
         # stopping rule: best epoch is at least patience epochs before the end
@@ -175,14 +199,14 @@ class TestTrainLoop:
         spec = flat_spec()
         x = rng.normal(0, 1, (4, 4, 4, 1))
         y = rng.integers(0, 2, 4)
-        cfg = TrainConfig(epochs=1, dtype=np.float64)
+        cfg = TrainConfig(epochs=1, dtype="f64")
         with pytest.raises(training.TrainingError, match="non-empty"):
             training.train_arrays(spec, x[:0], y[:0], x, y, cfg)
 
     def test_end_to_end_from_disk(self, tiny_shape_dataset):
         root, manifest, assignment = tiny_shape_dataset
         spec = network.build_rice_cnn()
-        cfg = TrainConfig(data_root=root, epochs=2, seed=2, dtype=np.float32)
+        cfg = TrainConfig(data_root=root, epochs=2, seed=2, dtype="f32")
         params, history = training.train(spec, manifest, assignment, cfg)
         assert len(history.epochs) == 2
         assert params.scalar_count() == network.param_count(spec)
@@ -190,7 +214,7 @@ class TestTrainLoop:
     def test_unreadable_image_identifies_path(self, tmp_path):
         manifest = manifest_from_records([ManifestRecord("ghost.ppm", "a")])
         spec = flat_spec()
-        cfg = TrainConfig(data_root=tmp_path, dtype=np.float64)
+        cfg = TrainConfig(data_root=tmp_path, dtype="f64")
         with pytest.raises(training.TrainingError, match="ghost.ppm"):
             training.load_dataset(manifest, [0], spec, cfg)
 
@@ -199,7 +223,7 @@ class TestLoaderStages:
     def test_canny_stage_yields_binary_channels(self, tiny_shape_dataset):
         root, manifest, _ = tiny_shape_dataset
         spec = network.build_rice_cnn()
-        cfg = TrainConfig(data_root=root, use_canny=True, dtype=np.float64)
+        cfg = TrainConfig(data_root=root, canny=True, dtype="f64")
         xs, _ = training.load_dataset(manifest, [0], spec, cfg)
         assert xs.shape == (1, 50, 50, 3)
         assert set(np.unique(xs)) <= {0.0, 1.0}
@@ -209,10 +233,10 @@ class TestLoaderStages:
     def test_segment_stage_zeroes_background(self, tiny_shape_dataset):
         root, manifest, _ = tiny_shape_dataset
         spec = network.build_rice_cnn()
-        cfg = TrainConfig(data_root=root, use_segment=True, dtype=np.float64)
+        cfg = TrainConfig(data_root=root, segment=True, dtype="f64")
         xs, _ = training.load_dataset(manifest, [0], spec, cfg)
         plain = training.load_dataset(
-            manifest, [0], spec, TrainConfig(data_root=root, dtype=np.float64)
+            manifest, [0], spec, TrainConfig(data_root=root, dtype="f64")
         )[0]
         # some background was zeroed, the rest kept
         assert (xs == 0).sum() > (plain == 0).sum()
@@ -220,7 +244,7 @@ class TestLoaderStages:
     def test_augment_expands_fivefold(self, tiny_shape_dataset):
         root, manifest, _ = tiny_shape_dataset
         spec = network.build_rice_cnn()
-        cfg = TrainConfig(data_root=root, use_augment=True, dtype=np.float64)
+        cfg = TrainConfig(data_root=root, augment=True, dtype="f64")
         xs, ys = training.load_dataset(manifest, [0, 1], spec, cfg, augment=True)
         assert len(xs) == 10
         assert list(ys) == [ys[0]] * 5 + [ys[5]] * 5
