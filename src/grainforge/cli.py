@@ -87,7 +87,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
@@ -122,11 +122,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _check_type(name: str, annotation: str, value) -> None:
     """Reject a config-file value whose JSON type the field cannot hold.
 
-    An integer is a valid float, but a bool is never a number and a float is
-    never an integer.
+    An integer within the float range is a valid float, but a bool is never a
+    number and a float is never an integer.
     """
     allowed = {_TYPES[part] for part in annotation.split(" | ")}
-    if type(value) not in allowed and not (type(value) is int and float in allowed):
+    as_float = type(value) is int and float in allowed and abs(value) <= sys.float_info.max
+    if type(value) not in allowed and not as_float:
         raise UsageError(
             f"config key {name!r} must be {annotation}, got {type(value).__name__} {value!r}"
         )

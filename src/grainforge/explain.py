@@ -131,11 +131,8 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     the largest running size, the lowest id on a tie; an orphan with no
     settled neighbor waits for the next pass.
     """
-    local = np.zeros(labels.shape, dtype=np.int64)
-    for seg in np.unique(labels):
-        inside = labels == seg
-        local[inside] = label_components(inside, connectivity=4)[0][inside]
-    comp, count = _first_occurrence_ids(labels.astype(np.int64) * labels.size + local)
+    # every 4-connected region of one label, numbered in row-major first-pixel order
+    comp, count = label_components(np.ones(labels.shape, dtype=bool), 4, values=labels)
     sizes = np.bincount(comp.ravel()).tolist()
     seg_of = np.empty(count, dtype=np.int64)
     seg_of[comp.ravel()] = labels.ravel()

@@ -14,7 +14,6 @@ ingestion, which keeps parsing bit-exact and dependency-free.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,12 +102,18 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def _read_header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+def _read_header_int(
+    data: bytes, pos: int, what: str, expected: int | None = None
+) -> tuple[int, int]:
+    """Next header token as a positive integer, equal to ``expected`` if given."""
     token, end = _read_header_token(data, pos)
+    start = end - len(token)
     if not token.isdigit():
-        raise NetpbmError(f"malformed {what} token {token!r}", end - len(token))
+        raise NetpbmError(f"malformed {what} token {token!r}", start)
     if int(token) == 0:
-        raise NetpbmError(f"{what} must be positive, got {token!r}", end - len(token))
+        raise NetpbmError(f"{what} must be positive, got {token!r}", start)
+    if expected is not None and int(token) != expected:
+        raise NetpbmError(f"{what} must be {expected}, got {int(token)}", start)
     return int(token), end
 
 
@@ -122,9 +127,7 @@ def decode_netpbm(data: bytes) -> Image:
         raise NetpbmError(f"unsupported magic {magic!r}, expected P6 or P5", 0)
     width, pos = _read_header_int(data, 2, "width")
     height, pos = _read_header_int(data, pos, "height")
-    maxval, pos = _read_header_int(data, pos, "maxval")
-    if maxval != 255:
-        raise NetpbmError(f"maxval must be 255, got {maxval}", pos - len(str(maxval)))
+    _, pos = _read_header_int(data, pos, "maxval", expected=255)
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise NetpbmError("missing whitespace byte after maxval", pos)
     pos += 1
@@ -242,28 +245,6 @@ def non_maximum_suppression(magnitude: np.ndarray, bins: np.ndarray) -> np.ndarr
     return out
 
 
-_NEIGHBORS_8 = tuple(
-    (dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if (dy, dx) != (0, 0)
-)
-_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
-def _hysteresis(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """8-connected flood from strong pixels across the candidate set."""
-    # not label_components: labelling weak-only components too doubles the cost per call
-    h, w = strong.shape
-    visited = strong.copy()
-    queue = deque(zip(*np.nonzero(strong)))
-    while queue:
-        y, x = queue.popleft()
-        for dy, dx in _NEIGHBORS_8:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and candidate[ny, nx] and not visited[ny, nx]:
-                visited[ny, nx] = True
-                queue.append((ny, nx))
-    return visited
-
-
 def canny(image: Image, sigma: float = 1.0, low: float = 50.0, high: float = 100.0) -> EdgeMap:
     """Classical Canny pipeline on the raw Sobel magnitude scale.
 
@@ -277,9 +258,11 @@ def canny(image: Image, sigma: float = 1.0, low: float = 50.0, high: float = 100
     gx, gy = sobel_gradients(smoothed)
     magnitude = np.hypot(gx, gy)
     suppressed = non_maximum_suppression(magnitude, _quantize_direction(gx, gy))
-    strong = suppressed >= high
-    candidate = suppressed >= low
-    return EdgeMap(width=image.width, height=image.height, mask=_hysteresis(strong, candidate))
+    # hysteresis: keep each 8-connected candidate component that holds a strong pixel
+    labels, count = label_components(suppressed >= low, connectivity=8)
+    keep = np.zeros(count + 1, dtype=bool)  # the last slot, read by label -1, stays False
+    keep[labels[suppressed >= high]] = True
+    return EdgeMap(width=image.width, height=image.height, mask=keep[labels])
 
 
 def edge_map_to_image(edges: EdgeMap) -> Image:
@@ -322,35 +305,51 @@ def otsu_threshold(image: Image) -> int:
     return best_t
 
 
-def label_components(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
+def _overlap(arr: np.ndarray, dy: int, dx: int) -> tuple[np.ndarray, np.ndarray]:
+    """``arr`` and ``arr`` shifted by (dy, dx), both cut to where they overlap."""
+    h, w = arr.shape
+    return arr[: h - dy, max(-dx, 0) : w - max(dx, 0)], arr[dy:, max(dx, 0) : w + min(dx, 0)]
+
+
+def label_components(
+    mask: np.ndarray, connectivity: int = 8, values: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
     """Label connected True regions of a boolean mask.
 
-    Returns (labels, count); labels are 0..count-1 in row-major discovery
-    order, -1 outside the mask.
+    Two mask pixels are joined when they are 4- or 8-neighbours and, if
+    ``values`` is given, hold equal values there.  The joined pairs are
+    listed once with array slices.  Union-find then hooks the larger root
+    of every pair whose ends differ onto the smaller one and pointer-jumps
+    (parent = parent[parent]) until each pair shares a root, so a
+    component's root is its smallest flat index.  Ranking the roots gives
+    (labels, count): labels are 0..count-1 in row-major order of each
+    component's first pixel, -1 outside the mask.
     """
-    if connectivity == 8:
-        neighbors = _NEIGHBORS_8
-    elif connectivity == 4:
-        neighbors = _NEIGHBORS_4
-    else:
+    if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
     h, w = mask.shape
-    labels = np.full((h, w), -1, dtype=np.int32)
-    count = 0
-    for sy, sx in zip(*np.nonzero(mask)):
-        if labels[sy, sx] != -1:
-            continue
-        labels[sy, sx] = count
-        queue = deque([(sy, sx)])
-        while queue:
-            y, x = queue.popleft()
-            for dy, dx in neighbors:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == -1:
-                    labels[ny, nx] = count
-                    queue.append((ny, nx))
-        count += 1
-    return labels, count
+    flat = np.arange(h * w)
+    index = flat.reshape(h, w)
+    pairs = []
+    # right and down, plus both lower diagonals for 8-connectivity
+    for dy, dx in ((0, 1), (1, 0), (1, 1), (1, -1))[: connectivity // 2]:
+        joined = np.logical_and(*_overlap(mask, dy, dx))
+        if values is not None:
+            joined &= np.equal(*_overlap(values, dy, dx))
+        pairs.append(np.stack(_overlap(index, dy, dx))[:, joined])
+    a, b = np.concatenate(pairs, axis=1)
+    parent = flat.copy()
+    while (split := parent[a] != parent[b]).any():
+        a, b = a[split], b[split]
+        ra, rb = parent[a], parent[b]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+    inside = mask.ravel()
+    is_root = inside & (parent == flat)
+    rank = np.cumsum(is_root, dtype=np.int32) - 1
+    labels = np.where(inside, rank[parent], -1).reshape(h, w)
+    return labels, int(is_root.sum())
 
 
 def segment_grain(image: Image) -> SegmentMask:

@@ -1,11 +1,13 @@
 import argparse
 import csv
 import json
+import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grainforge import imaging, network
@@ -178,7 +180,12 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "config, key",
-        [({"epochs": "3"}, "epochs"), ({"seed": 4.0}, "seed"), ({"canny": 1}, "canny")],
+        [
+            ({"epochs": "3"}, "epochs"),
+            ({"seed": 4.0}, "seed"),
+            ({"canny": 1}, "canny"),
+            ({"learning_rate": 10**400}, "learning_rate"),
+        ],
     )
     def test_mistyped_config_value_rejected(self, tiny_shape_dataset, tmp_path, capsys, config, key):
         root, _, _ = tiny_shape_dataset
@@ -516,16 +523,21 @@ class TestConfig:
         command=st.sampled_from(["train", "evaluate", "explain"]),
         config=st.dictionaries(
             st.sampled_from(sorted(CONFIG_KEYS)) | st.text(max_size=6),
-            st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats()
+            st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+            | st.integers(-(10**401), 10**401) | st.floats()
             | st.text(max_size=6) | st.lists(st.integers(), max_size=2),
             max_size=6,
         ),
     )
+    @example(command="explain", config={"kernel_width": 10**400})
     def test_fuzz_config_file_raises_only_usage_error(self, tmp_path, command, config):
         path = tmp_path / "fuzz.json"
         path.write_text(json.dumps(config))
         args = build_parser().parse_args([*REQUIRED_ARGS[command], "--config", str(path)])
         try:
-            resolve_config(args)
+            cfg = resolve_config(args)
         except UsageError:
-            pass
+            return
+        for f in fields(cfg):
+            if f.type == "float":  # an accepted float setting fits a float
+                assert math.isfinite(getattr(cfg, f.name)), f.name

@@ -3,12 +3,12 @@ import pytest
 
 from grainforge import explain, network
 from grainforge.explain import SuperpixelMap
-from grainforge.imaging import Image, label_components, normalize
+from grainforge.imaging import Image, normalize
 from grainforge.rng import Rng
 from grainforge.synthetic import SHAPE_CLASSES, render_shape
 from grainforge.training import fit_to_input
 
-from conftest import random_image
+from conftest import flood_components, random_image
 
 BASELINE = (0, 0, 0)
 
@@ -74,7 +74,7 @@ class TestSlic:
             assert len(present) == spmap.count
             # every segment 4-connected
             for s in range(spmap.count):
-                _, count = label_components(labels == s, connectivity=4)
+                count = len(flood_components(labels == s, connectivity=4))
                 assert count == 1, f"segment {s} split into {count} pieces"
 
     def test_target_larger_than_pixel_count_rejected(self, rng):

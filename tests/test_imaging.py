@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 from grainforge import imaging
 from grainforge.imaging import Image
 from grainforge.rng import Rng
+from grainforge.synthetic import SHAPE_CLASSES, render_shape
 
-from conftest import random_image
+from conftest import flood_components, random_image
 
 
 def exhaustive_otsu(gray: np.ndarray) -> int:
@@ -70,8 +72,17 @@ class TestNetpbm:
             imaging.decode_netpbm(b"P3\n1 1\n255\n\x00")
 
     def test_wrong_maxval_reports_offset(self):
-        with pytest.raises(imaging.NetpbmError, match="maxval"):
+        with pytest.raises(imaging.NetpbmError, match="maxval.*byte offset 7\\)") as info:
             imaging.decode_netpbm(b"P5\n1 1\n65535\n\x00\x00")
+        assert info.value.offset == 7
+
+    @pytest.mark.parametrize(
+        "data, offset", [(b"P5 1 1 0256 \x00", 7), (b"P5 1 1 # c\n00065535\n\x00", 11)]
+    )
+    def test_leading_zero_maxval_reports_token_start(self, data, offset):
+        with pytest.raises(imaging.NetpbmError, match="maxval must be 255") as info:
+            imaging.decode_netpbm(data)
+        assert info.value.offset == offset
 
     def test_truncated_payload_reports_offset(self):
         data = b"P6\n2 2\n255\n" + bytes(5)
@@ -190,6 +201,33 @@ def square_perimeter() -> set[tuple[int, int]]:
     return ring
 
 
+def suppressed_magnitude(image: Image, sigma: float) -> np.ndarray:
+    """Canny's gradient magnitude after non-maximum suppression."""
+    smoothed = imaging.blur_array(
+        imaging.to_grayscale(image).pixels[:, :, 0].astype(float), sigma
+    )
+    gx, gy = imaging.sobel_gradients(smoothed)
+    return imaging.non_maximum_suppression(
+        np.hypot(gx, gy), imaging._quantize_direction(gx, gy)
+    )
+
+
+def seeded_flood(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
+    """Canny hysteresis as a seeded 8-connected flood, the reference for ``canny``."""
+    h, w = strong.shape
+    visited = strong.copy()
+    queue = deque(zip(*np.nonzero(strong)))
+    while queue:
+        y, x = queue.popleft()
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and candidate[ny, nx] and not visited[ny, nx]:
+                    visited[ny, nx] = True
+                    queue.append((ny, nx))
+    return visited
+
+
 class TestCanny:
     def test_uniform_image_no_edges(self):
         img = Image.from_array(np.full((16, 16, 1), 130, dtype=np.uint8))
@@ -247,16 +285,20 @@ class TestCanny:
         edges = imaging.canny(img, 1.0, low, high)
         if not edges.mask.any():
             pytest.skip("fixture produced no edges")
-        smoothed = imaging.blur_array(
-            imaging.to_grayscale(img).pixels[:, :, 0].astype(float), 1.0
-        )
-        gx, gy = imaging.sobel_gradients(smoothed)
-        suppressed = imaging.non_maximum_suppression(
-            np.hypot(gx, gy), imaging._quantize_direction(gx, gy)
-        )
-        strong = suppressed >= high
+        strong = suppressed_magnitude(img, 1.0) >= high
         for comp in flood_components(edges.mask):
             assert any(strong[y, x] for y, x in comp)
+
+    def test_hysteresis_matches_seeded_flood(self, rng):
+        images = [render_shape(kind, 50, Rng(401).child(kind)) for kind in SHAPE_CLASSES]
+        images += [random_image(rng, 5 + 3 * i, 30 - 2 * i, 1 + 2 * (i % 2)) for i in range(10)]
+        for image in images:
+            for sigma, low, high in ((1.0, 50.0, 100.0), (1.5, 10.0, 40.0), (0.7, 0.0, 250.0)):
+                edges = imaging.canny(image, sigma, low, high)
+                suppressed = suppressed_magnitude(image, sigma)
+                expected = seeded_flood(suppressed >= high, suppressed >= low)
+                assert edges.mask.dtype == bool
+                assert np.array_equal(edges.mask, expected)
 
 
 class TestOtsu:
@@ -289,29 +331,92 @@ class TestOtsu:
             assert imaging.otsu_threshold(img) == exhaustive_otsu(arr)
 
 
-def flood_components(mask: np.ndarray) -> list[set[tuple[int, int]]]:
-    """Independent 8-connected flood fill used as the component oracle."""
-    h, w = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
-    comps = []
-    for sy in range(h):
-        for sx in range(w):
-            if not mask[sy, sx] or seen[sy, sx]:
-                continue
-            comp = set()
-            stack = [(sy, sx)]
-            seen[sy, sx] = True
-            while stack:
-                y, x = stack.pop()
-                comp.add((y, x))
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        ny, nx = y + dy, x + dx
-                        if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
-                            seen[ny, nx] = True
-                            stack.append((ny, nx))
-            comps.append(comp)
-    return comps
+def serpentine(h: int, w: int) -> np.ndarray:
+    """Full even rows joined by one pixel at alternating ends: one long path."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    for row in range(1, h, 2):
+        mask[row, w - 1 if row % 4 == 1 else 0] = True
+    return mask
+
+
+def spiral(n: int) -> np.ndarray:
+    """A one-pixel-wide square spiral from the top-left corner inwards."""
+    mask = np.zeros((n, n), dtype=bool)
+    y = x = dy = 0
+    dx = 1
+    mask[0, 0] = True
+    for length in [n - 1] + [k for k in range(n - 1, 0, -2) for _ in range(2)]:
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            mask[y, x] = True
+        dy, dx = dx, -dy  # turn clockwise
+    return mask
+
+
+def oracle_labels(mask: np.ndarray, connectivity: int, values=None) -> tuple[np.ndarray, int]:
+    """``label_components`` output built from the flood-fill oracle."""
+    labels = np.full(mask.shape, -1)
+    comps = flood_components(mask, connectivity, values)
+    for i, comp in enumerate(comps):
+        for y, x in comp:
+            labels[y, x] = i
+    return labels, len(comps)
+
+
+class TestLabelComponents:
+    @staticmethod
+    def _assert_matches_oracle(mask, values=None):
+        for connectivity in (4, 8):
+            labels, count = imaging.label_components(mask, connectivity, values=values)
+            expected, expected_count = oracle_labels(mask, connectivity, values)
+            assert labels.shape == mask.shape
+            assert count == expected_count
+            assert np.array_equal(labels, expected), connectivity
+
+    def test_random_masks_match_flood_oracle(self, rng):
+        for _ in range(200):
+            h, w = (int(v) for v in rng.integers(1, 15, 2))
+            self._assert_matches_oracle(rng.random((h, w)) < rng.uniform(0.1, 0.9))
+
+    @pytest.mark.parametrize(
+        "mask, count4, count8",
+        [
+            (np.zeros((5, 7), dtype=bool), 0, 0),
+            (np.ones((5, 7), dtype=bool), 1, 1),
+            (np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1]], dtype=bool), 4, 4),
+            (np.array([[1], [0], [1], [1], [0], [0], [1]], dtype=bool), 3, 3),
+            (np.eye(6, dtype=bool), 6, 1),
+            (serpentine(11, 13), 1, 1),
+            (spiral(15), 1, 1),
+            (~spiral(15), 1, 1),
+        ],
+        ids=["empty", "full", "row", "column", "diagonal", "serpentine", "spiral", "spiral-gap"],
+    )
+    def test_shapes(self, mask, count4, count8):
+        assert imaging.label_components(mask, 4)[1] == count4
+        assert imaging.label_components(mask, 8)[1] == count8
+        self._assert_matches_oracle(mask)
+
+    def test_ids_follow_first_pixel_in_row_major_order(self):
+        mask = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0]], dtype=bool)
+        labels4, count4 = imaging.label_components(mask, 4)
+        labels8, count8 = imaging.label_components(mask, 8)
+        assert count4 == 4 and count8 == 2
+        assert labels4.tolist() == [[-1, 0, -1, 1], [2, -1, -1, 1], [-1, -1, 3, -1]]
+        assert labels8.tolist() == [[-1, 0, -1, 1], [0, -1, -1, 1], [-1, -1, 1, -1]]
+
+    def test_equal_values_split_regions(self, rng):
+        for _ in range(100):
+            h, w = (int(v) for v in rng.integers(1, 13, 2))
+            values = rng.integers(0, int(rng.integers(1, 5)), (h, w))
+            self._assert_matches_oracle(np.ones((h, w), dtype=bool), values)
+            self._assert_matches_oracle(rng.random((h, w)) < 0.7, values)
+
+    @pytest.mark.parametrize("connectivity", [0, 2, 6])
+    def test_other_connectivity_rejected(self, connectivity):
+        with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
+            imaging.label_components(np.ones((3, 3), dtype=bool), connectivity)
 
 
 class TestSegmentGrain:
