@@ -30,6 +30,8 @@ from .training import option
 
 SEED_ENV_VAR = "GRAINFORGE_SEED"
 IMAGE_EXTENSIONS = (".ppm", ".pgm")
+MAX_SLIC_ITERS = 1000
+MAX_SAMPLES = 10**6
 
 
 class UsageError(ValueError):
@@ -52,8 +54,8 @@ class RunConfig(training.TrainConfig):
     )
     segments: int | None = option(None, "explain", help="target superpixel count")
     compactness: float = option(10.0, "explain")
-    slic_iters: int = option(10, "explain")
-    samples: int = option(1000, "explain", help="perturbation sample budget")
+    slic_iters: int = option(10, "explain", help=f"SLIC iterations, 1 to {MAX_SLIC_ITERS}")
+    samples: int = option(1000, "explain", help=f"perturbation sample budget, 1 to {MAX_SAMPLES}")
     kernel_width: float = option(0.25, "explain")
     ridge: float = option(1.0, "explain")
     top_k: int = option(5, "explain")
@@ -65,10 +67,12 @@ class RunConfig(training.TrainConfig):
             raise ValueError(f"segments must be >= 1, got {self.segments}")
         if self.compactness < 0:
             raise ValueError(f"compactness must be >= 0, got {self.compactness}")
-        if self.slic_iters < 1:
-            raise ValueError(f"slic_iters must be >= 1, got {self.slic_iters}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.slic_iters <= MAX_SLIC_ITERS:
+            raise ValueError(
+                f"slic_iters must be in [1, {MAX_SLIC_ITERS}], got {self.slic_iters}"
+            )
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {self.samples}")
         if self.kernel_width <= 0:
             raise ValueError(f"kernel_width must be > 0, got {self.kernel_width}")
         if self.ridge < 0:
@@ -235,6 +239,9 @@ def cmd_explain(args) -> int:
     segments = cfg.segments
     if segments is None:
         segments = 40 if max(spec.input_shape[:2]) <= 64 else 100
+    pixels = image.width * image.height
+    if segments > pixels:
+        raise UsageError(f"segments {segments} exceeds the {pixels} pixels of {image_path}")
     superpixels = explain_mod.slic_superpixels(
         image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
     )

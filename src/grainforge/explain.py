@@ -70,11 +70,24 @@ def _color_features(image: Image) -> np.ndarray:
 def slic_superpixels(
     image: Image, target: int, compactness: float = 10.0, iters: int = 10
 ) -> SuperpixelMap:
-    """k-means over (color, position) with connectivity cleanup.
+    """Windowed k-means over (color, position) with connectivity cleanup.
 
-    Centers start on a regular grid; the distance is color distance plus
-    ``compactness`` times spatial distance over the grid spacing.  After
-    iteration, fragments disconnected from their segment's largest
+    This is SLIC as published (Achanta et al., TPAMI 2012).  Centers start
+    on a regular grid with spacing S = sqrt(h*w / target); the distance is
+    color distance plus ``compactness`` times spatial distance over S.
+    Each iteration compares every center only with the pixels of its
+    2S x 2S window, ``[cy - S, cy + S] x [cx - S, cx + S]`` with S rounded
+    up and the window clipped to the image, and keeps per pixel the best
+    distance seen so far.  Centers are visited in id order and a pixel
+    moves only to a strictly closer center, so on a tie the lowest id wins.
+    The initial grid puts every pixel inside some window; a pixel that no
+    window reaches on a later iteration keeps its previous label.  Each
+    center then moves to the mean color and position of its pixels; a
+    center left with no pixels keeps its last color and position.  Each
+    pixel lies in about four windows, so time and memory are O(iters * h * w)
+    and no pixel x center matrix is built.
+
+    After iteration, fragments disconnected from their segment's largest
     component are folded into the biggest adjacent segment, then ids are
     compacted to 0..count-1.
     """
@@ -86,31 +99,42 @@ def slic_superpixels(
     if iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {iters}")
 
-    color = _color_features(image).reshape(h * w, -1)
-    yy, xx = np.mgrid[0:h, 0:w]
-    pos = np.stack([yy.ravel(), xx.ravel()], axis=1).astype(np.float64)
-
+    color = _color_features(image)
     centers_pos, spacing = _grid_centers(w, h, target)
     idx = np.clip(np.rint(centers_pos), 0, [h - 1, w - 1]).astype(int)
-    centers_color = color[idx[:, 0] * w + idx[:, 1]]
+    # one row per center and per pixel: y, x, then the color channels
+    centers = np.hstack([centers_pos, color[idx[:, 0], idx[:, 1]]])
+    yy, xx = np.indices((h, w))
+    points = np.column_stack([yy.ravel(), xx.ravel(), color.reshape(h * w, -1)])
+    radius = math.ceil(spacing)
+    scale = compactness / spacing
 
-    def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = (a**2).sum(axis=1)[:, None] - 2.0 * (a @ b.T) + (b**2).sum(axis=1)[None]
-        return np.sqrt(np.maximum(sq, 0.0))
-
-    assignment = None
+    labels = np.zeros((h, w), dtype=np.intp)
     for _ in range(iters):
-        color_d = pairwise(color, centers_color)
-        spatial_d = pairwise(pos, centers_pos)
-        assignment = np.argmin(color_d + compactness * spatial_d / spacing, axis=1)
-        for c in range(len(centers_pos)):
-            members = assignment == c
-            if members.any():
-                centers_color[c] = color[members].mean(axis=0)
-                centers_pos[c] = pos[members].mean(axis=0)
+        best = np.full((h, w), np.inf)
+        for c, center in enumerate(centers):
+            cy, cx = center[:2]
+            y0, y1 = max(0, math.ceil(cy - radius)), min(h, math.floor(cy + radius) + 1)
+            x0, x1 = max(0, math.ceil(cx - radius)), min(w, math.floor(cx + radius) + 1)
+            dy = np.arange(y0, y1) - cy
+            dx = np.arange(x0, x1) - cx
+            diff = color[y0:y1, x0:x1] - center[2:]
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            dist += scale * np.sqrt(dy[:, None] ** 2 + dx**2)
+            window = (slice(y0, y1), slice(x0, x1))
+            closer = dist < best[window]
+            best[window][closer] = dist[closer]
+            labels[window][closer] = c
 
-    labels = assignment.reshape(h, w).astype(np.int32)
-    labels = _enforce_connectivity(labels)
+        flat = labels.ravel()
+        sizes = np.bincount(flat, minlength=len(centers))
+        sums = np.stack(
+            [np.bincount(flat, weights=p, minlength=len(centers)) for p in points.T], axis=1
+        )
+        filled = sizes > 0
+        centers[filled] = sums[filled] / sizes[filled, None]
+
+    labels = _enforce_connectivity(labels.astype(np.int32))
     return SuperpixelMap(width=w, height=h, labels=labels, count=int(labels.max()) + 1)
 
 

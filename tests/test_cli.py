@@ -396,6 +396,20 @@ class TestExplain:
         probs, _ = network.forward(spec, params, x)
         assert explained == int(np.argmax(probs))
 
+    def test_more_segments_than_pixels_is_usage_error(self, trained, tmp_path, capsys):
+        _, _, weights, _ = trained
+        image_path = tmp_path / "tiny.ppm"
+        imaging.write_image(random_image(Rng(5), 3, 2), image_path)
+        code, stdout, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", str(image_path),
+            "--segments", "7", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "segments 7 exceeds the 6 pixels" in stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestReport:
     def test_text_summary(self, trained, capsys):
@@ -514,6 +528,26 @@ class TestConfig:
         assert code == 2
         assert stdout == ""
         assert key in stderr
+
+    @pytest.mark.parametrize(
+        "key, limit, bad", [("samples", 10**6, 10**21), ("slic_iters", 1000, 1001)]
+    )
+    def test_count_settings_have_an_upper_bound(
+        self, tmp_path, capsys, monkeypatch, key, limit, bad
+    ):
+        monkeypatch.chdir(tmp_path)
+        flag = "--" + key.replace("_", "-")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: bad}))
+        for extra in ([flag, str(bad)], ["--config", str(config)]):
+            code, stdout, stderr = run_cli(capsys, *REQUIRED_ARGS["explain"], *extra)
+            assert code == 2, extra
+            assert stdout == ""
+            assert f"{key} must be in [1, {limit}]" in stderr
+        args = build_parser().parse_args([*REQUIRED_ARGS["explain"], flag, str(limit)])
+        assert getattr(resolve_config(args), key) == limit
+        help_text = " ".join(subcommand_parsers()["explain"].format_help().split())
+        assert f"1 to {limit}" in help_text
 
     @settings(
         max_examples=300, deadline=None,

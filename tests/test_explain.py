@@ -1,5 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grainforge import explain, network
 from grainforge.explain import SuperpixelMap
@@ -37,6 +42,112 @@ def mask_reading_model(image: Image, spmap: SuperpixelMap, fn):
         return np.atleast_1d(np.asarray(fn(z), dtype=np.float64))
 
     return model
+
+
+def slic_global_reference(
+    image: Image, target: int, compactness: float = 10.0, iters: int = 10
+) -> np.ndarray:
+    """The global k-means search that the windowed SLIC replaced, kept as the reference.
+
+    Every iteration compares every pixel with every center through two full
+    pixel x center distance matrices and moves each center to the mean of
+    its members with one boolean mask per center.
+    """
+    h, w = image.height, image.width
+    color = explain._color_features(image).reshape(h * w, -1)
+    yy, xx = np.mgrid[0:h, 0:w]
+    pos = np.stack([yy.ravel(), xx.ravel()], axis=1).astype(np.float64)
+
+    centers_pos, spacing = explain._grid_centers(w, h, target)
+    idx = np.clip(np.rint(centers_pos), 0, [h - 1, w - 1]).astype(int)
+    centers_color = color[idx[:, 0] * w + idx[:, 1]]
+
+    def pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        sq = (a**2).sum(axis=1)[:, None] - 2.0 * (a @ b.T) + (b**2).sum(axis=1)[None]
+        return np.sqrt(np.maximum(sq, 0.0))
+
+    for _ in range(iters):
+        color_d = pairwise(color, centers_color)
+        spatial_d = pairwise(pos, centers_pos)
+        assignment = np.argmin(color_d + compactness * spatial_d / spacing, axis=1)
+        for c in range(len(centers_pos)):
+            members = assignment == c
+            if members.any():
+                centers_color[c] = color[members].mean(axis=0)
+                centers_pos[c] = pos[members].mean(axis=0)
+
+    return explain._enforce_connectivity(assignment.reshape(h, w).astype(np.int32))
+
+
+def slic_window_loop_reference(
+    image: Image, target: int, compactness: float = 10.0, iters: int = 10
+) -> np.ndarray:
+    """Pixel-by-pixel loop form of the windowed SLIC search, kept as the oracle.
+
+    A pixel within ceil(S) of a center along both axes is in its window; it
+    moves to a strictly closer center, taken in id order.  Sums run in
+    row-major pixel order, as the vectorized update accumulates them.
+    """
+    h, w = image.height, image.width
+    color = explain._color_features(image)
+    centers_pos, spacing = explain._grid_centers(w, h, target)
+    idx = np.clip(np.rint(centers_pos), 0, [h - 1, w - 1]).astype(int)
+    centers = [[*pos, *color[y, x]] for pos, (y, x) in zip(centers_pos.tolist(), idx)]
+    radius = math.ceil(spacing)
+    labels = np.zeros((h, w), dtype=np.int32)
+    for _ in range(iters):
+        best = np.full((h, w), np.inf)
+        for c, (cy, cx, *center_color) in enumerate(centers):
+            for y in range(h):
+                for x in range(w):
+                    if abs(y - cy) > radius or abs(x - cx) > radius:
+                        continue
+                    color_d = math.sqrt(
+                        sum((v - m) * (v - m) for v, m in zip(color[y, x], center_color))
+                    )
+                    spatial_d = math.sqrt((y - cy) ** 2 + (x - cx) ** 2)
+                    d = color_d + compactness / spacing * spatial_d
+                    if d < best[y, x]:
+                        best[y, x] = d
+                        labels[y, x] = c
+        sums = [[0.0] * len(centers[0]) for _ in centers]
+        sizes = [0] * len(centers)
+        for y in range(h):
+            for x in range(w):
+                c = labels[y, x]
+                sizes[c] += 1
+                for k, v in enumerate((y, x, *color[y, x])):
+                    sums[c][k] += v
+        for c, size in enumerate(sizes):
+            if size:
+                centers[c] = [total / size for total in sums[c]]
+    return explain._enforce_connectivity(labels)
+
+
+def label_agreement(labels: np.ndarray, reference: np.ndarray) -> float:
+    """Share of pixels that agree once each segment maps to its most-overlapped reference.
+
+    Ids are numbered in first-occurrence order, so one early difference
+    shifts every later id; this measure does not depend on the numbering.
+    """
+    overlap = np.zeros((labels.max() + 1, reference.max() + 1), dtype=np.int64)
+    np.add.at(overlap, (labels.ravel(), reference.ravel()), 1)
+    return overlap.max(axis=1).sum() / labels.size
+
+
+def segment_extent(labels: np.ndarray) -> int:
+    """The longest side of any segment's bounding box."""
+    extent = 0
+    for s in range(labels.max() + 1):
+        ys, xs = np.nonzero(labels == s)
+        extent = max(extent, np.ptp(ys) + 1, np.ptp(xs) + 1)
+    return int(extent)
+
+
+def benchmark_image(size: int, seed: int, index: int) -> Image:
+    """The ``index``-th image that the explain benchmark renders from ``seed``."""
+    kind = SHAPE_CLASSES[index % len(SHAPE_CLASSES)]
+    return render_shape(kind, size, Rng(seed).child(f"image-{index}"))
 
 
 class TestSlic:
@@ -77,9 +188,86 @@ class TestSlic:
                 count = len(flood_components(labels == s, connectivity=4))
                 assert count == 1, f"segment {s} split into {count} pieces"
 
+    def test_distance_tie_goes_to_lower_center_id(self):
+        # centers start at x = 0.25 and 1.75, so the middle pixel is 0.75 from both
+        img = Image.from_array(np.full((1, 3, 3), 90, dtype=np.uint8))
+        spmap = explain.slic_superpixels(img, 2)
+        assert np.array_equal(spmap.labels, [[0, 0, 1]])
+
     def test_target_larger_than_pixel_count_rejected(self, rng):
         with pytest.raises(ValueError, match="cannot split"):
             explain.slic_superpixels(random_image(rng, 3, 3), 10)
+
+    @pytest.mark.parametrize("size, segments, images", [(224, 100, 1), (50, 40, 3)])
+    def test_agrees_with_global_reference_on_benchmark_images(self, size, segments, images):
+        window = 2 * math.ceil(math.sqrt(size * size / segments)) + 1
+        for seed in range(401, 411):
+            for index in range(images):
+                image = benchmark_image(size, seed, index)
+                spmap = explain.slic_superpixels(image, segments, compactness=10.0, iters=10)
+                reference = slic_global_reference(image, segments, compactness=10.0, iters=10)
+                agreement = label_agreement(spmap.labels, reference)
+                assert agreement >= 0.8, (seed, index, agreement)
+                if segment_extent(reference) <= window:
+                    assert spmap.count == reference.max() + 1, (seed, index)
+                else:
+                    # the global search let one center take pixels beyond any
+                    # window (a whole ring at 50 px, seed 404); the windowed
+                    # search splits that segment
+                    assert spmap.count > reference.max() + 1, (seed, index)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        channels=st.sampled_from([1, 3]),
+        levels=st.sampled_from([1, 2, 256]),
+        target_share=st.floats(0.0, 1.0),
+        iters=st.integers(1, 3),
+        compactness=st.sampled_from([0.0, 1.0, 10.0, 40.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_properties_on_random_images(
+        self, height, width, channels, levels, target_share, iters, compactness, seed
+    ):
+        # few levels make flat images: distance ties and centers left with no pixels
+        values = Rng(seed).integers(0, levels, (height, width, channels))
+        image = Image.from_array((values * (255 // max(levels - 1, 1))).astype(np.uint8))
+        target = 1 + math.floor(target_share * (height * width - 1))
+        spmap = explain.slic_superpixels(image, target, compactness=compactness, iters=iters)
+        labels = spmap.labels
+        assert labels.shape == (height, width)
+        assert np.array_equal(np.unique(labels), np.arange(spmap.count))
+        # one 4-connected piece per segment: as many equal-value components as segments
+        pieces = flood_components(np.ones(labels.shape, dtype=bool), connectivity=4, values=labels)
+        assert len(pieces) == spmap.count
+        again = explain.slic_superpixels(image, target, compactness=compactness, iters=iters)
+        assert np.array_equal(again.labels, labels)
+
+    def test_matches_window_loop_reference(self, rng):
+        for trial in range(60):
+            height, width = (int(v) for v in rng.integers(1, 21, 2))
+            channels = 1 if trial % 4 == 0 else 3
+            levels = (2, 256)[trial % 2]
+            values = rng.integers(0, levels, (height, width, channels))
+            image = Image.from_array((values * (255 // (levels - 1))).astype(np.uint8))
+            target = int(rng.integers(1, height * width + 1))
+            iters = int(rng.integers(1, 5))
+            compactness = (0.0, 1.0, 10.0, 40.0)[trial % 4]
+            spmap = explain.slic_superpixels(image, target, compactness=compactness, iters=iters)
+            expected = slic_window_loop_reference(image, target, compactness, iters)
+            assert np.array_equal(spmap.labels, expected), (trial, height, width, target)
+
+    def test_peak_memory_stays_below_a_pixel_by_center_matrix(self):
+        # one N x K float64 matrix at 224 px / 100 segments is 40 MB
+        image = benchmark_image(224, 401, 0)
+        tracemalloc.start()
+        try:
+            explain.slic_superpixels(image, 100, compactness=10.0, iters=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def connectivity_reference(labels: np.ndarray) -> np.ndarray:
