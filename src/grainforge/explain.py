@@ -109,7 +109,7 @@ def slic_superpixels(
     radius = math.ceil(spacing)
     scale = compactness / spacing
 
-    labels = np.zeros((h, w), dtype=np.intp)
+    labels = np.zeros((h, w), dtype=np.int32)
     for _ in range(iters):
         best = np.full((h, w), np.inf)
         for c, center in enumerate(centers):
@@ -134,7 +134,7 @@ def slic_superpixels(
         filled = sizes > 0
         centers[filled] = sums[filled] / sizes[filled, None]
 
-    labels = _enforce_connectivity(labels.astype(np.int32))
+    labels = _enforce_connectivity(labels)
     return SuperpixelMap(width=w, height=h, labels=labels, count=int(labels.max()) + 1)
 
 
