@@ -215,7 +215,7 @@ def cmd_evaluate(args) -> int:
 def _model_closure(spec, params, dtype):
     def model(image: imaging.Image) -> np.ndarray:
         x = imaging.normalize(training.fit_to_input(image, spec)).astype(dtype)
-        probs, _ = network.forward(spec, params, x)
+        probs, _ = network.forward(spec, params, x, train=False)
         return np.asarray(probs, dtype=np.float64)
 
     return model

@@ -1,10 +1,11 @@
 """Layer specifications, the two CNN architectures, and explicit backprop.
 
 A network is an ordered list of layer specs (conv 3x3 / maxpool 2x2 /
-flatten / dense) plus an input shape and class count.  The forward pass
-caches per-layer activations so the backward pass can produce exact
-analytic gradients of the cross-entropy + L2 objective; softmax and
-cross-entropy are fused at the logits as (p - y) / B.
+flatten / dense) plus an input shape and class count.  The training
+forward pass caches per-layer activations so the backward pass can produce
+exact analytic gradients of the cross-entropy + L2 objective; softmax and
+cross-entropy are fused at the logits as (p - y) / B.  The inference
+forward keeps no cache.
 
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
@@ -262,11 +263,31 @@ def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
             )
 
 
-def forward(spec: NetworkSpec, params: Parameters, batch: Tensor):
+def _activations(spec: NetworkSpec) -> list[str]:
+    """Activation applied after each layer, as forward runs them.
+
+    A conv's ReLU moves past a directly following 2x2 max pool: ReLU is
+    monotone, so relu(max(window)) == max(relu(window)) and conv -> pool
+    -> ReLU gives the same values while running ReLU and its backward on
+    a quarter of the elements.  Pool and flatten specs carry no activation
+    of their own.
+    """
+    layers = spec.layers
+    acts = [lay.activation if lay.kind in ("conv2d", "dense") else "none" for lay in layers]
+    for i in range(1, len(acts)):
+        relu_conv = layers[i - 1].kind == "conv2d" and acts[i - 1] == "relu"
+        if relu_conv and layers[i].kind == "maxpool2d":
+            acts[i - 1], acts[i] = "none", "relu"
+    return acts
+
+
+def forward(spec: NetworkSpec, params: Parameters, batch: Tensor, train: bool = True):
     """Class probabilities for a (B,H,W,C) batch, plus the backward cache.
 
     A single (H,W,C) sample is accepted and returns a (K,) probability
-    vector computed through the identical batched path.
+    vector computed through the identical batched path.  With
+    ``train=False`` (inference) no cache is kept and pooling skips its
+    argmax; the probabilities are the same bytes and the cache is None.
     """
     single = batch.ndim == 3
     x = batch[None] if single else batch
@@ -274,30 +295,31 @@ def forward(spec: NetworkSpec, params: Parameters, batch: Tensor):
         raise NetworkError(
             f"batch shape {batch.shape} does not match input {spec.input_shape}"
         )
-    cache = []
-    for layer, lp in zip(spec.layers, params.layers):
+    cache = [] if train else None
+    for layer, act, lp in zip(spec.layers, _activations(spec), params.layers):
         if layer.kind == "conv2d":
-            pre = conv2d_batch(x, lp.weight, lp.bias)
-            out = relu(pre) if layer.activation == "relu" else pre
-            cache.append({"x": x, "pre": pre})
+            out = conv2d_batch(x, lp.weight, lp.bias)
+            entry = {"x": x}
         elif layer.kind == "maxpool2d":
-            out, argmax = maxpool2d_batch(x)
-            cache.append({"x_shape": x.shape, "argmax": argmax})
+            out, argmax = maxpool2d_batch(x, winners=train)
+            entry = {"x_shape": x.shape, "argmax": argmax}
         elif layer.kind == "flatten":
             out = x.reshape(x.shape[0], -1)
-            cache.append({"in_shape": x.shape})
+            entry = {"in_shape": x.shape}
         else:  # dense
-            pre = dense_forward(x, lp.weight, lp.bias)
-            if layer.activation == "relu":
-                out = relu(pre)
-            elif layer.activation == "softmax":
-                out = softmax(pre)
-            else:
-                out = pre
-            cache.append({"x": x, "pre": pre})
+            out = dense_forward(x, lp.weight, lp.bias)
+            entry = {"x": x}
+        if act == "relu":
+            entry["pre"] = out
+            out = relu(out)
+        elif act == "softmax":
+            out = softmax(out)
+        if train:
+            cache.append(entry)
         x = out
     probs = x
-    cache.append({"probs": probs})
+    if train:
+        cache.append({"probs": probs})
     return (probs[0], cache) if single else (probs, cache)
 
 
@@ -339,20 +361,20 @@ def backward(
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         entry = cache[i]
+        # softmax gradient is already fused into dout at the logits
+        if "pre" in entry:
+            dout = relu_backward(entry["pre"], dout)
         if layer.kind == "dense":
-            if layer.activation == "relu":
-                dout = relu_backward(entry["pre"], dout)
-            # softmax gradient is already fused into dout at the logits
             dout, dw, db = dense_backward(entry["x"], params.layers[i].weight, dout)
             grads.layers[i] = LayerParams(dw, db)
         elif layer.kind == "flatten":
             dout = dout.reshape(entry["in_shape"])
         elif layer.kind == "maxpool2d":
             dout = maxpool2d_backward(entry["x_shape"], entry["argmax"], dout)
-        else:  # conv2d
-            if layer.activation == "relu":
-                dout = relu_backward(entry["pre"], dout)
-            dout, dw, db = conv2d_backward(entry["x"], params.layers[i].weight, dout)
+        else:  # conv2d; nothing reads the gradient of the input image
+            dout, dw, db = conv2d_backward(
+                entry["x"], params.layers[i].weight, dout, need_dx=i > 0
+            )
             grads.layers[i] = LayerParams(dw, db)
 
     if lam:

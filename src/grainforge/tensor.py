@@ -56,18 +56,23 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     oh, ow = h - kh + 1, w - kw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    # (B, H', W', Cin, Kh, Kw) -> rows ordered (Kh, Kw, Cin) like the kernels
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(-1, kh * kw * cin)
+    sb, sh, sw, sc = x.strides
+    # (B, H', W', Kh, Kw, Cin) view: rows ordered (Kh, Kw, Cin) like the kernels
+    windows = np.lib.stride_tricks.as_strided(
+        x, (b, oh, ow, kh, kw, cin), (sb, sh, sw, sh, sw, sc), writeable=False
+    )
+    cols = windows.reshape(-1, kh * kw * cin)
     out = cols @ kernels.reshape(-1, cout)
     out += bias
     return out.reshape(b, oh, ow, cout)
 
 
-def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor):
+def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = True):
     """Gradients of a valid conv given upstream (B,H',W',Cout) gradient.
 
-    Returns (dx, dkernels, dbias).
+    Returns (dx, dkernels, dbias).  With ``need_dx=False`` the input
+    gradient, half of the work, is not computed and ``dx`` is None; the
+    kernel and bias gradients are the same either way.
     """
     b, h, w, cin = x.shape
     kh, kw, _, cout = kernels.shape
@@ -76,22 +81,25 @@ def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor):
     dbias = dout.sum(axis=(0, 1, 2))
     dout_flat = dout.reshape(b * oh * ow, cout)
     dkernels = np.empty_like(kernels, dtype=dout.dtype)
-    dx = np.zeros_like(x, dtype=dout.dtype)
+    dx = np.zeros_like(x, dtype=dout.dtype) if need_dx else None
     for dy in range(kh):
         for dx_ in range(kw):
             dkernels[dy, dx_] = _crop(x, dy, dx_, oh, ow).T @ dout_flat
-            spread = (dout_flat @ kernels[dy, dx_].T).reshape(b, oh, ow, cin)
-            dx[:, dy : dy + oh, dx_ : dx_ + ow, :] += spread
+            if need_dx:
+                spread = (dout_flat @ kernels[dy, dx_].T).reshape(b, oh, ow, cin)
+                dx[:, dy : dy + oh, dx_ : dx_ + ow, :] += spread
     return dx, dkernels, dbias
 
 
-def maxpool2d_batch(x: Tensor):
+def maxpool2d_batch(x: Tensor, winners: bool = True):
     """2x2 stride-2 max pooling of (B,H,W,C); trailing odd row/col dropped.
 
     Returns (pooled, argmax) where argmax is a uint8 array holding the
     within-window winner index in {0,1,2,3} (row-major over the window)
     for the backward pass.  Ties go to the first maximum in that order.
-    A NaN anywhere in a window makes its pooled value NaN.
+    A NaN anywhere in a window makes its pooled value NaN.  Inference
+    passes ``winners=False``: the winners, about half the work, are not
+    computed and argmax is an empty uint8 array.
     """
     if x.ndim != 4:
         raise ShapeError(f"pool input must be 4-d (B,H,W,C), got shape {x.shape}")
@@ -108,6 +116,8 @@ def maxpool2d_batch(x: Tensor):
     top = np.maximum(b, a)
     bot = np.maximum(d, c)
     pooled = np.maximum(bot, top)
+    if not winners:
+        return pooled, np.empty(0, dtype=np.uint8)
     # strict comparisons keep the first maximum of each pair and of the two rows
     argmax = np.where(bot > top, (d > c) + np.uint8(2), (b > a).view(np.uint8))
     return pooled, argmax

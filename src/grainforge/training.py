@@ -359,7 +359,7 @@ def evaluate_arrays(
     for start in range(0, len(xs), batch_size):
         batch = xs[start : start + batch_size]
         batch_labels = labels[start : start + batch_size]
-        p, _ = forward(spec, params, batch)
+        p, _ = forward(spec, params, batch, train=False)
         probs[start : start + len(batch)] = p
         y = onehot(batch_labels, k, p.dtype)
         total_ce += loss_fn(p, y, params, 0.0) * len(batch)

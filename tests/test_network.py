@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grainforge import network
+from grainforge import network, tensor
 from grainforge.network import (
     LayerSpec,
     NetworkSpec,
@@ -157,6 +157,115 @@ class TestForward:
         params = network.init_parameters(spec, Rng(5))
         with pytest.raises(NetworkError, match="does not match input"):
             network.forward(spec, params, rng.normal(0, 1, (2, 9, 8, 1)))
+
+
+def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
+    """Probabilities and (dweight, dbias) per layer in the original layer order.
+
+    ReLU runs straight after its conv and the pool follows, with the input
+    gradient computed at every conv; the network pools first and applies
+    ReLU to the pooled values.
+    """
+    x, saved = batch, []
+    for layer, lp in zip(spec.layers, params.layers):
+        if layer.kind == "maxpool2d":
+            out, argmax = tensor.maxpool2d_batch(x)
+            saved.append((x.shape, argmax))
+        elif layer.kind == "flatten":
+            out = x.reshape(len(x), -1)
+            saved.append((x.shape, None))
+        else:
+            kernel = tensor.conv2d_batch if layer.kind == "conv2d" else tensor.dense_forward
+            pre = kernel(x, lp.weight, lp.bias)
+            out = pre
+            if layer.activation == "relu":
+                out = tensor.relu(pre)
+            elif layer.activation == "softmax":
+                out = tensor.softmax(pre)
+            saved.append((x, pre))
+        x = out
+    probs = x
+    dout = (probs - onehot.astype(probs.dtype)) / len(probs)
+    grads = [None] * len(spec.layers)
+    for i in range(len(spec.layers) - 1, -1, -1):
+        layer, (a, b) = spec.layers[i], saved[i]
+        if layer.kind == "maxpool2d":
+            dout = tensor.maxpool2d_backward(a, b, dout)
+        elif layer.kind == "flatten":
+            dout = dout.reshape(a)
+        else:
+            if layer.activation == "relu":
+                dout = tensor.relu_backward(b, dout)
+            kernel = tensor.conv2d_backward if layer.kind == "conv2d" else tensor.dense_backward
+            w = params.layers[i].weight
+            dout, dw, db = kernel(a, w, dout)
+            grads[i] = (dw + 2.0 * lam * w if lam else dw, db)
+    return probs, grads
+
+
+def model_inputs(spec, params, case, batch_size, rng):
+    """(params, batch) for one input case of the inference and layer-order tests."""
+    shape = (batch_size, *spec.input_shape)
+    batch = rng.normal(0, 1, shape)
+    if case == "ties":
+        # 4x4 blocks of {-1, 0, 1}: conv outputs repeat exactly across each block
+        h, w, c = spec.input_shape
+        coarse = rng.integers(-1, 2, (batch_size, -(-h // 4), -(-w // 4), c))
+        batch = np.repeat(np.repeat(coarse, 4, axis=1), 4, axis=2)[:, :h, :w].astype(float)
+    elif case == "non_positive":
+        # even conv channels sit far below zero, so every pool window there is negative
+        params = params.copy()
+        for layer, lp in zip(spec.layers, params.layers):
+            if layer.kind == "conv2d":
+                lp.bias[::2] = -1e3
+    elif case == "zeros":
+        batch = np.zeros(shape)
+    elif case == "nan":
+        batch[:, 1, 2, 0] = np.nan
+    return params, batch.astype(np.float32)
+
+
+SPECS = {"rice": build_rice_cnn, "disease": build_disease_cnn, "mini": mini_spec}
+
+
+class TestLayerOrderAndInference:
+    @pytest.mark.parametrize("batch_size", [1, 4])
+    @pytest.mark.parametrize("case", ["random", "ties", "non_positive", "zeros", "nan"])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_inference_probabilities_are_the_training_bytes(self, name, case, batch_size):
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(31).child(name), dtype=np.float32)
+        params, batch = model_inputs(spec, params, case, batch_size, Rng(32).child(case))
+        trained, cache = network.forward(spec, params, batch)
+        inferred, none = network.forward(spec, params, batch, train=False)
+        assert none is None and len(cache) == len(spec.layers) + 1
+        assert inferred.dtype == trained.dtype and inferred.tobytes() == trained.tobytes()
+        if batch_size == 1:
+            single, none = network.forward(spec, params, batch[0], train=False)
+            assert none is None and single.tobytes() == trained[0].tobytes()
+        if case == "nan":
+            assert np.isnan(inferred).all()
+
+    @pytest.mark.parametrize(
+        "name, batch_size",
+        [("mini", 1), ("mini", 4), ("rice", 1), ("rice", 4), ("disease", 1)],
+    )
+    @pytest.mark.parametrize("case", ["random", "ties", "non_positive", "zeros"])
+    def test_gradients_equal_the_relu_then_pool_reference(self, name, case, batch_size):
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(33).child(name), dtype=np.float32)
+        params, batch = model_inputs(spec, params, case, batch_size, Rng(34).child(case))
+        k = spec.num_classes
+        onehot = np.eye(k, dtype=np.float32)[np.arange(batch_size) % k]
+        probs, cache = network.forward(spec, params, batch)
+        grads = network.backward(spec, params, cache, onehot, lam=1e-3)
+        want_probs, want = relu_then_pool_reference(spec, params, batch, onehot, lam=1e-3)
+        assert np.array_equal(probs, want_probs)
+        for got, expect in zip(grads.layers, want):
+            if expect is None:
+                assert got is None
+                continue
+            assert np.array_equal(got.weight, expect[0]) and np.array_equal(got.bias, expect[1])
 
 
 class TestLoss:

@@ -104,6 +104,27 @@ class TestConv2d:
             assert np.abs(lhs - rhs).max() < 1e-10
 
 
+    def test_strided_views_match_naive(self, rng):
+        # the im2col view is built from the input's own strides
+        base = rng.normal(0, 1, (3, 13, 11, 4))
+        k = rng.normal(0, 1, (3, 3, 2, 3))
+        b = rng.normal(0, 1, (3,))
+        views = (base[:, ::2, 1:, 1::2], base[::2, 3:, :8, :2], np.asfortranarray(base)[..., :2])
+        for x in views:
+            got = tensor.conv2d_batch(x, k, b)
+            for i in range(x.shape[0]):
+                assert np.abs(got[i] - naive_conv(x[i], k, b)).max() < 1e-12
+
+    @pytest.mark.parametrize("cin, cout", [(3, 32), (5, 4)])
+    def test_backward_without_dx_keeps_kernel_gradients(self, rng, cin, cout):
+        x = rng.normal(0, 1, (2, 9, 7, cin)).astype(np.float32)
+        k = rng.normal(0, 0.2, (3, 3, cin, cout)).astype(np.float32)
+        dout = rng.normal(0, 1, (2, 7, 5, cout)).astype(np.float32)
+        dx, dk, db = tensor.conv2d_backward(x, k, dout)
+        none, dk_only, db_only = tensor.conv2d_backward(x, k, dout, need_dx=False)
+        assert none is None and dx.shape == x.shape
+        assert np.array_equal(dk_only, dk) and np.array_equal(db_only, db)
+
     @pytest.mark.parametrize("hw, cin, cout", [((6, 7), 3, 32), ((5, 5), 32, 64)])
     def test_float32_matches_float64_oracle(self, rng, hw, cin, cout):
         # the channel counts of the first two convs of both networks; float32
@@ -176,6 +197,17 @@ class TestMaxPool:
         pooled, _ = tensor.maxpool2d_batch(x)
         assert np.all(np.isnan(pooled[:, 0, 0, 0]))
         assert np.array_equal(pooled[:, 0, 0, 1], np.zeros(4, dtype=dtype))
+
+
+    def test_without_winners_pools_the_same_bytes(self, rng):
+        tie_heavy = rng.integers(-1, 2, (3, 9, 8, 4)).astype(np.float32)
+        nan = rng.normal(0, 1, (2, 6, 6, 3))
+        nan[0, 1, 2, 0] = nan[1, 5, 5, 2] = np.nan
+        for x in (rng.normal(0, 1, (2, 7, 10, 3)), tie_heavy, -np.abs(tie_heavy), nan):
+            pooled, argmax = tensor.maxpool2d_batch(x)
+            lean, none = tensor.maxpool2d_batch(x, winners=False)
+            assert lean.dtype == pooled.dtype and lean.tobytes() == pooled.tobytes()
+            assert none.dtype == np.uint8 and none.nbytes == 0 and argmax.nbytes > 0
 
 
 class TestDense:
