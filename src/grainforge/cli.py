@@ -7,9 +7,11 @@ subcommands that take it as a flag (``--`` plus the name with dashes, or
 JSON config file.  Option precedence is CLI flag, then config file
 (``--config``), then built-in defaults; the environment variable
 ``GRAINFORGE_SEED`` acts as a seed fallback below all three.  The merged
-settings are validated once, before any file is read.  Every command
-prints the paths of the files it wrote, one per line, and exits 0 on
-success, 1 on runtime failure, 2 on usage or validation errors.
+settings are validated before any file is read.  ``evaluate`` and
+``explain`` then take the preprocessing settings that the weights file
+records; a flag or config value that differs from them is a usage error.
+Every command prints the paths of the files it wrote, one per line, and
+exits 0 on success, 1 on runtime failure, 2 on usage or validation errors.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +83,12 @@ class RunConfig(training.TrainConfig):
             raise ValueError(f"top_k must be >= 0, got {self.top_k}")
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over a JSON config file over defaults."""
+def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> RunConfig:
+    """Merge CLI flags over a JSON config file over defaults.
+
+    ``recorded`` holds the preprocessing settings of a weights file: each one
+    replaces its default, and a flag or config value that differs is a UsageError.
+    """
     file_cfg = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -103,23 +109,33 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for name, value in file_cfg.items():
         _check_type(name, keys[name], value)
 
-    cfg = RunConfig()
     # data_root, the one field without metadata, can only come from --data-root
+    given = dict(file_cfg)
     for f in fields(RunConfig):
-        cli_value = getattr(args, f.name, None)
-        if cli_value is not None:
-            setattr(cfg, f.name, cli_value)
-        elif f.name in file_cfg:
-            setattr(cfg, f.name, file_cfg[f.name])
-        elif f.name == "seed" and os.environ.get(SEED_ENV_VAR):
-            try:
-                cfg.seed = int(os.environ[SEED_ENV_VAR])
-            except ValueError as exc:
-                raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
+        if getattr(args, f.name, None) is not None:
+            given[f.name] = getattr(args, f.name)
+    cfg = RunConfig(**given)
+    if "seed" not in given and os.environ.get(SEED_ENV_VAR):
+        try:
+            cfg.seed = int(os.environ[SEED_ENV_VAR])
+        except ValueError as exc:
+            raise UsageError(f"{SEED_ENV_VAR} must be an integer") from exc
     try:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if recorded is None:
+        return cfg
+    for name, value in recorded.items():
+        if name in given and given[name] != value:
+            raise UsageError(
+                f"{name} is {given[name]!r} here but {value!r} in the weights file"
+            )
+        setattr(cfg, name, value)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise network.WeightsFormatError(f"recorded preprocessing: {exc}", 12) from exc
     return cfg
 
 
@@ -184,6 +200,11 @@ def cmd_train(args) -> int:
     spec = _build_spec(cfg.model)
     assignment = training.split(manifest, cfg.seed)
     params, history = training.train(spec, manifest, assignment, cfg)
+    spec = replace(
+        spec,
+        preprocess={name: getattr(cfg, name) for name in network.PREPROCESS_SETTINGS},
+        classes=manifest.classes,
+    )
     network.save_weights(spec, params.astype(np.float32), args.out)
     training.write_history(history, args.history)
     _emit(args.out)
@@ -191,10 +212,25 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
+def _load_model(args) -> tuple[RunConfig, network.NetworkSpec, network.Parameters]:
+    """Validate the settings, read the weights, then adopt the preprocessing they record."""
+    resolve_config(args)  # a bad setting exits 2 before any file is read
     spec, params = network.load_weights(args.weights)
+    return resolve_config(args, spec.preprocess), spec, params
+
+
+def cmd_evaluate(args) -> int:
+    cfg, spec, params = _load_model(args)
     manifest = training.read_manifest(args.manifest)
+    if spec.classes is not None and manifest.classes != spec.classes:
+        raise UsageError(
+            f"manifest classes {list(manifest.classes)} differ from the "
+            f"model's {list(spec.classes)}"
+        )
+    if len(manifest.classes) != spec.num_classes:
+        raise UsageError(
+            f"manifest has {len(manifest.classes)} classes but the model has {spec.num_classes}"
+        )
     assignment = training.split(manifest, cfg.seed)
     indices = assignment.indices(cfg.split)
     result = training.evaluate(spec, params, manifest, indices, cfg)
@@ -212,9 +248,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _model_closure(spec, params, dtype):
+def _model_closure(spec, params, cfg):
+    """Class probabilities of one raw image, through the model's own preprocessing."""
+    dtype = training.DTYPES[cfg.dtype]
+
     def model(image: imaging.Image) -> np.ndarray:
-        x = imaging.normalize(training.fit_to_input(image, spec)).astype(dtype)
+        x = imaging.normalize(training.preprocess(image, spec, cfg)).astype(dtype)
         probs, _ = network.forward(spec, params, x, train=False)
         return np.asarray(probs, dtype=np.float64)
 
@@ -222,11 +261,10 @@ def _model_closure(spec, params, dtype):
 
 
 def cmd_explain(args) -> int:
-    cfg = resolve_config(args)
-    spec, params = network.load_weights(args.weights)
+    cfg, spec, params = _load_model(args)
     image_path = Path(args.image)
     image = imaging.read_image(image_path)
-    model = _model_closure(spec, params, training.DTYPES[cfg.dtype])
+    model = _model_closure(spec, params, cfg)
 
     target = cfg.target_class
     if target is None:
@@ -360,10 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--history", default="history.csv", help="history CSV to write")
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser(
-        "evaluate", help="score saved weights on a manifest split",
-        description="--canny, --segment and the --canny-* settings must match training",
-    )
+    p_eval = sub.add_parser("evaluate", help="score saved weights on a manifest split")
     p_eval.add_argument("--weights", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--data-root", required=True)

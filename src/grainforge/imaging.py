@@ -196,13 +196,6 @@ def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
     return cols
 
 
-def gaussian_blur(image: Image, sigma: float) -> Image:
-    """Gaussian blur of a grayscale image; output re-quantized to uint8."""
-    gray = to_grayscale(image)
-    blurred = blur_array(gray.pixels[:, :, 0].astype(np.float64), sigma)
-    return Image.from_array(np.clip(np.floor(blurred + 0.5), 0, 255).astype(np.uint8))
-
-
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
 

@@ -10,6 +10,8 @@ forward keeps no cache.
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
 order, then each tensor's raw little-endian float32 values row-major.
+A trained model's header also records its preprocessing settings and
+class names; headers written before those keys existed still load.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +42,15 @@ LOG_EPSILON = 1e-12
 KERNEL_SIZE = 3
 
 MAGIC = b"GFW1"
+
+# the preprocessing settings a weights header records, with their JSON types
+PREPROCESS_SETTINGS = {
+    "canny": bool,
+    "segment": bool,
+    "canny_sigma": float,
+    "canny_low": float,
+    "canny_high": float,
+}
 
 
 class NetworkError(ValueError):
@@ -66,6 +78,10 @@ class NetworkSpec:
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
     num_classes: int
+    # what training recorded: PREPROCESS_SETTINGS values and the sorted class
+    # names; None for a spec built in code or read from an older header
+    preprocess: dict | None = field(default=None, hash=False)
+    classes: tuple[str, ...] | None = None
 
 
 @dataclass
@@ -390,7 +406,7 @@ def backward(
 
 
 def _spec_to_header(spec: NetworkSpec) -> dict:
-    return {
+    header = {
         "format": "grainforge-weights",
         "version": 1,
         "dtype": "f32",
@@ -406,6 +422,49 @@ def _spec_to_header(spec: NetworkSpec) -> dict:
             for layer in spec.layers
         ],
     }
+    if spec.preprocess is not None:
+        header["preprocess"] = spec.preprocess
+    if spec.classes is not None:
+        header["classes"] = list(spec.classes)
+    return header
+
+
+def _recorded_preprocess(header: dict) -> dict | None:
+    if "preprocess" not in header:
+        return None
+    settings = header["preprocess"]
+    if not (isinstance(settings, dict) and sorted(settings) == sorted(PREPROCESS_SETTINGS)):
+        raise WeightsFormatError(
+            f"preprocess must hold exactly {sorted(PREPROCESS_SETTINGS)}, got {settings!r}", 12
+        )
+    for name, kind in PREPROCESS_SETTINGS.items():
+        value = settings[name]
+        if kind is bool:
+            valid = type(value) is bool
+        else:
+            valid = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if not valid:
+            raise WeightsFormatError(
+                f"preprocess {name!r} must be a finite {kind.__name__}, got {value!r}", 12
+            )
+    return settings
+
+
+def _recorded_classes(header: dict, num_classes: int) -> tuple[str, ...] | None:
+    if "classes" not in header:
+        return None
+    classes = header["classes"]
+    valid = (
+        isinstance(classes, list)
+        and len(classes) == num_classes
+        and all(type(name) is str for name in classes)
+        and classes == sorted(set(classes))
+    )
+    if not valid:
+        raise WeightsFormatError(
+            f"classes must be {num_classes} distinct names in sorted order, got {classes!r}", 12
+        )
+    return tuple(classes)
 
 
 def save_weights(spec: NetworkSpec, params: Parameters, path) -> None:
@@ -476,6 +535,13 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
         raise WeightsFormatError(f"JSON header lacks key {exc}", 12) from exc
     except TypeError as exc:  # a value of the wrong JSON type, e.g. "units": "2"
         raise WeightsFormatError(f"malformed JSON header: {exc}", 12) from exc
+    except NetworkError as exc:  # e.g. "kind": "conv3d"
+        raise WeightsFormatError(str(exc), 12) from exc
+    spec = replace(
+        spec,
+        preprocess=_recorded_preprocess(header),
+        classes=_recorded_classes(header, spec.num_classes),
+    )
 
     params = Parameters([None] * len(spec.layers))
     pos = 12 + header_len
@@ -502,5 +568,8 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
         setattr(params.layers[i], name, arr)
     if pos != len(data):
         raise WeightsFormatError(f"{len(data) - pos} unexpected trailing bytes", pos)
-    check_parameters(spec, params)
+    try:
+        check_parameters(spec, params)
+    except NetworkError as exc:  # tensors that do not match the layer shapes
+        raise WeightsFormatError(str(exc), 12) from exc
     return spec, params

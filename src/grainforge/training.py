@@ -221,12 +221,12 @@ def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
     return Image.from_array(np.repeat(image.pixels, 3, axis=2))
 
 
-def load_example_image(path, spec: NetworkSpec, config: TrainConfig) -> Image:
-    """Read and run the flag-selected preprocessing stages up to resize."""
-    try:
-        image = imaging.read_image(path)
-    except (OSError, ValueError) as exc:
-        raise TrainingError(f"failed to read image {path}: {exc}") from exc
+def preprocess(image: Image, spec: NetworkSpec, config: TrainConfig) -> Image:
+    """The model's input chain up to normalisation, as training ran it.
+
+    Runs the Canny and segmentation stages that ``config`` selects, then
+    ``fit_to_input``; training, evaluation and the explained model all call it.
+    """
     if config.canny:
         edges = imaging.canny(
             image, config.canny_sigma, config.canny_low, config.canny_high
@@ -236,10 +236,6 @@ def load_example_image(path, spec: NetworkSpec, config: TrainConfig) -> Image:
         mask = imaging.segment_grain(image)
         image = imaging.apply_segment_mask(image, mask)
     return fit_to_input(image, spec)
-
-
-def _to_array(image: Image, dtype) -> np.ndarray:
-    return imaging.normalize(image).astype(dtype)
 
 
 def load_dataset(
@@ -255,10 +251,14 @@ def load_dataset(
     xs, ys = [], []
     for i in indices:
         rec = manifest.records[i]
-        image = load_example_image(root / rec.path, spec, config)
+        try:
+            image = imaging.read_image(root / rec.path)
+        except (OSError, ValueError) as exc:
+            raise TrainingError(f"failed to read image {root / rec.path}: {exc}") from exc
+        image = preprocess(image, spec, config)
         variants = imaging.augment(image) if augment else [image]
         for variant in variants:
-            xs.append(_to_array(variant, DTYPES[config.dtype]))
+            xs.append(imaging.normalize(variant).astype(DTYPES[config.dtype]))
             ys.append(class_index[rec.label])
     return np.stack(xs), np.array(ys, dtype=np.int64)
 

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from grainforge import imaging, network
+from grainforge import explain, imaging, network
 from grainforge.cli import UsageError, build_parser, main, resolve_config
 from grainforge.imaging import Image
 from grainforge.rng import Rng
@@ -24,11 +25,8 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture(scope="session")
-def trained(tmp_path_factory, tiny_shape_dataset):
-    """One CLI training run shared by the evaluate/explain/report tests."""
-    root, _, _ = tiny_shape_dataset
-    out = tmp_path_factory.mktemp("trained")
+def train_tiny(out, root, *flags):
+    """Ingest the tiny shapes set and train the rice model on it for 2 epochs."""
     manifest = out / "manifest.csv"
     weights = out / "weights.gfw"
     history = out / "history.csv"
@@ -43,10 +41,40 @@ def trained(tmp_path_factory, tiny_shape_dataset):
             "--seed", "5",
             "--out", str(weights),
             "--history", str(history),
+            *flags,
         ]
     )
     assert code == 0
     return root, manifest, weights, history
+
+
+@pytest.fixture(scope="session")
+def trained(tmp_path_factory, tiny_shape_dataset):
+    """One CLI training run shared by the evaluate/explain/report tests."""
+    return train_tiny(tmp_path_factory.mktemp("trained"), tiny_shape_dataset[0])
+
+
+@pytest.fixture(scope="session")
+def trained_canny(tmp_path_factory, tiny_shape_dataset):
+    """The same training run on Canny edge maps."""
+    return train_tiny(tmp_path_factory.mktemp("trained_canny"), tiny_shape_dataset[0], "--canny")
+
+
+def rewrite_header(src, dst, edit):
+    """Copy weights file ``src`` to ``dst`` with ``edit`` applied to its JSON header."""
+    data = src.read_bytes()
+    (header_len,) = struct.unpack("<Q", data[4:12])
+    header = json.loads(data[12 : 12 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(
+        data[:4] + struct.pack("<Q", len(header_bytes)) + header_bytes + data[12 + header_len :]
+    )
+    return dst
+
+
+def without_recorded_keys(header):
+    del header["preprocess"], header["classes"]
 
 
 class TestIngest:
@@ -409,6 +437,171 @@ class TestExplain:
         assert stdout == ""
         assert "segments 7 exceeds the 6 pixels" in stderr
         assert not (tmp_path / "out").exists()
+
+
+def canny_by_hand(image):
+    """Canny at the default settings, as a 3-channel image."""
+    edges = imaging.edge_map_to_image(imaging.canny(image, 1.0, 50.0, 100.0))
+    return Image.from_array(np.repeat(edges.pixels, 3, axis=2))
+
+
+class TestRecordedPreprocessing:
+    """evaluate and explain run the preprocessing that the weights file records."""
+
+    EVAL_OUTPUTS = ("metrics.csv", "confusion.csv", "roc_points.csv")
+
+    def evaluate(self, capsys, trained, weights, out_dir, *extra):
+        root, manifest, _, _ = trained
+        return run_cli(
+            capsys,
+            "evaluate", "--weights", str(weights), "--manifest", str(manifest),
+            "--data-root", str(root), "--split", "val", "--seed", "5",
+            "--out-dir", str(out_dir), *extra,
+        )
+
+    def evaluated(self, capsys, trained, weights, out_dir, *extra):
+        code, _, stderr = self.evaluate(capsys, trained, weights, out_dir, *extra)
+        assert code == 0, stderr
+        return [(out_dir / name).read_bytes() for name in self.EVAL_OUTPUTS]
+
+    def explained(self, capsys, trained, weights, out_dir):
+        root = trained[0]
+        code, _, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", str(root / "disc" / "disc_0000.ppm"),
+            "--method", "lime", "--samples", "60", "--class", "0", "--seed", "8",
+            "--out-dir", str(out_dir),
+        )
+        assert code == 0, stderr
+        return [(out_dir / f"disc_0000.lime.{ext}").read_bytes() for ext in ("csv", "ppm")]
+
+    @staticmethod
+    def lime_csv_by_hand(trained, model_input, path):
+        """The explain CSV above, through a model that applies ``model_input`` itself."""
+        root, _, weights, _ = trained
+        spec, params = network.load_weights(weights)
+        image = imaging.read_image(root / "disc" / "disc_0000.ppm")
+
+        def model(img):
+            x = imaging.normalize(imaging.resize(model_input(img), 50, 50)).astype(np.float32)
+            probs, _ = network.forward(spec, params, x)
+            return np.asarray(probs, dtype=np.float64)
+
+        superpixels = explain.slic_superpixels(image, 40, compactness=10.0, iters=10)
+        attribution, _ = explain.lime_explain(
+            model, image, superpixels, 0, n_samples=max(60, superpixels.count + 2),
+            kernel_width=0.25, ridge=1.0, top_k=5, rng=Rng(8),
+            baseline=explain.mean_baseline(image),
+        )
+        explain.write_attribution_csv(path, attribution)
+        return path.read_bytes()
+
+    def test_header_records_settings_and_classes(self, trained, trained_canny):
+        for (_, _, weights, _), canny in ((trained, False), (trained_canny, True)):
+            spec, _ = network.load_weights(weights)
+            assert spec.preprocess == {
+                "canny": canny, "segment": False,
+                "canny_sigma": 1.0, "canny_low": 50.0, "canny_high": 100.0,
+            }
+            assert spec.classes == ("cross", "disc", "ring", "square", "triangle")
+
+    def test_explain_runs_the_recorded_canny(self, trained_canny, tmp_path, capsys):
+        csv_bytes, _ = self.explained(capsys, trained_canny, trained_canny[2], tmp_path / "cli")
+        by_hand = self.lime_csv_by_hand(trained_canny, canny_by_hand, tmp_path / "canny.csv")
+        raw = self.lime_csv_by_hand(trained_canny, lambda img: img, tmp_path / "raw.csv")
+        assert csv_bytes == by_hand
+        assert csv_bytes != raw
+
+    def test_evaluate_without_flags_runs_the_recorded_canny(
+        self, trained_canny, tmp_path, capsys
+    ):
+        weights = trained_canny[2]
+        unset = self.evaluated(capsys, trained_canny, weights, tmp_path / "unset")
+        flagged = self.evaluated(capsys, trained_canny, weights, tmp_path / "flag", "--canny")
+        assert unset == flagged
+
+    def test_header_without_the_keys_falls_back_to_flags(self, trained_canny, tmp_path, capsys):
+        recorded = self.evaluated(capsys, trained_canny, trained_canny[2], tmp_path / "rec")
+        bare = rewrite_header(trained_canny[2], tmp_path / "bare.gfw", without_recorded_keys)
+        assert self.evaluated(capsys, trained_canny, bare, tmp_path / "b1", "--canny") == recorded
+        assert self.evaluated(capsys, trained_canny, bare, tmp_path / "b2") != recorded
+
+    def test_header_without_the_keys_runs_raw_pixels(self, trained, tmp_path, capsys):
+        bare = rewrite_header(trained[2], tmp_path / "bare.gfw", without_recorded_keys)
+        assert network.load_weights(bare)[0].preprocess is None
+        assert self.evaluated(capsys, trained, bare, tmp_path / "e1") == self.evaluated(
+            capsys, trained, trained[2], tmp_path / "e2"
+        )
+        csv_bytes, heatmap = self.explained(capsys, trained, bare, tmp_path / "x1")
+        assert [csv_bytes, heatmap] == self.explained(capsys, trained, trained[2], tmp_path / "x2")
+        raw = self.lime_csv_by_hand(trained, lambda img: img, tmp_path / "raw.csv")
+        assert csv_bytes == raw
+
+    @pytest.mark.parametrize(
+        "command, extra, config, message",
+        [
+            ("evaluate", ["--canny"], None, "canny is True here but False in the weights file"),
+            ("evaluate", ["--canny-sigma", "2"], None, "canny_sigma is 2.0 here but 1.0"),
+            ("explain", [], {"segment": True}, "segment is True here but False"),
+            ("explain", [], {"canny_high": 90}, "canny_high is 90 here but 100.0"),
+        ],
+    )
+    def test_contradicting_the_header_is_usage_error(
+        self, trained, tmp_path, capsys, command, extra, config, message
+    ):
+        root, manifest, weights, _ = trained
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            extra = [*extra, "--config", str(tmp_path / "config.json")]
+        out_dir = tmp_path / "out"
+        if command == "evaluate":
+            code, stdout, stderr = self.evaluate(capsys, trained, weights, out_dir, *extra)
+        else:
+            code, stdout, stderr = run_cli(
+                capsys, "explain", "--weights", str(weights),
+                "--image", str(root / "disc" / "disc_0000.ppm"), "--out-dir", str(out_dir), *extra,
+            )
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
+        assert not out_dir.exists()
+
+    def test_invalid_recorded_setting_is_runtime_error(self, trained, tmp_path, capsys):
+        bad = rewrite_header(
+            trained[2], tmp_path / "bad.gfw", lambda h: h["preprocess"].update(canny_sigma=0.0)
+        )
+        code, stdout, stderr = self.evaluate(capsys, trained, bad, tmp_path / "out")
+        assert code == 1
+        assert stdout == ""
+        assert "recorded preprocessing: canny_sigma must be > 0" in stderr
+
+    @pytest.mark.parametrize(
+        "labels, bare, message",
+        [
+            (["cross", "disc", "ring", "square", "triangle", "oval"], False, "differ from"),
+            (["cross", "disc", "ring", "square", "star"], False, "differ from"),
+            (["cross", "disc", "ring", "square", "triangle", "oval"], True,
+             "manifest has 6 classes but the model has 5"),
+        ],
+    )
+    def test_manifest_that_does_not_match_the_model(
+        self, trained, tmp_path, capsys, labels, bare, message
+    ):
+        # the listed images do not exist, so reading any of them would exit 1
+        manifest = tmp_path / "m.csv"
+        rows = [f"{label}/{i}.ppm,{label}" for label in labels for i in range(10)]
+        manifest.write_text("\n".join(["path,label", *rows]) + "\n")
+        weights = trained[2]
+        if bare:
+            weights = rewrite_header(weights, tmp_path / "bare.gfw", without_recorded_keys)
+        code, stdout, stderr = run_cli(
+            capsys,
+            "evaluate", "--weights", str(weights), "--manifest", str(manifest),
+            "--data-root", str(tmp_path / "nowhere"), "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert message in stderr
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def mini_spec(num_classes=3):
         ),
         num_classes=num_classes,
     )
+
+
+RECORDED = {
+    "canny": True, "segment": False, "canny_sigma": 1.5, "canny_low": 20.0, "canny_high": 60.0,
+}
+
+
+def recorded_spec():
+    """mini_spec with the preprocessing settings and class names training records."""
+    return replace(mini_spec(), preprocess=dict(RECORDED), classes=("a", "b", "c"))
 
 
 def closed_form_param_count(spec):
@@ -402,13 +413,30 @@ class TestSerialization:
             assert np.array_equal(a.weight, b.weight)
             assert np.array_equal(a.bias, b.bias)
 
-    def test_save_load_save_identical_bytes(self, tmp_path):
-        spec = mini_spec()
+    @pytest.mark.parametrize("spec", [mini_spec(), recorded_spec()], ids=["plain", "recorded"])
+    def test_save_load_save_identical_bytes(self, tmp_path, spec):
         params = network.init_parameters(spec, Rng(13), dtype=np.float32)
         p1, p2 = tmp_path / "a.gfw", tmp_path / "b.gfw"
         network.save_weights(spec, params, p1)
+        loaded, _ = network.load_weights(p1)
+        assert loaded == spec
         network.save_weights(*network.load_weights(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_recorded_keys_leave_the_tensor_bytes(self, tmp_path):
+        params = network.init_parameters(mini_spec(), Rng(13), dtype=np.float32)
+        plain, recorded = tmp_path / "plain.gfw", tmp_path / "recorded.gfw"
+        network.save_weights(mini_spec(), params, plain)
+        network.save_weights(recorded_spec(), params, recorded)
+        payload = sum(4 * (lp.weight.size + lp.bias.size) for lp in params.layers if lp)
+        assert plain.read_bytes()[-payload:] == recorded.read_bytes()[-payload:]
+        (header_len,) = struct.unpack("<Q", recorded.read_bytes()[4:12])
+        header = json.loads(recorded.read_bytes()[12 : 12 + header_len])
+        assert header["version"] == 1
+        assert header["preprocess"] == RECORDED
+        assert header["classes"] == ["a", "b", "c"]
+        spec, _ = network.load_weights(plain)
+        assert spec.preprocess is None and spec.classes is None
 
     def test_empty_spec_rejected_at_save(self, tmp_path):
         empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
@@ -448,7 +476,7 @@ class TestSerialization:
     @staticmethod
     def _with_header(tmp_path, edit):
         """A saved mini-spec weights file whose JSON header ``edit`` has changed."""
-        spec = mini_spec()
+        spec = recorded_spec()
         path = tmp_path / "w.gfw"
         network.save_weights(spec, network.init_parameters(spec, Rng(16)), path)
         data = path.read_bytes()
@@ -489,6 +517,41 @@ class TestSerialization:
         with pytest.raises(WeightsFormatError, match="not an object.*byte offset 12"):
             network.load_weights(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h["layers"][0].update(kind="conv3d"), "unknown kind 'conv3d'"),
+            (lambda h: h["layers"][0].update(filters=5), r"expected weight \(3, 3, 1, 5\)"),
+            (lambda h: h["tensors"][0].update(layer=1), r"layer 0 \(conv2d\) is missing"),
+        ],
+    )
+    def test_layers_that_do_not_fit_the_tensors_rejected(self, tmp_path, edit, message):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(WeightsFormatError, match=f"{message}.*byte offset 12"):
+            network.load_weights(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["preprocess"].pop("segment"),
+            lambda h: h["preprocess"].update(blur=True),
+            lambda h: h["preprocess"].update(canny=1),
+            lambda h: h["preprocess"].update(canny_sigma="1.5"),
+            lambda h: h["preprocess"].update(canny_low=float("nan")),
+            lambda h: h["preprocess"].update(canny_high=10**400),
+            lambda h: h.update(preprocess=None),
+            lambda h: h.update(classes=["a", "b"]),
+            lambda h: h.update(classes=["b", "a", "c"]),
+            lambda h: h.update(classes=["a", "a", "c"]),
+            lambda h: h.update(classes=["a", "b", 3]),
+            lambda h: h.update(classes="abc"),
+        ],
+    )
+    def test_bad_recorded_settings_rejected(self, tmp_path, edit):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(WeightsFormatError, match="(preprocess|classes).*byte offset 12"):
+            network.load_weights(path)
+
     @pytest.mark.parametrize("name", ["wieght", ["weight"]])
     def test_unknown_tensor_name_rejected(self, tmp_path, name):
         path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(name=name))
@@ -514,7 +577,7 @@ class TestSerialization:
             path.write_bytes(path.read_bytes()[:cut])
         try:
             network.load_weights(path)
-        except (WeightsFormatError, NetworkError):
+        except WeightsFormatError:
             pass
 
 
