@@ -32,8 +32,6 @@ from .training import option
 
 SEED_ENV_VAR = "GRAINFORGE_SEED"
 IMAGE_EXTENSIONS = (".ppm", ".pgm")
-MAX_SLIC_ITERS = 1000
-MAX_SAMPLES = 10**6
 
 
 class UsageError(ValueError):
@@ -52,42 +50,29 @@ class RunConfig(training.TrainConfig):
     split: str = option("test", "evaluate", choices=training.SPLIT_TAGS)
     method: str = option("lime", "explain", choices=("lime", "shap"))
     target_class: int | None = option(
-        None, "explain", flag="--class", help="class to explain (default: the argmax class)"
+        None, "explain", flag="--class", help="class to explain (default: the argmax class)", low=0
     )
-    segments: int | None = option(None, "explain", help="target superpixel count")
-    compactness: float = option(10.0, "explain")
-    slic_iters: int = option(10, "explain", help=f"SLIC iterations, 1 to {MAX_SLIC_ITERS}")
-    samples: int = option(1000, "explain", help=f"perturbation sample budget, 1 to {MAX_SAMPLES}")
-    kernel_width: float = option(0.25, "explain")
-    ridge: float = option(1.0, "explain")
-    top_k: int = option(5, "explain")
+    segments: int | None = option(None, "explain", help="target superpixel count", low=1)
+    compactness: float = option(10.0, "explain", low=0)
+    slic_iters: int = option(10, "explain", help="SLIC iterations", low=1, high=1000)
+    samples: int = option(1000, "explain", help="perturbation sample budget", low=1, high=10**6)
+    kernel_width: float = option(0.25, "explain", above=0)
+    ridge: float = option(1.0, "explain", low=0)
+    top_k: int = option(5, "explain", low=0)
     baseline: str = option("mean", "explain", choices=("mean", "gray"))
 
-    def validate(self) -> None:
-        super().validate()
-        if self.segments is not None and self.segments < 1:
-            raise ValueError(f"segments must be >= 1, got {self.segments}")
-        if self.compactness < 0:
-            raise ValueError(f"compactness must be >= 0, got {self.compactness}")
-        if not 1 <= self.slic_iters <= MAX_SLIC_ITERS:
-            raise ValueError(
-                f"slic_iters must be in [1, {MAX_SLIC_ITERS}], got {self.slic_iters}"
-            )
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {self.samples}")
-        if self.kernel_width <= 0:
-            raise ValueError(f"kernel_width must be > 0, got {self.kernel_width}")
-        if self.ridge < 0:
-            raise ValueError(f"ridge must be >= 0, got {self.ridge}")
-        if self.top_k < 0:
-            raise ValueError(f"top_k must be >= 0, got {self.top_k}")
+
+# the annotation of each setting that a config file or a weights header may hold
+_SETTINGS = {f.name: f.type for f in fields(RunConfig) if f.metadata}
 
 
 def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> RunConfig:
     """Merge CLI flags over a JSON config file over defaults.
 
     ``recorded`` holds the preprocessing settings of a weights file: each one
-    replaces its default, and a flag or config value that differs is a UsageError.
+    replaces its default, and a flag or config value that differs is a
+    UsageError.  A recorded object that a config file could not hold, or whose
+    values fail ``validate``, is a WeightsFormatError.
     """
     file_cfg = {}
     config_path = getattr(args, "config", None)
@@ -101,13 +86,7 @@ def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> Ru
             raise UsageError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-
-    keys = {f.name: f.type for f in fields(RunConfig) if f.metadata}
-    unknown = set(file_cfg) - set(keys)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for name, value in file_cfg.items():
-        _check_type(name, keys[name], value)
+    _check_settings(file_cfg, "config")
 
     # data_root, the one field without metadata, can only come from --data-root
     given = dict(file_cfg)
@@ -126,31 +105,41 @@ def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> Ru
         raise UsageError(str(exc)) from exc
     if recorded is None:
         return cfg
+    try:
+        if set(recorded) != set(training.RECORDED_SETTINGS):
+            raise ValueError(
+                f"preprocess must hold {list(training.RECORDED_SETTINGS)}, got {list(recorded)}"
+            )
+        _check_settings(recorded, "preprocess")
+        cfg = replace(cfg, **recorded)
+        cfg.validate()
+    except ValueError as exc:
+        raise network.WeightsFormatError(f"recorded preprocessing: {exc}", 12) from exc
     for name, value in recorded.items():
         if name in given and given[name] != value:
             raise UsageError(
                 f"{name} is {given[name]!r} here but {value!r} in the weights file"
             )
-        setattr(cfg, name, value)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise network.WeightsFormatError(f"recorded preprocessing: {exc}", 12) from exc
     return cfg
 
 
-def _check_type(name: str, annotation: str, value) -> None:
-    """Reject a config-file value whose JSON type the field cannot hold.
+def _check_settings(settings: dict, source: str) -> None:
+    """Reject a key that is no setting, or a JSON value its field cannot hold.
 
     An integer within the float range is a valid float, but a bool is never a
     number and a float is never an integer.
     """
-    allowed = {_TYPES[part] for part in annotation.split(" | ")}
-    as_float = type(value) is int and float in allowed and abs(value) <= sys.float_info.max
-    if type(value) not in allowed and not as_float:
-        raise UsageError(
-            f"config key {name!r} must be {annotation}, got {type(value).__name__} {value!r}"
-        )
+    unknown = set(settings) - set(_SETTINGS)
+    if unknown:
+        raise UsageError(f"unknown {source} keys: {sorted(unknown)}")
+    for name, value in settings.items():
+        annotation = _SETTINGS[name]
+        allowed = {_TYPES[part] for part in annotation.split(" | ")}
+        as_float = type(value) is int and float in allowed and abs(value) <= sys.float_info.max
+        if type(value) not in allowed and not as_float:
+            raise UsageError(
+                f"{source} key {name!r} must be {annotation}, got {type(value).__name__} {value!r}"
+            )
 
 
 def _emit(path) -> None:
@@ -202,7 +191,7 @@ def cmd_train(args) -> int:
     params, history = training.train(spec, manifest, assignment, cfg)
     spec = replace(
         spec,
-        preprocess={name: getattr(cfg, name) for name in network.PREPROCESS_SETTINGS},
+        preprocess={name: getattr(cfg, name) for name in training.RECORDED_SETTINGS},
         classes=manifest.classes,
     )
     network.save_weights(spec, params.astype(np.float32), args.out)
@@ -376,7 +365,11 @@ def _add_config_flag(parser: argparse.ArgumentParser, f) -> None:
     else:
         kind = {"type": _TYPES[f.type.split(" | ")[0]], "choices": f.metadata["choices"]}
     flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
-    parser.add_argument(flag, dest=f.name, help=f.metadata["help"], **kind)
+    help = f.metadata["help"]
+    if f.metadata["high"] is not None:
+        bounds = f"{f.metadata['low']} to {f.metadata['high']}"
+        help = f"{help}, {bounds}" if help else bounds
+    parser.add_argument(flag, dest=f.name, help=help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,7 +74,6 @@ class SegmentMask:
     width: int
     height: int
     mask: np.ndarray  # bool, (height, width); True = foreground
-    foreground_pixels: int
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +361,8 @@ def segment_grain(image: Image) -> SegmentMask:
         raise SegmentationError("no foreground component")
     labels, count = label_components(fg, connectivity=8)
     sizes = np.bincount(labels[labels >= 0].ravel(), minlength=count)
-    keep = int(sizes.argmax())
-    mask = labels == keep
-    return SegmentMask(
-        width=image.width,
-        height=image.height,
-        mask=mask,
-        foreground_pixels=int(sizes[keep]),
-    )
+    mask = labels == int(sizes.argmax())
+    return SegmentMask(width=image.width, height=image.height, mask=mask)
 
 
 def apply_segment_mask(image: Image, mask: SegmentMask) -> Image:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,15 +41,6 @@ LOG_EPSILON = 1e-12
 KERNEL_SIZE = 3
 
 MAGIC = b"GFW1"
-
-# the preprocessing settings a weights header records, with their JSON types
-PREPROCESS_SETTINGS = {
-    "canny": bool,
-    "segment": bool,
-    "canny_sigma": float,
-    "canny_low": float,
-    "canny_high": float,
-}
 
 
 class NetworkError(ValueError):
@@ -78,8 +68,9 @@ class NetworkSpec:
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
     num_classes: int
-    # what training recorded: PREPROCESS_SETTINGS values and the sorted class
-    # names; None for a spec built in code or read from an older header
+    # what training recorded: its preprocessing settings, a JSON object that
+    # the CLI checks, and the sorted class names; None for a spec built in
+    # code or read from an older header
     preprocess: dict | None = field(default=None, hash=False)
     classes: tuple[str, ...] | None = None
 
@@ -429,27 +420,6 @@ def _spec_to_header(spec: NetworkSpec) -> dict:
     return header
 
 
-def _recorded_preprocess(header: dict) -> dict | None:
-    if "preprocess" not in header:
-        return None
-    settings = header["preprocess"]
-    if not (isinstance(settings, dict) and sorted(settings) == sorted(PREPROCESS_SETTINGS)):
-        raise WeightsFormatError(
-            f"preprocess must hold exactly {sorted(PREPROCESS_SETTINGS)}, got {settings!r}", 12
-        )
-    for name, kind in PREPROCESS_SETTINGS.items():
-        value = settings[name]
-        if kind is bool:
-            valid = type(value) is bool
-        else:
-            valid = type(value) in (int, float) and abs(value) <= sys.float_info.max
-        if not valid:
-            raise WeightsFormatError(
-                f"preprocess {name!r} must be a finite {kind.__name__}, got {value!r}", 12
-            )
-    return settings
-
-
 def _recorded_classes(header: dict, num_classes: int) -> tuple[str, ...] | None:
     if "classes" not in header:
         return None
@@ -530,6 +500,13 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
             num_classes=header["num_classes"],
         )
         tensors = [(entry["layer"], entry["name"], entry["shape"]) for entry in header["tensors"]]
+        counts = [*spec.input_shape, spec.num_classes]
+        counts += [n for layer in spec.layers for n in (layer.filters, layer.units)]
+        for n in counts:  # a float or a bool is no count
+            if type(n) is not int:
+                raise TypeError(
+                    f"input_shape, num_classes, filters and units must be integers, got {n!r}"
+                )
         infer_shapes(spec)
     except KeyError as exc:
         raise WeightsFormatError(f"JSON header lacks key {exc}", 12) from exc
@@ -537,10 +514,11 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
         raise WeightsFormatError(f"malformed JSON header: {exc}", 12) from exc
     except NetworkError as exc:  # e.g. "kind": "conv3d"
         raise WeightsFormatError(str(exc), 12) from exc
+    preprocess = header.get("preprocess")
+    if "preprocess" in header and not isinstance(preprocess, dict):
+        raise WeightsFormatError(f"preprocess must be a JSON object, got {preprocess!r}", 12)
     spec = replace(
-        spec,
-        preprocess=_recorded_preprocess(header),
-        classes=_recorded_classes(header, spec.num_classes),
+        spec, preprocess=preprocess, classes=_recorded_classes(header, spec.num_classes)
     )
 
     params = Parameters([None] * len(spec.layers))

@@ -9,9 +9,10 @@ indices, pre-activation caches) needed by the explicit backward passes in
 :mod:`grainforge.network`.
 
 The forward convolution is one im2col matrix product (Chellapilla et al.,
-2006) so the heavy lifting lands in BLAS; its backward pass accumulates
-one product per kernel offset.  Max pooling selects between the four
-window corners with elementwise maxima and comparisons.  The test suite
+2006) so the heavy lifting lands in BLAS; its backward pass takes each
+kernel offset's operand from the same window view, one product per
+offset.  Max pooling selects between the four window corners with
+elementwise maxima and comparisons.  The test suite
 checks every kernel element-by-element against naive nested-loop oracles.
 """
 
@@ -26,10 +27,13 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _crop(x: Tensor, dy: int, dx: int, oh: int, ow: int) -> Tensor:
-    """Contiguous (B*oh*ow, C) copy of the window anchored at (dy, dx)."""
-    b, _, _, c = x.shape
-    return np.ascontiguousarray(x[:, dy : dy + oh, dx : dx + ow, :]).reshape(-1, c)
+def _windows(x: Tensor, kh: int, kw: int) -> Tensor:
+    """Read-only (B, H', W', Kh, Kw, C) view of every Kh x Kw window of (B,H,W,C) ``x``."""
+    b, h, w, c = x.shape
+    sb, sh, sw, sc = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (b, h - kh + 1, w - kw + 1, kh, kw, c), (sb, sh, sw, sh, sw, sc), writeable=False
+    )
 
 
 def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -55,16 +59,11 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         )
     if bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
-    oh, ow = h - kh + 1, w - kw + 1
-    sb, sh, sw, sc = x.strides
-    # (B, H', W', Kh, Kw, Cin) view: rows ordered (Kh, Kw, Cin) like the kernels
-    windows = np.lib.stride_tricks.as_strided(
-        x, (b, oh, ow, kh, kw, cin), (sb, sh, sw, sh, sw, sc), writeable=False
-    )
-    cols = windows.reshape(-1, kh * kw * cin)
+    # rows ordered (Kh, Kw, Cin) like the kernels
+    cols = _windows(x, kh, kw).reshape(-1, kh * kw * cin)
     out = cols @ kernels.reshape(-1, cout)
     out += bias
-    return out.reshape(b, oh, ow, cout)
+    return out.reshape(b, h - kh + 1, w - kw + 1, cout)
 
 
 def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = True):
@@ -82,9 +81,11 @@ def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = Tr
     dout_flat = dout.reshape(b * oh * ow, cout)
     dkernels = np.empty_like(kernels, dtype=dout.dtype)
     dx = np.zeros_like(x, dtype=dout.dtype) if need_dx else None
+    windows = _windows(x, kh, kw)
     for dy in range(kh):
         for dx_ in range(kw):
-            dkernels[dy, dx_] = _crop(x, dy, dx_, oh, ow).T @ dout_flat
+            # the reshape copies the offset's window into a contiguous (B*H'*W', Cin)
+            dkernels[dy, dx_] = windows[:, :, :, dy, dx_].reshape(-1, cin).T @ dout_flat
             if need_dx:
                 spread = (dout_flat @ kernels[dy, dx_].T).reshape(b, oh, ow, cin)
                 dx[:, dy : dy + oh, dx_ : dx_ + ow, :] += spread

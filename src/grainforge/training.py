@@ -146,14 +146,19 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 def option(
-    default, *commands: str, help: str | None = None, choices=None, flag: str | None = None
+    default, *commands: str, help: str | None = None, choices=None, flag: str | None = None,
+    low=None, high=None, above=None,
 ):
     """A config field: a config-file key and a flag of each CLI subcommand in ``commands``.
 
     ``choices`` lists the allowed values for both the flag and ``validate``;
-    ``flag`` overrides the flag name derived from the field name.
+    ``flag`` overrides the flag name derived from the field name.  ``validate``
+    checks the bounds: ``low`` and ``high`` are inclusive (``high`` needs
+    ``low``), ``above`` is exclusive.
     """
-    metadata = {"commands": commands, "help": help, "choices": choices, "flag": flag}
+    metadata = dict(
+        commands=commands, help=help, choices=choices, flag=flag, low=low, high=high, above=above
+    )
     return field(default=default, metadata=metadata)
 
 
@@ -166,46 +171,41 @@ class TrainConfig:
 
     data_root: Path | str = "."
     optimizer: str = option("adam", "train", choices=("sgd", "adam", "adamax"))
-    learning_rate: float = option(1e-3, "train")
-    batch_size: int = option(32, "train", "evaluate")
-    epochs: int = option(30, "train")
-    patience: int = option(10, "train")
-    seed: int = option(0, "train", "evaluate", "explain")
-    l2: float = option(1e-4, "train", help="L2 regularization coefficient")
+    learning_rate: float = option(1e-3, "train", low=0)
+    batch_size: int = option(32, "train", "evaluate", low=1)
+    epochs: int = option(30, "train", low=1)
+    patience: int = option(10, "train", low=1)
+    seed: int = option(0, "train", "evaluate", "explain", low=0, high=2**64 - 1)
+    l2: float = option(1e-4, "train", help="L2 regularization coefficient", low=0)
     canny: bool = option(False, "train", "evaluate", help="replace inputs with Canny edge maps")
     segment: bool = option(False, "train", "evaluate", help="zero background via Otsu segmentation")
     augment: bool = option(False, "train", help="expand training data with rotations and flips")
-    canny_sigma: float = option(1.0, "train", "evaluate")
-    canny_low: float = option(50.0, "train", "evaluate")
+    canny_sigma: float = option(1.0, "train", "evaluate", above=0)
+    canny_low: float = option(50.0, "train", "evaluate", low=0)
     canny_high: float = option(100.0, "train", "evaluate")
     dtype: str = option("f32", "train", "evaluate", "explain", choices=tuple(DTYPES))
 
     def validate(self) -> None:
         """Raise ValueError for the first setting outside its allowed values."""
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.metadata.get("choices") and value not in f.metadata["choices"]:
-                choices = ", ".join(f.metadata["choices"])
+            value, meta = getattr(self, f.name), f.metadata
+            if meta.get("choices") and value not in meta["choices"]:
+                choices = ", ".join(meta["choices"])
                 raise ValueError(f"{f.name} must be one of {choices}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-        if self.l2 < 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2}")
-        if self.canny_sigma <= 0:
-            raise ValueError(f"canny_sigma must be > 0, got {self.canny_sigma}")
-        if not 0 <= self.canny_low < self.canny_high:
+            if value is None:
+                continue
+            low, high, above = meta.get("low"), meta.get("high"), meta.get("above")
+            if high is not None and not low <= value <= high:
+                raise ValueError(f"{f.name} must be in [{low}, {high}], got {value}")
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value}")
+            if above is not None and value <= above:
+                raise ValueError(f"{f.name} must be > {above}, got {value}")
+        if not self.canny_low < self.canny_high:
             raise ValueError(
-                "canny thresholds need 0 <= canny_low < canny_high, "
+                "canny thresholds need canny_low < canny_high, "
                 f"got {self.canny_low}, {self.canny_high}"
             )
 
@@ -219,6 +219,10 @@ def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
     if c == 1:
         return imaging.to_grayscale(image)
     return Image.from_array(np.repeat(image.pixels, 3, axis=2))
+
+
+# the settings that ``preprocess`` reads; a trained model's weights file records them
+RECORDED_SETTINGS = ("canny", "segment", "canny_sigma", "canny_low", "canny_high")
 
 
 def preprocess(image: Image, spec: NetworkSpec, config: TrainConfig) -> Image:
@@ -381,10 +385,9 @@ def evaluate(
     manifest: Manifest,
     indices,
     config: TrainConfig,
-    lam: float = 0.0,
 ) -> EvalResult:
     xs, labels = load_dataset(manifest, indices, spec, config)
-    return evaluate_arrays(spec, params, xs, labels, lam=lam, batch_size=config.batch_size)
+    return evaluate_arrays(spec, params, xs, labels, batch_size=config.batch_size)
 
 
 def train_arrays(

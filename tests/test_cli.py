@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grainforge import explain, imaging, network
-from grainforge.cli import UsageError, build_parser, main, resolve_config
+from grainforge.cli import RunConfig, UsageError, build_parser, main, resolve_config
 from grainforge.imaging import Image
 from grainforge.rng import Rng
 
@@ -566,6 +566,37 @@ class TestRecordedPreprocessing:
         assert message in stderr
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda p: p.pop("segment"),
+            lambda p: p.update(blur=True),
+            lambda p: p.update(canny=1),
+            lambda p: p.update(canny_sigma="1.5"),
+            lambda p: p.update(canny_low=float("nan")),
+            lambda p: p.update(canny_high=10**400),
+        ],
+        ids=["missing", "unknown", "int-bool", "str-float", "nan", "huge"],
+    )
+    def test_malformed_recorded_settings_are_runtime_errors(
+        self, trained, tmp_path, capsys, command, edit
+    ):
+        root, manifest, weights, _ = trained
+        bad = rewrite_header(weights, tmp_path / "bad.gfw", lambda h: edit(h["preprocess"]))
+        out_dir = tmp_path / "out"
+        if command == "evaluate":
+            code, stdout, stderr = self.evaluate(capsys, trained, bad, out_dir)
+        else:
+            code, stdout, stderr = run_cli(
+                capsys, "explain", "--weights", str(bad),
+                "--image", str(root / "disc" / "disc_0000.ppm"), "--out-dir", str(out_dir),
+            )
+        assert code == 1
+        assert stdout == ""
+        assert "recorded preprocessing" in stderr and "byte offset 12" in stderr
+        assert not out_dir.exists()
+
     def test_invalid_recorded_setting_is_runtime_error(self, trained, tmp_path, capsys):
         bad = rewrite_header(
             trained[2], tmp_path / "bad.gfw", lambda h: h["preprocess"].update(canny_sigma=0.0)
@@ -671,6 +702,26 @@ REQUIRED_ARGS = {
 }
 
 
+def bound_cases():
+    """(field, the bound value, the nearest value outside it) for every bound."""
+    for f in fields(RunConfig):
+        low, high, above = (f.metadata.get(k) for k in ("low", "high", "above"))
+        if f.type.startswith("int"):
+            if low is not None:
+                yield f, low, low - 1
+            if high is not None:
+                yield f, high, high + 1
+        else:
+            if low is not None:
+                yield f, float(low), math.nextafter(low, -math.inf)
+            if above is not None:
+                yield f, math.nextafter(above, math.inf), float(above)
+
+
+BOUND_CASES = list(bound_cases())
+BOUND_IDS = [f"{f.name}-{outside}" for f, _, outside in BOUND_CASES]
+
+
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return sub.choices
@@ -721,6 +772,33 @@ class TestConfig:
         assert code == 2
         assert stdout == ""
         assert key in stderr
+
+    def test_bounds_are_pinned(self):
+        # the cases below come from the field metadata, so losing a bound would drop its case
+        assert BOUND_IDS == [
+            "learning_rate--5e-324", "batch_size-0", "epochs-0", "patience-0", "seed--1",
+            "seed-18446744073709551616", "l2--5e-324", "canny_sigma-0.0", "canny_low--5e-324",
+            "target_class--1", "segments-0", "compactness--5e-324", "slic_iters-0",
+            "slic_iters-1001", "samples-0", "samples-1000001", "kernel_width-0.0",
+            "ridge--5e-324", "top_k--1",
+        ]
+
+    @pytest.mark.parametrize("field, inside, outside", BOUND_CASES, ids=BOUND_IDS)
+    def test_every_bound_rejects_the_next_value_and_accepts_its_own(
+        self, tmp_path, capsys, monkeypatch, field, inside, outside
+    ):
+        monkeypatch.chdir(tmp_path)  # no named file exists, so reading one would exit 1
+        command = field.metadata["commands"][0]
+        flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field.name: outside}))
+        for extra in ([f"{flag}={outside!r}"], ["--config", str(config)]):
+            code, stdout, stderr = run_cli(capsys, *REQUIRED_ARGS[command], *extra)
+            assert code == 2, extra
+            assert stdout == ""
+            assert field.name in stderr
+        args = build_parser().parse_args([*REQUIRED_ARGS[command], f"{flag}={inside!r}"])
+        assert getattr(resolve_config(args), field.name) == inside
 
     @pytest.mark.parametrize(
         "key, limit, bad", [("samples", 10**6, 10**21), ("slic_iters", 1000, 1001)]

@@ -438,12 +438,12 @@ class TestSegmentGrain:
         comps = flood_components(mask.mask)
         assert len(comps) == 1
         assert comps[0] == {(y, x) for y in range(2, 12) for x in range(2, 12)}
-        assert mask.foreground_pixels == 100
+        assert mask.mask.sum() == 100
 
     def test_full_white(self):
         img = Image.from_array(np.full((5, 5, 1), 255, dtype=np.uint8))
         mask = imaging.segment_grain(img)
-        assert mask.mask.all() and mask.foreground_pixels == 25
+        assert mask.mask.all() and mask.mask.sum() == 25
 
     def test_constant_bright_is_full_frame(self):
         img = Image.from_array(np.full((5, 5, 1), 9, dtype=np.uint8))
