@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every file the benchmark workloads write, to compare two trees.
+
+Usage, from the repository root:
+
+    python3 scripts/output_digest.py > digest.txt
+
+For each workload in ``perfbench/workloads.py`` the script runs the
+set-up, ``prepare`` and one round of commands through
+``grainforge.cli.main`` in a temporary directory, with seed 11 for the
+train workloads and 7 for the explain workloads, and BLAS pinned to one
+thread as the benchmark pins it.  Every command must exit 0, print the
+paths the workload expects and pass the workload's check.  The script then
+prints one ``workload relative-path sha256`` line for every file in that
+directory, sorted by path.  A change that must not alter any output runs
+the script on the parent tree and on its own tree and diffs the two
+outputs.  The exit status is 1 if any command or check failed, else 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = {"train": 11, "explain": 7}  # by the workload name's first word
+
+
+def run(cli, command) -> str | None:
+    """Run one workload command; the reason it failed, or None."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(command.argv)
+    if code != 0:
+        return f"exit code {code}: {err.getvalue().strip()}"
+    if out.getvalue().splitlines() != command.expect_stdout:
+        return f"stdout {out.getvalue().splitlines()} != {command.expect_stdout}"
+    try:
+        command.check()
+    except Exception as exc:  # noqa: BLE001 - a check that cannot run has failed too
+        return f"check failed: {type(exc).__name__}: {exc}"
+    return None
+
+
+def report(workload: str, command, failure: str | None) -> int:
+    """Print a failure to stderr; 1 if there was one, else 0."""
+    if failure is None:
+        return 0
+    print(f"{workload}: {command.argv[0]} failed: {failure}", file=sys.stderr)
+    return 1
+
+
+def main() -> int:
+    os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from grainforge import cli
+    from workloads import WORKLOADS
+
+    failures = 0
+    for name, workload in WORKLOADS.items():
+        seed = SEEDS[name.split("-")[0]]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            prepared, commands = workload.setup(root, seed)
+            for command in commands:
+                failures += report(name, command, run(cli, command))
+            workload.prepare(prepared, seed)
+            for command in workload.round(prepared, seed):
+                failures += report(name, command, run(cli, command))
+            for path in sorted(p for p in root.rglob("*") if p.is_file()):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                print(name, path.relative_to(root).as_posix(), digest)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -46,7 +46,7 @@ _TYPES = {"int": int, "float": float, "str": str, "bool": bool, "None": type(Non
 class RunConfig(training.TrainConfig):
     """Every setting of a command: the training settings plus model, split and explanation."""
 
-    model: str = option("rice", "train", choices=("rice", "disease"))
+    model: str = option("rice", "train", choices=tuple(network.ARCHITECTURES))
     split: str = option("test", "evaluate", choices=training.SPLIT_TAGS)
     method: str = option("lime", "explain", choices=("lime", "shap"))
     target_class: int | None = option(
@@ -179,14 +179,10 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _build_spec(model: str) -> network.NetworkSpec:
-    return network.build_rice_cnn() if model == "rice" else network.build_disease_cnn()
-
-
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     manifest = training.read_manifest(args.manifest)
-    spec = _build_spec(cfg.model)
+    spec = network.ARCHITECTURES[cfg.model]()
     assignment = training.split(manifest, cfg.seed)
     params, history = training.train(spec, manifest, assignment, cfg)
     spec = replace(
@@ -194,7 +190,7 @@ def cmd_train(args) -> int:
         preprocess={name: getattr(cfg, name) for name in training.RECORDED_SETTINGS},
         classes=manifest.classes,
     )
-    network.save_weights(spec, params.astype(np.float32), args.out)
+    network.save_weights(spec, params, args.out)
     training.write_history(history, args.history)
     _emit(args.out)
     _emit(args.history)
@@ -224,12 +220,13 @@ def cmd_evaluate(args) -> int:
     indices = assignment.indices(cfg.split)
     result = training.evaluate(spec, params, manifest, indices, cfg)
     curve = metrics.roc_micro(result.probabilities, result.labels)
+    scores = metrics.class_report(result.confusion)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     confusion_path = out_dir / "confusion.csv"
     roc_path = out_dir / "roc_points.csv"
-    metrics.write_metrics_csv(metrics_path, manifest.classes, result.scores)
+    metrics.write_metrics_csv(metrics_path, manifest.classes, scores)
     metrics.write_confusion_csv(confusion_path, manifest.classes, result.confusion)
     metrics.write_roc_csv(roc_path, curve)
     for path in (metrics_path, confusion_path, roc_path):

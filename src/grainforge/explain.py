@@ -33,8 +33,6 @@ Model = Callable[[Image], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class SuperpixelMap:
-    width: int
-    height: int
     labels: np.ndarray  # (H,W) int32, values in [0, count)
     count: int
 
@@ -44,7 +42,6 @@ class Attribution:
     weights: np.ndarray  # one weight per segment
     class_index: int
     method: str  # lime | kernel_shap | exact_shapley
-    baseline: str
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +132,7 @@ def slic_superpixels(
         centers[filled] = sums[filled] / sizes[filled, None]
 
     labels = _enforce_connectivity(labels)
-    return SuperpixelMap(width=w, height=h, labels=labels, count=int(labels.max()) + 1)
+    return SuperpixelMap(labels=labels, count=int(labels.max()) + 1)
 
 
 def _first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -304,12 +301,7 @@ def lime_explain(
     for idx in order[:top_k]:
         if coefficients[idx] > 0:
             highlight[idx] = True
-    attribution = Attribution(
-        weights=coefficients,
-        class_index=class_index,
-        method="lime",
-        baseline=f"rgb{tuple(baseline)}",
-    )
+    attribution = Attribution(weights=coefficients, class_index=class_index, method="lime")
     return attribution, highlight
 
 
@@ -403,12 +395,7 @@ def kernel_shap(
         return float(model(perturb(image, superpixels, mask, baseline))[class_index])
 
     phi = kernel_shap_values(value, superpixels.count, n_samples=n_samples, rng=rng)
-    return Attribution(
-        weights=phi,
-        class_index=class_index,
-        method="kernel_shap",
-        baseline=f"rgb{tuple(baseline)}",
-    )
+    return Attribution(weights=phi, class_index=class_index, method="kernel_shap")
 
 
 def _sample_coalitions(m: int, n_samples: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:

@@ -27,10 +27,6 @@ class NetpbmError(ValueError):
         self.offset = offset
 
 
-class SegmentationError(ValueError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class Image:
     """8-bit raster, (height, width, channels) uint8, channels interleaved."""
@@ -60,20 +56,6 @@ class Image:
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         h, w, c = arr.shape
         return cls(width=w, height=h, channels=c, pixels=arr)
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeMap:
-    width: int
-    height: int
-    mask: np.ndarray  # bool, (height, width)
-
-
-@dataclass(frozen=True, eq=False)
-class SegmentMask:
-    width: int
-    height: int
-    mask: np.ndarray  # bool, (height, width); True = foreground
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +219,12 @@ def non_maximum_suppression(magnitude: np.ndarray, bins: np.ndarray) -> np.ndarr
     return out
 
 
-def canny(image: Image, sigma: float = 1.0, low: float = 50.0, high: float = 100.0) -> EdgeMap:
+def canny(image: Image, sigma: float = 1.0, low: float = 50.0, high: float = 100.0) -> np.ndarray:
     """Classical Canny pipeline on the raw Sobel magnitude scale.
 
-    Thresholds apply to the un-normalized gradient magnitude of 8-bit
-    intensities (a full black-to-white step peaks near 4*255).
+    Returns the (height, width) bool edge mask.  Thresholds apply to the
+    un-normalized gradient magnitude of 8-bit intensities (a full
+    black-to-white step peaks near 4*255).
     """
     if not 0 <= low < high:
         raise ValueError(f"thresholds must satisfy 0 <= low < high, got {low}, {high}")
@@ -254,12 +237,12 @@ def canny(image: Image, sigma: float = 1.0, low: float = 50.0, high: float = 100
     labels, count = label_components(suppressed >= low, connectivity=8)
     keep = np.zeros(count + 1, dtype=bool)  # the last slot, read by label -1, stays False
     keep[labels[suppressed >= high]] = True
-    return EdgeMap(width=image.width, height=image.height, mask=keep[labels])
+    return keep[labels]
 
 
-def edge_map_to_image(edges: EdgeMap) -> Image:
-    """Render an edge mask as a grayscale image (edges white), PGM-ready."""
-    return Image.from_array(edges.mask.astype(np.uint8) * 255)
+def edge_map_to_image(edges: np.ndarray) -> Image:
+    """Render a bool edge mask as a grayscale image (edges white), PGM-ready."""
+    return Image.from_array(edges.astype(np.uint8) * 255)
 
 
 def otsu_threshold(image: Image) -> int:
@@ -344,13 +327,13 @@ def label_components(
     return labels, int(is_root.sum())
 
 
-def segment_grain(image: Image) -> SegmentMask:
-    """Foreground mask of the largest bright region.
+def segment_grain(image: Image) -> np.ndarray:
+    """Foreground mask of the largest bright region, (height, width) bool.
 
     Otsu splits the grayscale histogram; the brighter side is foreground
     (grains photograph light on dark backgrounds) and only its largest
     8-connected component is kept.  A constant nonzero image is entirely
-    foreground; a pure black image has none and raises.
+    foreground; a pure black image has none and gives an all-False mask.
     """
     gray = to_grayscale(image)
     t = otsu_threshold(gray)
@@ -358,17 +341,16 @@ def segment_grain(image: Image) -> SegmentMask:
     if not fg.any() and t > 0:
         fg = gray.pixels[:, :, 0] >= t  # single-valued bright frame
     if not fg.any():
-        raise SegmentationError("no foreground component")
+        return fg
     labels, count = label_components(fg, connectivity=8)
     sizes = np.bincount(labels[labels >= 0].ravel(), minlength=count)
-    mask = labels == int(sizes.argmax())
-    return SegmentMask(width=image.width, height=image.height, mask=mask)
+    return labels == int(sizes.argmax())
 
 
-def apply_segment_mask(image: Image, mask: SegmentMask) -> Image:
-    """Zero every background pixel, keeping foreground untouched."""
+def apply_segment_mask(image: Image, mask: np.ndarray) -> Image:
+    """Zero every pixel outside the bool foreground mask, keeping the rest untouched."""
     out = image.pixels.copy()
-    out[~mask.mask] = 0
+    out[~mask] = 0
     return Image.from_array(out)
 
 

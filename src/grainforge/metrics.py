@@ -35,7 +35,6 @@ class ClassScore:
     recall: float
     f1: float
     support: int
-    degenerate: bool = False  # a zero denominator was reported as 0
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def accuracy(cm: ConfusionMatrix) -> float:
 
 
 def class_report(cm: ConfusionMatrix) -> list[ClassScore]:
-    """Per-class precision/recall/F1; zero denominators yield 0, flagged."""
+    """Per-class precision/recall/F1; zero denominators yield 0."""
     if cm.num_classes < 2:
         raise ValueError("class report needs at least two classes")
     scores = []
@@ -67,27 +66,14 @@ def class_report(cm: ConfusionMatrix) -> list[ClassScore]:
     row_sums = cm.counts.sum(axis=1)
     for k in range(cm.num_classes):
         tp = int(cm.counts[k, k])
-        degenerate = False
-        if col_sums[k] > 0:
-            precision = tp / int(col_sums[k])
-        else:
-            precision, degenerate = 0.0, True
-        if row_sums[k] > 0:
-            recall = tp / int(row_sums[k])
-        else:
-            recall, degenerate = 0.0, True
+        precision = tp / int(col_sums[k]) if col_sums[k] > 0 else 0.0
+        recall = tp / int(row_sums[k]) if row_sums[k] > 0 else 0.0
         if precision + recall > 0:
             f1 = 2 * precision * recall / (precision + recall)
         else:
-            f1, degenerate = 0.0, True
+            f1 = 0.0
         scores.append(
-            ClassScore(
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                support=int(row_sums[k]),
-                degenerate=degenerate,
-            )
+            ClassScore(precision=precision, recall=recall, f1=f1, support=int(row_sums[k]))
         )
     return scores
 

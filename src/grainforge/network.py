@@ -100,16 +100,6 @@ class Parameters:
             ]
         )
 
-    def astype(self, dtype) -> "Parameters":
-        return Parameters(
-            [
-                LayerParams(lp.weight.astype(dtype), lp.bias.astype(dtype))
-                if lp
-                else None
-                for lp in self.layers
-            ]
-        )
-
 
 def _layer_plan(spec: NetworkSpec) -> list[tuple]:
     """(layer, out_shape, weight_shape, bias_shape) per layer.
@@ -210,6 +200,10 @@ def build_disease_cnn() -> NetworkSpec:
         ),
         num_classes=4,
     )
+
+
+# the builder of each architecture, by its name on the command line
+ARCHITECTURES = {"rice": build_rice_cnn, "disease": build_disease_cnn}
 
 
 def layer_param_counts(spec: NetworkSpec) -> list[int]:

@@ -13,15 +13,15 @@ import numpy as np
 from .network import LayerParams, Parameters
 
 ALGORITHMS = ("sgd", "adam", "adamax")
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment (Adam) or infinity-norm (Adamax) decay
+EPSILON = 1e-8
 
 
 @dataclass
 class OptimizerState:
     algorithm: str
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     t: int = 0
     m: list = field(default_factory=list)  # first moments, per tensor
     v: list = field(default_factory=list)  # second moments or infinity norms
@@ -80,17 +80,17 @@ def step(
                 continue
             m = state.m[i][slot]
             v = state.v[i][slot]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
             if state.algorithm == "adam":
-                v *= state.beta2
-                v += (1.0 - state.beta2) * np.square(g)
-                mhat = m / (1.0 - state.beta1**state.t)
-                vhat = v / (1.0 - state.beta2**state.t)
-                new.append(w - state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon))
+                v *= BETA2
+                v += (1.0 - BETA2) * np.square(g)
+                mhat = m / (1.0 - BETA1**state.t)
+                vhat = v / (1.0 - BETA2**state.t)
+                new.append(w - state.learning_rate * mhat / (np.sqrt(vhat) + EPSILON))
             else:  # adamax
-                np.maximum(state.beta2 * v, np.abs(g), out=v)
-                scale = state.learning_rate / (1.0 - state.beta1**state.t)
-                new.append(w - scale * m / (v + state.epsilon))
+                np.maximum(BETA2 * v, np.abs(g), out=v)
+                scale = state.learning_rate / (1.0 - BETA1**state.t)
+                new.append(w - scale * m / (v + EPSILON))
         out.layers[i] = LayerParams(new[0], new[1])
     return out, state

@@ -81,4 +81,4 @@ def generate_shape_dataset(
             records.append(ManifestRecord(path=rel, label=kind))
             tags.append("train" if i < per_class_train else "val")
     manifest = manifest_from_records(records)
-    return manifest, SplitAssignment(tags=tuple(tags), seed=seed)
+    return manifest, SplitAssignment(tags=tuple(tags))

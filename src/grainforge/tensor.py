@@ -4,9 +4,9 @@ Tensors are plain numpy arrays in row-major (C) order; an array's
 ``shape``/flat buffer pair is the value, and no kernel ever mutates its
 inputs.  Convolutions use valid padding with stride 1 and pooling uses a
 2x2 window with stride 2, the only configurations the network layer ever
-requests.  Forward kernels return the auxiliary state (pooling argmax
-indices, pre-activation caches) needed by the explicit backward passes in
-:mod:`grainforge.network`.
+requests.  Max pooling also returns the argmax indices that its explicit
+backward pass needs; :func:`grainforge.network.forward` keeps the other
+per-layer state (inputs and pre-activations) for backpropagation.
 
 The forward convolution is one im2col matrix product (Chellapilla et al.,
 2006) so the heavy lifting lands in BLAS; its backward pass takes each

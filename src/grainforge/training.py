@@ -19,7 +19,7 @@ import numpy as np
 
 from . import imaging
 from .imaging import Image
-from .metrics import ClassScore, ConfusionMatrix, accuracy, class_report, confusion_from_pairs
+from .metrics import ConfusionMatrix, accuracy, confusion_from_pairs
 from .network import (
     NetworkSpec,
     Parameters,
@@ -29,11 +29,11 @@ from .network import (
     l2_penalty,
     loss as loss_fn,
 )
-from .optimizer import OptimizerState, step
+from .optimizer import ALGORITHMS, OptimizerState, step
 from .rng import Rng
 
 SPLIT_TAGS = ("train", "val", "test")
-DEFAULT_RATIOS = (0.8, 0.1, 0.1)
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, val, test share of each class
 MIN_CLASS_SIZE = 10
 
 
@@ -94,7 +94,6 @@ def write_manifest(manifest: Manifest, path) -> None:
 @dataclass(frozen=True)
 class SplitAssignment:
     tags: tuple[str, ...]  # per-record, aligned with manifest.records
-    seed: int
 
     def indices(self, tag: str) -> list[int]:
         if tag not in SPLIT_TAGS:
@@ -102,20 +101,18 @@ class SplitAssignment:
         return [i for i, t in enumerate(self.tags) if t == tag]
 
 
-def _largest_remainder_counts(n: int, ratios) -> list[int]:
-    ideals = [n * r for r in ratios]
+def _largest_remainder_counts(n: int) -> list[int]:
+    ideals = [n * r for r in SPLIT_RATIOS]
     base = [math.floor(v) for v in ideals]
     leftover = n - sum(base)
-    order = sorted(range(len(ratios)), key=lambda i: (-(ideals[i] - base[i]), i))
+    order = sorted(range(len(ideals)), key=lambda i: (-(ideals[i] - base[i]), i))
     for i in order[:leftover]:
         base[i] += 1
     return base
 
 
-def split(manifest: Manifest, seed: int, ratios=DEFAULT_RATIOS) -> SplitAssignment:
+def split(manifest: Manifest, seed: int) -> SplitAssignment:
     """Stratified train/val/test assignment with largest-remainder rounding."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {ratios}")
     rng = Rng(seed).child("split")
     tags = [""] * len(manifest.records)
     for label in manifest.classes:
@@ -127,13 +124,13 @@ def split(manifest: Manifest, seed: int, ratios=DEFAULT_RATIOS) -> SplitAssignme
             )
         perm = rng.child(f"class-{label}").permutation(len(members))
         shuffled = [members[j] for j in perm]
-        counts = _largest_remainder_counts(len(members), ratios)
+        counts = _largest_remainder_counts(len(members))
         cursor = 0
         for tag, count in zip(SPLIT_TAGS, counts):
             for idx in shuffled[cursor : cursor + count]:
                 tags[idx] = tag
             cursor += count
-    return SplitAssignment(tags=tuple(tags), seed=seed)
+    return SplitAssignment(tags=tuple(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,7 @@ class TrainConfig:
     """
 
     data_root: Path | str = "."
-    optimizer: str = option("adam", "train", choices=("sgd", "adam", "adamax"))
+    optimizer: str = option("adam", "train", choices=ALGORITHMS)
     learning_rate: float = option(1e-3, "train", low=0)
     batch_size: int = option(32, "train", "evaluate", low=1)
     epochs: int = option(30, "train", low=1)
@@ -336,7 +333,6 @@ def read_history(path) -> TrainingHistory:
 @dataclass
 class EvalResult:
     confusion: ConfusionMatrix
-    scores: list[ClassScore]
     loss: float
     probabilities: np.ndarray
     labels: np.ndarray
@@ -372,7 +368,6 @@ def evaluate_arrays(
     cm = confusion_from_pairs(labels, predictions, k)
     return EvalResult(
         confusion=cm,
-        scores=class_report(cm),
         loss=float(mean_loss),
         probabilities=probs,
         labels=np.asarray(labels),

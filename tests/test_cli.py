@@ -4,14 +4,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from grainforge import explain, imaging, network
+from grainforge import explain, imaging, network, synthetic, training
 from grainforge.cli import RunConfig, UsageError, build_parser, main, resolve_config
 from grainforge.imaging import Image
 from grainforge.rng import Rng
@@ -511,6 +511,36 @@ class TestRecordedPreprocessing:
         raw = self.lime_csv_by_hand(trained_canny, lambda img: img, tmp_path / "raw.csv")
         assert csv_bytes == by_hand
         assert csv_bytes != raw
+
+    def test_canny_segment_model_is_explained(self, tmp_path, capsys):
+        # the all-baseline coalition is a flat image: it has no Canny edges to segment
+        settings = dict(canny=True, segment=True, canny_sigma=1.0, canny_low=50.0, canny_high=100.0)
+        spec = replace(network.build_rice_cnn(), preprocess=settings)
+        params = network.init_parameters(spec, Rng(4), dtype=np.float32)
+        weights = tmp_path / "rice.gfw"
+        network.save_weights(spec, params, weights)
+        image = synthetic.render_shape("disc", 50, Rng(4))
+        image_path = tmp_path / "disc.ppm"
+        imaging.write_image(image, image_path)
+        for method in ("lime", "shap"):
+            code, _, stderr = run_cli(
+                capsys,
+                "explain", "--weights", str(weights), "--image", str(image_path),
+                "--method", method, "--segments", "6", "--samples", "200", "--seed", "3",
+                "--out-dir", str(tmp_path / "out"),
+            )
+            assert code == 0, stderr
+        lines = (tmp_path / "out" / "disc.shap.csv").read_text().splitlines()
+        phi = [float(line.split(",")[1]) for line in lines[1:-2]]
+        target = int(lines[-2].split(",")[1])
+        config = training.TrainConfig(**settings)
+
+        def value(img):
+            x = imaging.normalize(training.preprocess(img, spec, config)).astype(np.float32)
+            return float(network.forward(spec, params, x, train=False)[0][target])
+
+        flat = Image.from_array(np.tile(explain.mean_baseline(image), (50, 50, 1)))
+        assert sum(phi) == pytest.approx(value(image) - value(flat), abs=1e-6)
 
     def test_evaluate_without_flags_runs_the_recorded_canny(
         self, trained_canny, tmp_path, capsys

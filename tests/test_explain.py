@@ -26,7 +26,7 @@ def banded_setup(m: int, h: int = 8, w_per_band: int = 2):
     for s in range(m):
         pixels[:, s * w_per_band : (s + 1) * w_per_band] = (20 + 15 * s, 80, 200 - 10 * s)
     image = Image.from_array(pixels)
-    spmap = SuperpixelMap(width=w, height=h, labels=labels, count=m)
+    spmap = SuperpixelMap(labels=labels, count=m)
     return image, spmap
 
 
@@ -398,7 +398,7 @@ class TestPerturb:
 
     def test_default_baseline_is_mean_color(self, rng):
         image = random_image(rng, 6, 6)
-        spmap = SuperpixelMap(6, 6, np.zeros((6, 6), dtype=np.int32), 1)
+        spmap = SuperpixelMap(np.zeros((6, 6), dtype=np.int32), 1)
         out = explain.perturb(image, spmap, np.zeros(1))
         expected = explain.mean_baseline(image)
         assert np.all(out.pixels.reshape(-1, 3) == expected)
@@ -630,7 +630,7 @@ class TestRendering:
     def test_rectangle_inner_boundary(self):
         labels = np.zeros((10, 12), dtype=np.int32)
         labels[2:6, 3:8] = 1
-        spmap = SuperpixelMap(12, 10, labels, 2)
+        spmap = SuperpixelMap(labels, 2)
         image = Image.from_array(np.full((10, 12, 3), 40, dtype=np.uint8))
         highlight = np.array([False, True])
         out = explain.render_lime_heatmap(image, spmap, highlight)
@@ -647,8 +647,7 @@ class TestRendering:
         image = random_image(rng, 8, 8)
         spmap = explain.slic_superpixels(image, 4)
         attribution = explain.Attribution(
-            weights=np.zeros(spmap.count), class_index=0, method="kernel_shap",
-            baseline="rgb(0, 0, 0)",
+            weights=np.zeros(spmap.count), class_index=0, method="kernel_shap"
         )
         out = explain.render_shap_heatmap(image, spmap, attribution)
         assert np.array_equal(out.pixels, image.pixels)
@@ -656,8 +655,7 @@ class TestRendering:
     def test_signed_overlay_colors(self):
         image, spmap = banded_setup(2, h=4)
         attribution = explain.Attribution(
-            weights=np.array([1.0, -1.0]), class_index=0, method="kernel_shap",
-            baseline="rgb(0, 0, 0)",
+            weights=np.array([1.0, -1.0]), class_index=0, method="kernel_shap"
         )
         out = explain.render_shap_heatmap(image, spmap, attribution)
         pos = out.pixels[spmap.labels == 0].astype(int)
@@ -669,8 +667,7 @@ class TestRendering:
 
     def test_attribution_csv_format(self, tmp_path):
         attribution = explain.Attribution(
-            weights=np.array([0.25, -0.5]), class_index=3, method="lime",
-            baseline="rgb(1, 2, 3)",
+            weights=np.array([0.25, -0.5]), class_index=3, method="lime"
         )
         path = tmp_path / "attr.csv"
         explain.write_attribution_csv(path, attribution)

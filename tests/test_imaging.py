@@ -231,12 +231,12 @@ class TestCanny:
     def test_uniform_image_no_edges(self):
         img = Image.from_array(np.full((16, 16, 1), 130, dtype=np.uint8))
         edges = imaging.canny(img, 1.0, 20, 60)
-        assert not edges.mask.any()
+        assert not edges.any()
 
     def test_square_fixture_localization(self):
         edges = imaging.canny(square_fixture(), sigma=1.0, low=20, high=60)
         perimeter = square_perimeter()
-        edge_points = set(zip(*np.nonzero(edges.mask)))
+        edge_points = set(zip(*np.nonzero(edges)))
         assert edge_points, "square must produce edges"
         # every edge pixel within Chebyshev distance 1 of the perimeter
         for y, x in edge_points:
@@ -253,8 +253,8 @@ class TestCanny:
 
     def test_raising_high_never_adds_edges(self, rng):
         img = random_image(rng, 24, 24, 1)
-        lo_mask = imaging.canny(img, 1.0, 10, 40).mask
-        hi_mask = imaging.canny(img, 1.0, 10, 80).mask
+        lo_mask = imaging.canny(img, 1.0, 10, 40)
+        hi_mask = imaging.canny(img, 1.0, 10, 80)
         assert not (hi_mask & ~lo_mask).any()
 
     def test_threshold_order_enforced(self):
@@ -266,7 +266,7 @@ class TestCanny:
         path = tmp_path / "edges.pgm"
         imaging.write_image(imaging.edge_map_to_image(edges), path)
         back = imaging.read_image(path)
-        assert np.array_equal(back.pixels[:, :, 0] == 255, edges.mask)
+        assert np.array_equal(back.pixels[:, :, 0] == 255, edges)
 
     def test_no_edge_below_low(self, rng):
         img = random_image(rng, 20, 20, 1)
@@ -276,16 +276,16 @@ class TestCanny:
         smoothed = imaging.blur_array(gray.pixels[:, :, 0].astype(float), 1.0)
         gx, gy = imaging.sobel_gradients(smoothed)
         magnitude = np.hypot(gx, gy)
-        assert np.all(magnitude[edges.mask] >= low)
+        assert np.all(magnitude[edges] >= low)
 
     def test_every_edge_component_touches_a_strong_pixel(self, rng):
         img = random_image(rng, 24, 24, 1)
         low, high = 20.0, 70.0
         edges = imaging.canny(img, 1.0, low, high)
-        if not edges.mask.any():
+        if not edges.any():
             pytest.skip("fixture produced no edges")
         strong = suppressed_magnitude(img, 1.0) >= high
-        for comp in flood_components(edges.mask):
+        for comp in flood_components(edges):
             assert any(strong[y, x] for y, x in comp)
 
     def test_hysteresis_matches_seeded_flood(self, rng):
@@ -296,8 +296,8 @@ class TestCanny:
                 edges = imaging.canny(image, sigma, low, high)
                 suppressed = suppressed_magnitude(image, sigma)
                 expected = seeded_flood(suppressed >= high, suppressed >= low)
-                assert edges.mask.dtype == bool
-                assert np.array_equal(edges.mask, expected)
+                assert edges.dtype == bool
+                assert np.array_equal(edges, expected)
 
 
 class TestOtsu:
@@ -427,32 +427,35 @@ class TestSegmentGrain:
         mask = imaging.segment_grain(Image.from_array(arr[:, :, None]))
         # within a 1-pixel band of the analytic boundary
         dist = np.sqrt((yy - 16) ** 2 + (xx - 16) ** 2)
-        assert np.all(mask.mask[dist <= 7])
-        assert not np.any(mask.mask[dist >= 9])
+        assert np.all(mask[dist <= 7])
+        assert not np.any(mask[dist >= 9])
 
     def test_largest_blob_wins(self):
         arr = np.zeros((20, 20), dtype=np.uint8)
         arr[2:12, 2:12] = 255  # 100 px
         arr[14:19, 14:20] = 255  # 30 px
         mask = imaging.segment_grain(Image.from_array(arr[:, :, None]))
-        comps = flood_components(mask.mask)
+        comps = flood_components(mask)
         assert len(comps) == 1
         assert comps[0] == {(y, x) for y in range(2, 12) for x in range(2, 12)}
-        assert mask.mask.sum() == 100
+        assert mask.sum() == 100
 
     def test_full_white(self):
         img = Image.from_array(np.full((5, 5, 1), 255, dtype=np.uint8))
         mask = imaging.segment_grain(img)
-        assert mask.mask.all() and mask.mask.sum() == 25
+        assert mask.all() and mask.sum() == 25
 
     def test_constant_bright_is_full_frame(self):
         img = Image.from_array(np.full((5, 5, 1), 9, dtype=np.uint8))
-        assert imaging.segment_grain(img).mask.all()
+        assert imaging.segment_grain(img).all()
 
     def test_no_foreground_raises(self):
-        img = Image.from_array(np.zeros((5, 5, 1), dtype=np.uint8))
-        with pytest.raises(imaging.SegmentationError, match="no foreground"):
-            imaging.segment_grain(img)
+        # an all-black image has no foreground: the mask is empty and no error is raised
+        for channels in (1, 3):
+            img = Image.from_array(np.zeros((5, 5, channels), dtype=np.uint8))
+            mask = imaging.segment_grain(img)
+            assert mask.shape == (5, 5) and mask.dtype == bool and not mask.any()
+            assert np.array_equal(imaging.apply_segment_mask(img, mask).pixels, img.pixels)
 
     def test_apply_mask_zeroes_background(self, rng):
         arr = np.zeros((10, 10), dtype=np.uint8)
@@ -460,8 +463,8 @@ class TestSegmentGrain:
         img = Image.from_array(arr[:, :, None])
         mask = imaging.segment_grain(img)
         out = imaging.apply_segment_mask(img, mask)
-        assert np.array_equal(out.pixels[mask.mask], img.pixels[mask.mask])
-        assert np.all(out.pixels[~mask.mask] == 0)
+        assert np.array_equal(out.pixels[mask], img.pixels[mask])
+        assert np.all(out.pixels[~mask] == 0)
 
 
 class TestResize:

@@ -32,7 +32,6 @@ class TestClassReport:
         cm = ConfusionMatrix(np.diag([5, 8, 2]).astype(np.int64))
         for score in metrics.class_report(cm):
             assert score.precision == score.recall == score.f1 == 1.0
-            assert not score.degenerate
 
     def test_two_class_worked_example(self):
         cm = ConfusionMatrix(np.array([[9, 3], [1, 7]], dtype=np.int64))
@@ -47,7 +46,7 @@ class TestClassReport:
         report = metrics.class_report(cm)
         assert report[0].recall == 1.0
         assert report[1].recall == 0.0
-        assert report[1].degenerate  # empty prediction column
+        assert report[1].precision == report[1].f1 == 0.0  # empty prediction column
 
     def test_permutation_invariance(self, rng):
         counts = rng.integers(0, 30, (4, 4)).astype(np.int64)

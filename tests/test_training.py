@@ -89,11 +89,6 @@ class TestSplit:
         with pytest.raises(ValueError, match="tiny"):
             split(manifest, seed=1)
 
-    def test_bad_ratios_rejected(self):
-        manifest = synthetic_manifest({"a": 20})
-        with pytest.raises(ValueError, match="sum to 1"):
-            split(manifest, seed=1, ratios=(0.5, 0.2, 0.2))
-
 
 class TestManifestIo:
     def test_round_trip(self, tmp_path):
