@@ -331,10 +331,13 @@ def cmd_report(args) -> int:
             f"{i:5d}  {rec.train_loss:10.6f}  {rec.train_acc:9.6f}  "
             f"{rec.val_loss:8.6f}  {rec.val_acc:7.6f}{marker}"
         )
-    lines.append(
-        f"best epoch: {history.best_epoch + 1} "
-        f"(val loss {history.epochs[history.best_epoch].val_loss:.6f})"
-    )
+    if history.best_epoch is None:
+        lines.append("best epoch: none (no finite validation loss)")
+    else:
+        lines.append(
+            f"best epoch: {history.best_epoch + 1} "
+            f"(val loss {history.epochs[history.best_epoch].val_loss:.6f})"
+        )
     if args.metrics:
         lines.append("")
         lines.append(f"Metrics: {args.metrics}")

@@ -11,8 +11,7 @@ v(empty), and the reduced system is solved by minimum-norm least squares,
 so the attributions sum to the model delta even when the sampled
 coalitions leave that system rank-deficient.  With full coalition
 enumeration the solution coincides with the factorial-weighted Shapley
-definition, and :func:`exact_shapley` provides that brute-force form as
-an oracle.
+definition; the test suite keeps that brute-force form as its oracle.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import numpy as np
 
 from .imaging import Image, label_components
 from .rng import Rng
-
-MAX_EXACT_PLAYERS = 12
 
 Model = Callable[[Image], np.ndarray]
 
@@ -41,7 +38,7 @@ class SuperpixelMap:
 class Attribution:
     weights: np.ndarray  # one weight per segment
     class_index: int
-    method: str  # lime | kernel_shap | exact_shapley
+    method: str  # lime | kernel_shap
 
 
 # ---------------------------------------------------------------------------
@@ -308,32 +305,6 @@ def lime_explain(
 # ---------------------------------------------------------------------------
 # Shapley values
 # ---------------------------------------------------------------------------
-
-
-def exact_shapley(value_fn: Callable[[np.ndarray], float], m: int) -> np.ndarray:
-    """Brute-force Shapley values over all 2^m coalitions.
-
-    phi_i = sum over S not containing i of
-            |S|! (m-|S|-1)! / m! * (v(S + i) - v(S))
-    """
-    if m > MAX_EXACT_PLAYERS:
-        raise ValueError(
-            f"exact enumeration refused for {m} > {MAX_EXACT_PLAYERS} players"
-        )
-    values = {}
-    for s in range(2**m):
-        mask = np.array([(s >> i) & 1 for i in range(m)], dtype=np.float64)
-        values[s] = float(value_fn(mask))
-    fact = [math.factorial(i) for i in range(m + 1)]
-    phi = np.zeros(m)
-    for i in range(m):
-        for s in range(2**m):
-            if s & (1 << i):
-                continue
-            size = bin(s).count("1")
-            weight = fact[size] * fact[m - size - 1] / fact[m]
-            phi[i] += weight * (values[s | (1 << i)] - values[s])
-    return phi
 
 
 def _shapley_kernel_weight(m: int, size: int) -> float:

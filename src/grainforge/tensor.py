@@ -9,11 +9,12 @@ backward pass needs; :func:`grainforge.network.forward` keeps the other
 per-layer state (inputs and pre-activations) for backpropagation.
 
 The forward convolution is one im2col matrix product (Chellapilla et al.,
-2006) so the heavy lifting lands in BLAS; its backward pass takes each
-kernel offset's operand from the same window view, one product per
-offset.  Max pooling selects between the four window corners with
-elementwise maxima and comparisons.  The test suite
-checks every kernel element-by-element against naive nested-loop oracles.
+2006) so the heavy lifting lands in BLAS.  Its backward pass rebuilds the
+same im2col matrix and takes the kernel gradient as one product over it;
+the input gradient is one product per kernel offset, each added into its
+shifted slice of the input.  Max pooling selects between the four window
+corners with elementwise maxima and comparisons.  The test suite checks
+every kernel element-by-element against naive nested-loop oracles.
 """
 
 from __future__ import annotations
@@ -69,9 +70,13 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = True):
     """Gradients of a valid conv given upstream (B,H',W',Cout) gradient.
 
-    Returns (dx, dkernels, dbias).  With ``need_dx=False`` the input
-    gradient, half of the work, is not computed and ``dx`` is None; the
-    kernel and bias gradients are the same either way.
+    Returns (dx, dkernels, dbias).  The kernel gradient is one product of
+    the transposed im2col matrix of ``x``, rebuilt as :func:`conv2d_batch`
+    builds it, with the upstream gradient flattened to (B*H'*W', Cout).
+    The input gradient is one product per kernel offset, spread back over
+    that offset's shifted window.  With ``need_dx=False`` the input
+    gradient is not computed and ``dx`` is None; the kernel and bias
+    gradients are the same either way.
     """
     b, h, w, cin = x.shape
     kh, kw, _, cout = kernels.shape
@@ -79,16 +84,16 @@ def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = Tr
 
     dbias = dout.sum(axis=(0, 1, 2))
     dout_flat = dout.reshape(b * oh * ow, cout)
-    dkernels = np.empty_like(kernels, dtype=dout.dtype)
-    dx = np.zeros_like(x, dtype=dout.dtype) if need_dx else None
-    windows = _windows(x, kh, kw)
+    cols = _windows(x, kh, kw).reshape(-1, kh * kw * cin)
+    dkernels = (cols.T @ dout_flat).astype(dout.dtype, copy=False).reshape(kh, kw, cin, cout)
+    del cols  # the copy is the size of the forward's im2col; free it before dx
+    if not need_dx:
+        return None, dkernels, dbias
+    dx = np.zeros_like(x, dtype=dout.dtype)
     for dy in range(kh):
         for dx_ in range(kw):
-            # the reshape copies the offset's window into a contiguous (B*H'*W', Cin)
-            dkernels[dy, dx_] = windows[:, :, :, dy, dx_].reshape(-1, cin).T @ dout_flat
-            if need_dx:
-                spread = (dout_flat @ kernels[dy, dx_].T).reshape(b, oh, ow, cin)
-                dx[:, dy : dy + oh, dx_ : dx_ + ow, :] += spread
+            spread = (dout_flat @ kernels[dy, dx_].T).reshape(b, oh, ow, cin)
+            dx[:, dy : dy + oh, dx_ : dx_ + ow, :] += spread
     return dx, dkernels, dbias
 
 

@@ -4,7 +4,8 @@ Manifests are CSV files (`path,label`) with paths relative to a dataset
 root.  Splitting is stratified per class with largest-remainder rounding,
 so the 80/10/10 ratios hold within one record for every class.  The epoch
 loop shuffles with seeded streams, keeps the parameters from the epoch
-with minimum validation loss, and records per-epoch curves; identical
+that ``best_epoch`` picks (the first minimum of the validation loss, never
+a NaN), and records per-epoch curves; identical
 (seed, config, dataset) triples reproduce histories and weights exactly.
 """
 
@@ -64,23 +65,42 @@ def manifest_from_records(records) -> Manifest:
     return Manifest(records=records, classes=classes)
 
 
-def read_manifest(path) -> Manifest:
+def _read_csv_rows(path, kind: str) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of every row of the UTF-8 CSV file at ``path``.
+
+    Bytes that are not UTF-8 and content the csv module rejects, such as a
+    field over its size limit, raise ValueError naming the ``kind`` of file
+    and its path.  The line number is that of the row's last line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "label"]:
-            raise ValueError(f"manifest must start with 'path,label', got {header}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(
-                    f"manifest {path}, line {reader.line_num}, column {min(len(row), 2) + 1}: "
-                    f"expected the 2 columns path,label, got {len(row)}"
-                )
-            records.append(ManifestRecord(path=row[0], label=row[1]))
-    return manifest_from_records(records)
+        try:
+            return [(reader.line_num, row) for row in reader]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{kind} {path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise ValueError(f"{kind} {path}, line {reader.line_num}: {exc}") from None
+
+
+def read_manifest(path) -> Manifest:
+    rows = _read_csv_rows(path, "manifest")
+    header = rows[0][1] if rows else None
+    if header != ["path", "label"]:
+        raise ValueError(f"manifest {path} must start with 'path,label', got {header}")
+    records = []
+    for line, row in rows[1:]:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValueError(
+                f"manifest {path}, line {line}, column {min(len(row), 2) + 1}: "
+                f"expected the 2 columns path,label, got {len(row)}"
+            )
+        records.append(ManifestRecord(path=row[0], label=row[1]))
+    try:
+        return manifest_from_records(records)
+    except ValueError as exc:
+        raise ValueError(f"manifest {path}: {exc}") from None
 
 
 def write_manifest(manifest: Manifest, path) -> None:
@@ -289,7 +309,20 @@ HISTORY_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc")
 @dataclass
 class TrainingHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = 0  # index into epochs, minimum validation loss
+    best_epoch: int | None = None  # index into epochs chosen by best_epoch()
+
+
+def best_epoch(val_losses) -> int | None:
+    """Index of the first strict minimum of ``val_losses``; None if none is below +inf.
+
+    A NaN compares below nothing, so a NaN epoch is never the best one.
+    Training keeps the parameters of this epoch and ``report`` marks it.
+    """
+    best, best_loss = None, math.inf
+    for i, loss in enumerate(val_losses):
+        if loss < best_loss:
+            best, best_loss = i, loss
+    return best
 
 
 def write_history(history: TrainingHistory, path) -> None:
@@ -309,24 +342,24 @@ def write_history(history: TrainingHistory, path) -> None:
 
 
 def read_history(path) -> TrainingHistory:
+    rows = _read_csv_rows(path, "history")
+    header = rows[0][1] if rows else []
     history = TrainingHistory()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            values = {}
-            for column in HISTORY_COLUMNS:
-                try:
-                    values[column] = float(row.get(column))
-                except (TypeError, ValueError):  # None when the column is missing
-                    raise ValueError(
-                        f"history {path}, line {reader.line_num}, column {column!r}: "
-                        f"expected a number, got {row.get(column)!r}"
-                    ) from None
-            history.epochs.append(EpochRecord(**values))
-    if history.epochs:
-        history.best_epoch = min(
-            range(len(history.epochs)), key=lambda i: history.epochs[i].val_loss
-        )
+    for line, row in rows[1:]:
+        if not row:
+            continue
+        cells = dict(zip(header, row))
+        values = {}
+        for column in HISTORY_COLUMNS:
+            try:
+                values[column] = float(cells.get(column))
+            except (TypeError, ValueError):  # None when the column is missing
+                raise ValueError(
+                    f"history {path}, line {line}, column {column!r}: "
+                    f"expected a number, got {cells.get(column)!r}"
+                ) from None
+        history.epochs.append(EpochRecord(**values))
+    history.best_epoch = best_epoch(rec.val_loss for rec in history.epochs)
     return history
 
 
@@ -405,7 +438,6 @@ def train_arrays(
     )
 
     history = TrainingHistory()
-    best_loss = math.inf
     best_params = params.copy()
     stale_epochs = 0
 
@@ -435,9 +467,8 @@ def train_arrays(
         )
         history.epochs.append(record)
 
-        if record.val_loss < best_loss:
-            best_loss = record.val_loss
-            history.best_epoch = epoch
+        history.best_epoch = best_epoch(rec.val_loss for rec in history.epochs)
+        if history.best_epoch == epoch:
             best_params = params.copy()
             stale_epochs = 0
         else:

@@ -18,6 +18,7 @@ from grainforge.rng import Rng
 from grainforge.synthetic import generate_shape_dataset
 
 from conftest import random_image
+from test_explain import exact_shapley
 from test_imaging import exhaustive_otsu, square_fixture, square_perimeter
 from test_metrics import mann_whitney_auc
 from test_network import finite_difference_gradients, mini_spec
@@ -203,7 +204,7 @@ def test_criterion_6_shap_exactness():
                 return float(table[int(sum(int(b) << i for i, b in enumerate(z)))])
 
             phi = explain.kernel_shap_values(value, m, n_samples=2**m, rng=rng)
-            exact = explain.exact_shapley(value, m)
+            exact = exact_shapley(value, m)
             worst_gap = max(worst_gap, float(np.abs(phi - exact).max()))
             delta = value(np.ones(m)) - value(np.zeros(m))
             worst_local = max(worst_local, abs(float(phi.sum()) - delta))

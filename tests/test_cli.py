@@ -683,6 +683,22 @@ class TestReport:
         assert stdout.strip() == str(out)
         assert "best epoch" in out.read_text()
 
+    @pytest.mark.parametrize(
+        "val_losses, marked",
+        [(("nan", "0.5", "0.4", "0.4"), 3), (("nan", "nan"), None), (("inf",), None)],
+    )
+    def test_nan_epoch_never_marked_best(self, tmp_path, capsys, val_losses, marked):
+        history = tmp_path / "history.csv"
+        rows = [f"{i},0.9,0.5,{v},0.5" for i, v in enumerate(val_losses, start=1)]
+        history.write_text("\n".join(["epoch,train_loss,train_acc,val_loss,val_acc", *rows]))
+        code, stdout, _ = run_cli(capsys, "report", "--history", str(history))
+        assert code == 0
+        best = [line.split()[0] for line in stdout.splitlines() if line.endswith("<- best")]
+        if marked is None:
+            assert best == [] and "best epoch: none (no finite validation loss)" in stdout
+        else:
+            assert best == [str(marked)] and f"best epoch: {marked} (val loss 0.4" in stdout
+
     def test_empty_history_is_usage_error(self, tmp_path, capsys):
         history = tmp_path / "history.csv"
         history.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n")

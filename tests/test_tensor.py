@@ -24,6 +24,26 @@ def naive_conv(x, kernels, bias):
     return out
 
 
+def naive_conv_backward(x, kernels, dout):
+    """Nested-loop float64 gradients of a batched valid conv: (dx, dkernels, dbias)."""
+    x, kernels, dout = (np.asarray(a, dtype=np.float64) for a in (x, kernels, dout))
+    n, h, w, cin = x.shape
+    kh, kw, _, cout = kernels.shape
+    dx, dk, db = np.zeros_like(x), np.zeros_like(kernels), np.zeros(cout)
+    for i in range(n):
+        for y in range(h - kh + 1):
+            for xx in range(w - kw + 1):
+                for co in range(cout):
+                    g = dout[i, y, xx, co]
+                    db[co] += g
+                    for dy in range(kh):
+                        for dx_ in range(kw):
+                            for ci in range(cin):
+                                dx[i, y + dy, xx + dx_, ci] += g * kernels[dy, dx_, ci, co]
+                                dk[dy, dx_, ci, co] += g * x[i, y + dy, xx + dx_, ci]
+    return dx, dk, db
+
+
 def naive_pool(x):
     h, w, c = x.shape
     out = np.zeros((h // 2, w // 2, c))
@@ -136,6 +156,47 @@ class TestConv2d:
         assert got.dtype == np.float32
         want = naive_conv(x.astype(np.float64), k.astype(np.float64), b.astype(np.float64))
         assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
+class TestConv2dBackward:
+    @staticmethod
+    def assert_matches_oracle(x, k, dout, atol=1e-12, rtol=0.0):
+        """Each gradient within atol + rtol * its largest oracle value, with and without dx."""
+        want = naive_conv_backward(x, k, dout)
+        for need_dx in (True, False):
+            got = tensor.conv2d_backward(x, k, dout, need_dx=need_dx)
+            assert (got[0] is None) == (not need_dx)
+            for g, ref in zip(got, want):
+                if g is not None:
+                    assert g.dtype == dout.dtype and g.shape == ref.shape
+                    assert np.abs(g - ref).max() <= atol + rtol * np.abs(ref).max()
+
+    def test_all_small_shapes_match_naive(self, rng):
+        for h in range(3, 9):
+            for w in range(3, 9):
+                for cin, cout in ((1, 1), (2, 3), (3, 32)):
+                    x = rng.normal(0, 1, (2, h, w, cin))
+                    k = rng.normal(0, 1, (3, 3, cin, cout))
+                    dout = rng.normal(0, 1, (2, h - 2, w - 2, cout))
+                    self.assert_matches_oracle(x, k, dout)
+
+    def test_strided_views_match_naive(self, rng):
+        # the im2col matrix of the kernel gradient is built from the input's own strides
+        base = rng.normal(0, 1, (3, 13, 11, 4))
+        k = rng.normal(0, 1, (3, 3, 2, 3))
+        views = (base[:, ::2, 1:, 1::2], base[::2, 3:, :8, :2], np.asfortranarray(base)[..., :2])
+        for x in views:
+            b, h, w, _ = x.shape
+            dout = rng.normal(0, 1, (b, h - 2, w - 2, 3))
+            self.assert_matches_oracle(x, k, dout)
+
+    @pytest.mark.parametrize("hw, cin, cout", [((6, 7), 3, 32), ((5, 5), 32, 64)])
+    def test_float32_matches_float64_oracle(self, rng, hw, cin, cout):
+        # float32 gradients stay within 1e-5 of each gradient's largest oracle value
+        x = rng.normal(0, 1, (2, *hw, cin)).astype(np.float32)
+        k = rng.normal(0, 0.2, (3, 3, cin, cout)).astype(np.float32)
+        dout = rng.normal(0, 1, (2, hw[0] - 2, hw[1] - 2, cout)).astype(np.float32)
+        self.assert_matches_oracle(x, k, dout, atol=0.0, rtol=1e-5)
 
 
 class TestMaxPool:

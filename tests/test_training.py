@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from grainforge import network, training
 from grainforge.network import LayerSpec, NetworkSpec
@@ -135,6 +139,70 @@ class TestHistoryIo:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"history.csv, line {line}, column '{column}':"):
             training.read_history(path)
+
+
+HISTORY_HEADER = "epoch," + ",".join(training.HISTORY_COLUMNS) + "\n"
+# characters that CSV parsing and number parsing branch on, then any UTF-8 character
+CSV_TEXT = st.tuples(
+    st.sampled_from(["", "path,label\n", HISTORY_HEADER]),
+    st.text(st.sampled_from(list(',"\n\r\x00 .-+0123456789einfa')) | st.characters(codec="utf-8")),
+).map("".join)
+FUZZ = settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestParserErrors:
+    """A manifest or history file of any content reads, or raises ValueError naming it."""
+
+    @staticmethod
+    def parse(reader, path):
+        try:
+            reader(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+
+    @pytest.mark.parametrize("reader", [training.read_manifest, training.read_history])
+    @FUZZ
+    @given(data=st.binary())
+    @example(data=b"path,label\n" + b"x" * 200_000 + b",a\n")  # over the csv field limit
+    @example(data=b"path,label\nx.ppm,\xff\n")  # not UTF-8
+    def test_fuzz_bytes(self, tmp_path, reader, data):
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        self.parse(reader, path)
+
+    @pytest.mark.parametrize("reader", [training.read_manifest, training.read_history])
+    @FUZZ
+    @given(text=CSV_TEXT)
+    @example(text="path,label\nx.ppm,a\nx.ppm,b\n")  # duplicate manifest path
+    @example(text="file,class\n")  # wrong manifest header
+    @example(text=HISTORY_HEADER + "1," + "9" * 200_000 + ",0.5,0.4,0.5\n")
+    def test_fuzz_text(self, tmp_path, reader, text):
+        path = tmp_path / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        self.parse(reader, path)
+
+
+class TestBestEpoch:
+    @pytest.mark.parametrize(
+        "losses, best",
+        [
+            ([0.5, 0.4, 0.4, 0.6], 1),
+            ([math.nan, 0.5, math.nan, 0.5], 1),
+            ([math.nan, math.nan], None),
+            ([math.inf, math.inf], None),
+            ([math.inf, 2.0], 1),
+            ([], None),
+        ],
+    )
+    def test_first_strict_minimum_never_nan(self, losses, best):
+        assert training.best_epoch(losses) == best
+
+    def test_read_history_skips_nan_epoch(self, tmp_path):
+        path = tmp_path / "history.csv"
+        path.write_text(HISTORY_HEADER + "1,0.9,0.5,nan,0.5\n2,0.8,0.6,0.7,0.6\n")
+        assert training.read_history(path).best_epoch == 1
 
 
 class TestTrainLoop:
