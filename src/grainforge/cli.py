@@ -281,13 +281,12 @@ def cmd_explain(args) -> int:
             break
 
     if cfg.method == "lime":
-        n_samples = max(cfg.samples, superpixels.count + 2)
         attribution, highlight = explain_mod.lime_explain(
             model,
             image,
             superpixels,
             target,
-            n_samples=n_samples,
+            n_samples=cfg.samples,
             kernel_width=cfg.kernel_width,
             ridge=cfg.ridge,
             top_k=cfg.top_k,
@@ -341,8 +340,11 @@ def cmd_report(args) -> int:
     if args.metrics:
         lines.append("")
         lines.append(f"Metrics: {args.metrics}")
-        with open(args.metrics) as fh:
-            lines.extend(line.rstrip("\n") for line in fh)
+        try:
+            with open(args.metrics, encoding="utf-8") as fh:
+                lines.extend(line.rstrip("\n") for line in fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"metrics {args.metrics}: not UTF-8 text ({exc.reason})") from None
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

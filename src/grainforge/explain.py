@@ -252,12 +252,13 @@ def lime_explain(
     """Weighted ridge surrogate over mask perturbations.
 
     Returns the per-segment coefficients and the highlight mask of the
-    ``top_k`` most positive segments.  When 2^M fits inside ``n_samples``
+    ``top_k`` most positive segments.  An ``n_samples`` below M + 2 is
+    raised to M + 2, so the surrogate (M coefficients and an intercept)
+    has more samples than unknowns.  When 2^M fits inside ``n_samples``
     the full mask space is enumerated instead of sampled.
     """
     m = superpixels.count
-    if n_samples < m + 2:
-        raise ValueError(f"need at least {m + 2} samples for {m} segments")
+    n_samples = max(n_samples, m + 2)
     if kernel_width <= 0:
         raise ValueError(f"kernel width must be positive, got {kernel_width}")
     if ridge < 0:

@@ -10,6 +10,8 @@ forward keeps no cache.
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
 order, then each tensor's raw little-endian float32 values row-major.
+The header's tensor list must be exactly the table the layers imply (each
+parameterised layer's weight then bias, in layer order, integer shapes).
 A trained model's header also records its preprocessing settings and
 class names; headers written before those keys existed still load.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -86,11 +89,6 @@ class Parameters:
     """Per-layer weight/bias tensors aligned with a NetworkSpec's layers."""
 
     layers: list[LayerParams | None] = field(default_factory=list)
-
-    def scalar_count(self) -> int:
-        return sum(
-            lp.weight.size + lp.bias.size for lp in self.layers if lp is not None
-        )
 
     def copy(self) -> "Parameters":
         return Parameters(
@@ -166,6 +164,16 @@ def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
     return [out_shape for _, out_shape, _, _ in _layer_plan(spec)]
 
 
+def _tensor_table(spec: NetworkSpec) -> list[dict]:
+    """The stored tensors in payload order: each parameterised layer's weight, then bias."""
+    return [
+        {"layer": i, "name": name, "shape": list(shape)}
+        for i, (_, _, wshape, bshape) in enumerate(_layer_plan(spec))
+        if wshape is not None
+        for name, shape in (("weight", wshape), ("bias", bshape))
+    ]
+
+
 def build_rice_cnn() -> NetworkSpec:
     """Five-variety rice grain classifier over 50x50 RGB inputs."""
     return NetworkSpec(
@@ -206,18 +214,6 @@ def build_disease_cnn() -> NetworkSpec:
 ARCHITECTURES = {"rice": build_rice_cnn, "disease": build_disease_cnn}
 
 
-def layer_param_counts(spec: NetworkSpec) -> list[int]:
-    """Trainable scalar count per layer (0 for pool/flatten)."""
-    return [
-        math.prod(wshape) + math.prod(bshape) if wshape else 0
-        for _, _, wshape, bshape in _layer_plan(spec)
-    ]
-
-
-def param_count(spec: NetworkSpec) -> int:
-    return sum(layer_param_counts(spec))
-
-
 def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters:
     """He-normal weights for relu layers, Glorot-uniform otherwise, zero biases.
 
@@ -255,7 +251,7 @@ def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
             if lp is not None:
                 raise NetworkError(f"layer {i} ({layer.kind}) must not carry parameters")
             continue
-        if lp is None or lp.weight is None or lp.bias is None:
+        if lp is None:
             raise NetworkError(f"layer {i} ({layer.kind}) is missing parameters")
         if lp.weight.shape != expect_w or lp.bias.shape != expect_b:
             raise NetworkError(
@@ -435,50 +431,34 @@ def save_weights(spec: NetworkSpec, params: Parameters, path) -> None:
     """Write the bit-exact weights container; params are stored as float32."""
     check_parameters(spec, params)
     header = _spec_to_header(spec)
-    tensors = []
-    blobs = []
-    for i, lp in enumerate(params.layers):
-        if lp is None:
-            continue
-        for name, arr in (("weight", lp.weight), ("bias", lp.bias)):
-            tensors.append({"layer": i, "name": name, "shape": list(arr.shape)})
-            blobs.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    header["tensors"] = tensors
+    header["tensors"] = _tensor_table(spec)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        for lp in params.layers:
+            if lp is not None:
+                fh.write(np.ascontiguousarray(lp.weight, dtype="<f4"))
+                fh.write(np.ascontiguousarray(lp.bias, dtype="<f4"))
 
 
-def load_weights(path) -> tuple[NetworkSpec, Parameters]:
-    """Read a weights container back into (spec, float32 parameters)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:3] == MAGIC[:3] and data[:4] != MAGIC:
-        raise WeightsFormatError(
-            f"unsupported weights version {data[3:4]!r}, expected {MAGIC[3:4]!r}", 3
-        )
-    if data[:4] != MAGIC:
-        raise WeightsFormatError(f"bad magic {data[:4]!r}, expected {MAGIC!r}", 0)
-    if len(data) < 12:
-        raise WeightsFormatError("truncated header length field", len(data))
-    (header_len,) = struct.unpack("<Q", data[4:12])
-    if len(data) < 12 + header_len:
-        raise WeightsFormatError("truncated JSON header", len(data))
-    try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WeightsFormatError(f"unreadable JSON header: {exc}", 12) from exc
-    if not isinstance(header, dict):
-        raise WeightsFormatError("JSON header is not an object", 12)
+def _table_mismatch(listed, table: list[dict]) -> str:
+    """Where the header's tensor list first departs from the layers' table."""
+    if not isinstance(listed, list):
+        return f"tensors must be a list of {len(table)} entries, got {listed!r}"
+    for k, (got, want) in enumerate(zip(listed, table)):
+        if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
+            return f"tensors[{k}] is {got!r}, expected {want!r}"
+    return f"tensors lists {len(listed)} entries, expected {len(table)}"
+
+
+def _header_to_spec(header: dict) -> tuple[NetworkSpec, list[dict]]:
+    """The spec a parsed header describes and its tensor table, which ``tensors`` must equal."""
     if header.get("version") != 1:
         raise WeightsFormatError(f"unsupported header version {header.get('version')}", 12)
     if header.get("dtype") != "f32":
         raise WeightsFormatError(f"unsupported dtype {header.get('dtype')!r}", 12)
-
     try:
         spec = NetworkSpec(
             input_shape=tuple(header["input_shape"]),
@@ -493,7 +473,7 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
             ),
             num_classes=header["num_classes"],
         )
-        tensors = [(entry["layer"], entry["name"], entry["shape"]) for entry in header["tensors"]]
+        listed = header["tensors"]
         counts = [*spec.input_shape, spec.num_classes]
         counts += [n for layer in spec.layers for n in (layer.filters, layer.units)]
         for n in counts:  # a float or a bool is no count
@@ -501,47 +481,58 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
                 raise TypeError(
                     f"input_shape, num_classes, filters and units must be integers, got {n!r}"
                 )
-        infer_shapes(spec)
+        table = _tensor_table(spec)
     except KeyError as exc:
         raise WeightsFormatError(f"JSON header lacks key {exc}", 12) from exc
     except TypeError as exc:  # a value of the wrong JSON type, e.g. "units": "2"
         raise WeightsFormatError(f"malformed JSON header: {exc}", 12) from exc
     except NetworkError as exc:  # e.g. "kind": "conv3d"
         raise WeightsFormatError(str(exc), 12) from exc
+    # canonical JSON, so a 0.0 or a true where the table holds an integer differs
+    if json.dumps(listed, sort_keys=True) != json.dumps(table, sort_keys=True):
+        raise WeightsFormatError(_table_mismatch(listed, table), 12)
     preprocess = header.get("preprocess")
     if "preprocess" in header and not isinstance(preprocess, dict):
         raise WeightsFormatError(f"preprocess must be a JSON object, got {preprocess!r}", 12)
     spec = replace(
         spec, preprocess=preprocess, classes=_recorded_classes(header, spec.num_classes)
     )
+    return spec, table
 
+
+def load_weights(path) -> tuple[NetworkSpec, Parameters]:
+    """Read a weights container back into (spec, float32 parameters), one copy of each tensor."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        start = fh.read(12)
+        if start[:3] == MAGIC[:3] and start[:4] != MAGIC:
+            raise WeightsFormatError(
+                f"unsupported weights version {start[3:4]!r}, expected {MAGIC[3:4]!r}", 3
+            )
+        if start[:4] != MAGIC:
+            raise WeightsFormatError(f"bad magic {start[:4]!r}, expected {MAGIC!r}", 0)
+        if len(start) < 12:
+            raise WeightsFormatError("truncated header length field", len(start))
+        (header_len,) = struct.unpack("<Q", start[4:12])
+        if size < 12 + header_len:  # before reading, so a huge length reads nothing
+            raise WeightsFormatError("truncated JSON header", size)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, 4300+ digit int, deep nesting
+            raise WeightsFormatError(f"unreadable JSON header: {exc}", 12) from exc
+        if not isinstance(header, dict):
+            raise WeightsFormatError("JSON header is not an object", 12)
+        spec, table = _header_to_spec(header)
+        end = 12 + header_len + 4 * sum(math.prod(t["shape"]) for t in table)
+        if size < end:
+            raise WeightsFormatError("truncated tensor payload", size)
+        if size > end:
+            raise WeightsFormatError(f"{size - end} unexpected trailing bytes", end)
+        arrays = [
+            np.fromfile(fh, dtype="<f4", count=math.prod(t["shape"])).reshape(t["shape"])
+            for t in table
+        ]
     params = Parameters([None] * len(spec.layers))
-    pos = 12 + header_len
-    for i, name, shape in tensors:
-        if name not in ("weight", "bias"):
-            raise WeightsFormatError(f"tensor of layer {i!r} has unknown name {name!r}", 12)
-        if not (type(i) is int and 0 <= i < len(spec.layers)):
-            raise WeightsFormatError(
-                f"tensor {name!r} names layer {i!r}, outside 0..{len(spec.layers) - 1}", 12
-            )
-        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
-            raise WeightsFormatError(f"tensor {name!r} of layer {i} has bad shape {shape}", 12)
-        shape = tuple(shape)
-        count = math.prod(shape)
-        if len(data) - pos < 4 * count:
-            raise WeightsFormatError(
-                f"truncated tensor payload for layer {i} {name}", len(data)
-            )
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos)
-        arr = arr.reshape(shape).copy()
-        pos += 4 * count
-        if params.layers[i] is None:
-            params.layers[i] = LayerParams(None, None)  # filled by both names
-        setattr(params.layers[i], name, arr)
-    if pos != len(data):
-        raise WeightsFormatError(f"{len(data) - pos} unexpected trailing bytes", pos)
-    try:
-        check_parameters(spec, params)
-    except NetworkError as exc:  # tensors that do not match the layer shapes
-        raise WeightsFormatError(str(exc), 12) from exc
+    for t, weight, bias in zip(table[::2], arrays[::2], arrays[1::2]):
+        params.layers[t["layer"]] = LayerParams(weight, bias)
     return spec, params

@@ -489,7 +489,7 @@ class TestRecordedPreprocessing:
 
         superpixels = explain.slic_superpixels(image, 40, compactness=10.0, iters=10)
         attribution, _ = explain.lime_explain(
-            model, image, superpixels, 0, n_samples=max(60, superpixels.count + 2),
+            model, image, superpixels, 0, n_samples=60,
             kernel_width=0.25, ridge=1.0, top_k=5, rng=Rng(8),
             baseline=explain.mean_baseline(image),
         )
@@ -698,6 +698,17 @@ class TestReport:
             assert best == [] and "best epoch: none (no finite validation loss)" in stdout
         else:
             assert best == [str(marked)] and f"best epoch: {marked} (val loss 0.4" in stdout
+
+    def test_metrics_not_utf8_names_the_file(self, trained, tmp_path, capsys):
+        _, _, _, history = trained
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_bytes(b"k,v\n\xff\n")
+        code, stdout, stderr = run_cli(
+            capsys, "report", "--history", str(history), "--metrics", str(metrics)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert f"metrics {metrics}: not UTF-8 text" in stderr
 
     def test_empty_history_is_usage_error(self, tmp_path, capsys):
         history = tmp_path / "history.csv"

@@ -459,12 +459,17 @@ class TestLime:
         )
         assert set(np.nonzero(highlight)[0]) == {0, 2}
 
-    def test_sample_budget_precondition(self):
+    def test_sample_budget_below_floor_is_raised(self):
+        # 4 segments need 4 + 2 samples; a budget of 5 runs as 6
         image, spmap = banded_setup(4)
-        with pytest.raises(ValueError, match="at least"):
-            explain.lime_explain(
-                lambda img: np.array([0.0]), image, spmap, 0, n_samples=5
-            )
+        c = np.array([0.5, -0.4, 0.3, 0.1])
+        model = mask_reading_model(image, spmap, lambda z: [float(c @ z)])
+        raised, exact = (
+            explain.lime_explain(model, image, spmap, 0, n_samples=n, rng=Rng(4), baseline=BASELINE)
+            for n in (5, 6)
+        )
+        assert np.array_equal(raised[0].weights, exact[0].weights)
+        assert np.array_equal(raised[1], exact[1])
 
     def test_singular_system_suggests_ridge(self):
         image, spmap = banded_setup(3)

@@ -1,5 +1,8 @@
 import json
+import math
+import re
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -64,9 +67,26 @@ def closed_form_param_count(spec):
     return total
 
 
+def layer_param_counts(spec):
+    """Trainable scalars per layer (0 for pool/flatten), from the stored tensor table."""
+    counts = [0] * len(spec.layers)
+    for entry in network._tensor_table(spec):
+        counts[entry["layer"]] += math.prod(entry["shape"])
+    return counts
+
+
+def param_count(spec):
+    return sum(layer_param_counts(spec))
+
+
+def scalar_count(params):
+    """Scalars held by the weight and bias arrays of ``params``."""
+    return sum(lp.weight.size + lp.bias.size for lp in params.layers if lp is not None)
+
+
 class TestArchitectures:
     def test_rice_per_layer_counts(self):
-        assert network.layer_param_counts(build_rice_cnn()) == [
+        assert layer_param_counts(build_rice_cnn()) == [
             896,
             0,
             18496,
@@ -77,7 +97,7 @@ class TestArchitectures:
         ]
 
     def test_rice_total(self):
-        assert network.param_count(build_rice_cnn()) == 267_397
+        assert param_count(build_rice_cnn()) == 267_397
 
     def test_rice_shapes(self):
         assert network.infer_shapes(build_rice_cnn()) == [
@@ -98,7 +118,7 @@ class TestArchitectures:
     def test_disease_param_count_closed_form(self):
         spec = build_disease_cnn()
         expected = closed_form_param_count(spec)
-        assert network.param_count(spec) == expected == 5_594_756
+        assert param_count(spec) == expected == 5_594_756
 
     def test_single_dense_count(self):
         spec = NetworkSpec(
@@ -109,12 +129,12 @@ class TestArchitectures:
             ),
             num_classes=5,
         )
-        assert network.param_count(spec) == 55
+        assert param_count(spec) == 55
 
     def test_param_count_matches_initialized_scalars(self):
         spec = mini_spec()
         params = network.init_parameters(spec, Rng(0))
-        assert params.scalar_count() == network.param_count(spec)
+        assert scalar_count(params) == param_count(spec)
 
     def test_invalid_specs_rejected(self):
         empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
@@ -405,7 +425,7 @@ class TestSerialization:
         network.save_weights(spec, params, path)
         spec2, params2 = network.load_weights(path)
         assert spec2 == spec
-        assert network.param_count(spec2) == 267_397
+        assert param_count(spec2) == 267_397
         for a, b in zip(params.layers, params2.layers):
             if a is None:
                 assert b is None
@@ -474,8 +494,11 @@ class TestSerialization:
             network.load_weights(path)
 
     @staticmethod
-    def _with_header(tmp_path, edit):
-        """A saved mini-spec weights file whose JSON header ``edit`` has changed."""
+    def _with_header(tmp_path, edit, extra=b""):
+        """A saved mini-spec weights file whose JSON header ``edit`` has changed.
+
+        ``extra`` is appended to the tensor payload.
+        """
         spec = recorded_spec()
         path = tmp_path / "w.gfw"
         network.save_weights(spec, network.init_parameters(spec, Rng(16)), path)
@@ -486,13 +509,13 @@ class TestSerialization:
         header_bytes = json.dumps(header).encode()
         path.write_bytes(
             data[:4] + struct.pack("<Q", len(header_bytes)) + header_bytes
-            + data[12 + header_len :]
+            + data[12 + header_len :] + extra
         )
         return path
 
     def test_out_of_range_tensor_layer_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(layer=99))
-        with pytest.raises(WeightsFormatError, match="layer 99.*byte offset 12"):
+        with pytest.raises(WeightsFormatError, match="'layer': 99.*byte offset 12"):
             network.load_weights(path)
 
     def test_missing_layers_key_rejected(self, tmp_path):
@@ -502,12 +525,14 @@ class TestSerialization:
 
     def test_negative_tensor_shape_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(shape=[-1, 3]))
-        with pytest.raises(WeightsFormatError, match=r"shape \[-1, 3\].*byte offset 12"):
+        with pytest.raises(WeightsFormatError, match=r"'shape': \[-1, 3\].*byte offset 12"):
             network.load_weights(path)
 
     def test_mistyped_header_parts_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h["tensors"].__setitem__(0, [1]))
+        with pytest.raises(WeightsFormatError, match=r"tensors\[0\] is \[1\].*byte offset 12"):
+            network.load_weights(path)
         for edit in (
-            lambda h: h["tensors"].__setitem__(0, [1]),
             lambda h: h["layers"][-1].update(units="3"),
             # a float or a bool is no count, even where it equals one
             lambda h: (h.update(num_classes=3.0), h["layers"][-1].update(units=3.0)),
@@ -525,8 +550,8 @@ class TestSerialization:
         "edit, message",
         [
             (lambda h: h["layers"][0].update(kind="conv3d"), "unknown kind 'conv3d'"),
-            (lambda h: h["layers"][0].update(filters=5), r"expected weight \(3, 3, 1, 5\)"),
-            (lambda h: h["tensors"][0].update(layer=1), r"layer 0 \(conv2d\) is missing"),
+            (lambda h: h["layers"][0].update(filters=5), r"expected .*'shape': \[3, 3, 1, 5\]"),
+            (lambda h: h["tensors"][0].update(layer=1), r"tensors\[0\] is \{'layer': 1,"),
         ],
     )
     def test_layers_that_do_not_fit_the_tensors_rejected(self, tmp_path, edit, message):
@@ -561,8 +586,67 @@ class TestSerialization:
     @pytest.mark.parametrize("name", ["wieght", ["weight"]])
     def test_unknown_tensor_name_rejected(self, tmp_path, name):
         path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(name=name))
-        with pytest.raises(WeightsFormatError, match="unknown name.*byte offset 12"):
+        message = re.escape(f"'name': {name!r}")
+        with pytest.raises(WeightsFormatError, match=f"{message}.*byte offset 12"):
             network.load_weights(path)
+
+    @pytest.mark.parametrize(
+        "edit, extra, message",
+        [
+            # the first conv weight listed twice, with its 27 floats appended
+            (lambda h: h["tensors"].insert(1, h["tensors"][0]), bytes(4 * 27),
+             r"tensors\[1\] is .*'weight'"),
+            (lambda h: h["tensors"].insert(0, h["tensors"].pop(1)), b"",
+             r"tensors\[0\] is .*'bias'"),
+            (lambda h: h["tensors"].pop(), b"", "7 entries, expected 8"),
+            (lambda h: h["tensors"][0].update(layer=0.0), b"", r"tensors\[0\] is \{'layer': 0\.0,"),
+            (lambda h: h["tensors"][0].update(layer=True), b"", r"tensors\[0\] is \{'layer': True,"),
+            # true == 1 in Python, but not in the table's JSON
+            (lambda h: h["tensors"][0].update(shape=[3, 3, True, 3]), b"",
+             r"'shape': \[3, 3, True, 3\]"),
+        ],
+        ids=["repeated", "bias-first", "missing", "float-layer", "bool-layer", "bool-in-shape"],
+    )
+    def test_tensors_other_than_the_layer_table_rejected(self, tmp_path, edit, extra, message):
+        path = self._with_header(tmp_path, edit, extra)
+        with pytest.raises(WeightsFormatError, match=f"{message}.*byte offset 12"):
+            network.load_weights(path)
+
+    @pytest.mark.parametrize(
+        "header_len",
+        [lambda size: 0, lambda size: size + 1, lambda size: 2**63, lambda size: 2**64 - 1],
+        ids=["zero", "file-size-plus-1", "2^63", "2^64-1"],
+    )
+    def test_bad_header_length_field_rejected(self, tmp_path, header_len):
+        path = tmp_path / "w.gfw"
+        network.save_weights(mini_spec(), network.init_parameters(mini_spec(), Rng(16)), path)
+        data = path.read_bytes()
+        field = header_len(len(data))
+        path.write_bytes(data[:4] + struct.pack("<Q", field) + data[12:])
+        with pytest.raises(WeightsFormatError) as err:
+            network.load_weights(path)
+        assert err.value.offset == (12 if field == 0 else len(data))
+
+    @pytest.mark.parametrize(
+        "header", [b"[" * 100_000, b'{"version": ' + b"9" * 5000 + b"}"], ids=["deep", "long-int"]
+    )
+    def test_unparseable_json_header_rejected(self, tmp_path, header):
+        path = tmp_path / "w.gfw"
+        path.write_bytes(b"GFW1" + struct.pack("<Q", len(header)) + header)
+        with pytest.raises(WeightsFormatError, match="unreadable JSON header.*byte offset 12"):
+            network.load_weights(path)
+
+    def test_load_holds_one_copy_of_the_tensors(self, tmp_path):
+        spec = build_rice_cnn()
+        path = tmp_path / "rice.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(17), dtype=np.float32), path)
+        tracemalloc.start()
+        try:
+            network.load_weights(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
 
     @settings(
         max_examples=300, deadline=None,

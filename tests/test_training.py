@@ -16,6 +16,8 @@ from grainforge.training import (
     split,
 )
 
+from test_network import param_count, scalar_count
+
 
 def synthetic_manifest(per_class: dict[str, int]) -> Manifest:
     records = []
@@ -272,7 +274,7 @@ class TestTrainLoop:
         cfg = TrainConfig(data_root=root, epochs=2, seed=2, dtype="f32")
         params, history = training.train(spec, manifest, assignment, cfg)
         assert len(history.epochs) == 2
-        assert params.scalar_count() == network.param_count(spec)
+        assert scalar_count(params) == param_count(spec)
 
     def test_unreadable_image_identifies_path(self, tmp_path):
         manifest = manifest_from_records([ManifestRecord("ghost.ppm", "a")])
