@@ -78,12 +78,13 @@ def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> Ru
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            with open(config_path) as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
-            raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        # bad UTF-8 or JSON, an integer of over 4300 digits, or deep nesting
+        except (ValueError, RecursionError) as exc:
+            raise UsageError(f"config file {config_path} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
     _check_settings(file_cfg, "config")

@@ -14,6 +14,9 @@ The header's tensor list must be exactly the table the layers imply (each
 parameterised layer's weight then bias, in layer order, integer shapes).
 A trained model's header also records its preprocessing settings and
 class names; headers written before those keys existed still load.
+
+In memory the parameters are that same table: a flat list holding the
+arrays of the header's ``tensors``, in the same order.
 """
 
 from __future__ import annotations
@@ -78,25 +81,9 @@ class NetworkSpec:
     classes: tuple[str, ...] | None = None
 
 
-@dataclass
-class LayerParams:
-    weight: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class Parameters:
-    """Per-layer weight/bias tensors aligned with a NetworkSpec's layers."""
-
-    layers: list[LayerParams | None] = field(default_factory=list)
-
-    def copy(self) -> "Parameters":
-        return Parameters(
-            [
-                LayerParams(lp.weight.copy(), lp.bias.copy()) if lp else None
-                for lp in self.layers
-            ]
-        )
+# A model's parameters, in _tensor_table order: each conv and dense layer's
+# weight, then its bias, in layer order.
+Parameters = list[np.ndarray]
 
 
 def _layer_plan(spec: NetworkSpec) -> list[tuple]:
@@ -159,11 +146,6 @@ def _layer_plan(spec: NetworkSpec) -> list[tuple]:
     return plan
 
 
-def infer_shapes(spec: NetworkSpec) -> list[tuple[int, ...]]:
-    """Output shape after each layer; raises NetworkError on any mismatch."""
-    return [out_shape for _, out_shape, _, _ in _layer_plan(spec)]
-
-
 def _tensor_table(spec: NetworkSpec) -> list[dict]:
     """The stored tensors in payload order: each parameterised layer's weight, then bias."""
     return [
@@ -220,10 +202,9 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters
     Each layer draws from its own derived stream, so adding or removing a
     layer does not perturb the draws of the others.
     """
-    params = Parameters()
+    params: Parameters = []
     for i, (layer, _, wshape, bshape) in enumerate(_layer_plan(spec)):
         if wshape is None:
-            params.layers.append(None)
             continue
         receptive = math.prod(wshape[:-2])  # 3x3 for conv, 1 for dense
         fan_in, fan_out = receptive * wshape[-2], receptive * wshape[-1]
@@ -233,31 +214,15 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters
         else:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             weight = stream.uniform(-limit, limit, wshape)
-        params.layers.append(
-            LayerParams(weight.astype(dtype), np.zeros(bshape, dtype=dtype))
-        )
+        params += [weight.astype(dtype), np.zeros(bshape, dtype=dtype)]
     return params
 
 
 def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
-    plan = _layer_plan(spec)
-    if len(params.layers) != len(spec.layers):
-        raise NetworkError(
-            f"parameter list length {len(params.layers)} does not match "
-            f"{len(spec.layers)} layers"
-        )
-    for i, ((layer, _, expect_w, expect_b), lp) in enumerate(zip(plan, params.layers)):
-        if expect_w is None:
-            if lp is not None:
-                raise NetworkError(f"layer {i} ({layer.kind}) must not carry parameters")
-            continue
-        if lp is None:
-            raise NetworkError(f"layer {i} ({layer.kind}) is missing parameters")
-        if lp.weight.shape != expect_w or lp.bias.shape != expect_b:
-            raise NetworkError(
-                f"layer {i}: expected weight {expect_w} / bias {expect_b}, "
-                f"got {lp.weight.shape} / {lp.bias.shape}"
-            )
+    expected = [tuple(t["shape"]) for t in _tensor_table(spec)]
+    shapes = [p.shape for p in params]
+    if shapes != expected:
+        raise NetworkError(f"parameter shapes {shapes} do not match the expected {expected}")
 
 
 def _activations(spec: NetworkSpec) -> list[str]:
@@ -293,9 +258,10 @@ def forward(spec: NetworkSpec, params: Parameters, batch: Tensor, train: bool = 
             f"batch shape {batch.shape} does not match input {spec.input_shape}"
         )
     cache = [] if train else None
-    for layer, act, lp in zip(spec.layers, _activations(spec), params.layers):
+    tensors = iter(params)
+    for layer, act in zip(spec.layers, _activations(spec)):
         if layer.kind == "conv2d":
-            out = conv2d_batch(x, lp.weight, lp.bias)
+            out = conv2d_batch(x, next(tensors), next(tensors))
             entry = {"x": x}
         elif layer.kind == "maxpool2d":
             out, argmax = maxpool2d_batch(x, winners=train)
@@ -304,7 +270,7 @@ def forward(spec: NetworkSpec, params: Parameters, batch: Tensor, train: bool = 
             out = x.reshape(x.shape[0], -1)
             entry = {"in_shape": x.shape}
         else:  # dense
-            out = dense_forward(x, lp.weight, lp.bias)
+            out = dense_forward(x, next(tensors), next(tensors))
             entry = {"x": x}
         if act == "relu":
             entry["pre"] = out
@@ -324,11 +290,7 @@ def l2_penalty(params: Parameters, lam: float) -> float:
     """lam * sum of squared weights; biases are exempt."""
     if not lam:
         return 0.0
-    return lam * sum(
-        float(np.sum(lp.weight.astype(np.float64) ** 2))
-        for lp in params.layers
-        if lp is not None
-    )
+    return lam * sum(float(np.sum(w.astype(np.float64) ** 2)) for w in params[::2])
 
 
 def loss(probs: Tensor, onehot: Tensor, params: Parameters, lam: float) -> float:
@@ -354,7 +316,8 @@ def backward(
     batch = probs.shape[0]
     dout = (probs - y) / batch
 
-    grads = Parameters([None] * len(spec.layers))
+    weights = iter(params[-2::-2])
+    grads: Parameters = []
     for i in range(len(spec.layers) - 1, -1, -1):
         layer = spec.layers[i]
         entry = cache[i]
@@ -362,22 +325,19 @@ def backward(
         if "pre" in entry:
             dout = relu_backward(entry["pre"], dout)
         if layer.kind == "dense":
-            dout, dw, db = dense_backward(entry["x"], params.layers[i].weight, dout)
-            grads.layers[i] = LayerParams(dw, db)
+            dout, dw, db = dense_backward(entry["x"], next(weights), dout)
+            grads[:0] = (dw, db)
         elif layer.kind == "flatten":
             dout = dout.reshape(entry["in_shape"])
         elif layer.kind == "maxpool2d":
             dout = maxpool2d_backward(entry["x_shape"], entry["argmax"], dout)
         else:  # conv2d; nothing reads the gradient of the input image
-            dout, dw, db = conv2d_backward(
-                entry["x"], params.layers[i].weight, dout, need_dx=i > 0
-            )
-            grads.layers[i] = LayerParams(dw, db)
+            dout, dw, db = conv2d_backward(entry["x"], next(weights), dout, need_dx=i > 0)
+            grads[:0] = (dw, db)
 
     if lam:
-        for lp, g in zip(params.layers, grads.layers):
-            if lp is not None:
-                g.weight += 2.0 * lam * lp.weight
+        for w, g in zip(params[::2], grads[::2]):
+            g += 2.0 * lam * w
     return grads
 
 
@@ -437,10 +397,8 @@ def save_weights(spec: NetworkSpec, params: Parameters, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for lp in params.layers:
-            if lp is not None:
-                fh.write(np.ascontiguousarray(lp.weight, dtype="<f4"))
-                fh.write(np.ascontiguousarray(lp.bias, dtype="<f4"))
+        for array in params:
+            fh.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
 def _table_mismatch(listed, table: list[dict]) -> str:
@@ -528,11 +486,7 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
             raise WeightsFormatError("truncated tensor payload", size)
         if size > end:
             raise WeightsFormatError(f"{size - end} unexpected trailing bytes", end)
-        arrays = [
+        return spec, [
             np.fromfile(fh, dtype="<f4", count=math.prod(t["shape"])).reshape(t["shape"])
             for t in table
         ]
-    params = Parameters([None] * len(spec.layers))
-    for t, weight, bias in zip(table[::2], arrays[::2], arrays[1::2]):
-        params.layers[t["layer"]] = LayerParams(weight, bias)
-    return spec, params

@@ -1,6 +1,9 @@
 """Parameter update rules: SGD, Adam, and Adamax.
 
-L2 regularization is not applied here; it reaches the updates through the
+Parameters, gradients and moments are flat lists of arrays in the order
+of the weights file's tensor table, one moment array per tensor.  A step
+returns fresh parameter arrays and never writes its input arrays.  L2
+regularization is not applied here; it reaches the updates through the
 loss gradient, so the optimizer sees a single gradient tensor per weight.
 """
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import LayerParams, Parameters
+from .network import Parameters
 
 ALGORITHMS = ("sgd", "adam", "adamax")
 BETA1 = 0.9  # first-moment decay
@@ -36,24 +39,15 @@ class OptimizerState:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
 
 
-def _init_slots(state: OptimizerState, params: Parameters) -> None:
-    for lp in params.layers:
-        if lp is None:
-            state.m.append(None)
-            state.v.append(None)
-        else:
-            state.m.append(
-                (np.zeros_like(lp.weight), np.zeros_like(lp.bias))
-            )
-            state.v.append(
-                (np.zeros_like(lp.weight), np.zeros_like(lp.bias))
-            )
-
-
 def step(
     state: OptimizerState, params: Parameters, gradients: Parameters
 ) -> tuple[Parameters, OptimizerState]:
     """One update over all tensors; returns fresh parameter arrays.
+
+    ``params`` and ``gradients`` are read, never written; only the
+    moments in ``state`` (one array per tensor) update in place.  A
+    gradient list whose length differs from the parameters' is a
+    ValueError.
 
     Adam:   m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
             w <- w - lr * mhat / (sqrt(vhat) + eps)   (bias-corrected)
@@ -62,35 +56,27 @@ def step(
     SGD:    w <- w - lr * g
     """
     if not state.m:
-        _init_slots(state, params)
+        state.m = [np.zeros_like(w) for w in params]
+        state.v = [np.zeros_like(w) for w in params]
     state.t += 1
-    out = Parameters([None] * len(params.layers))
-    for i, (lp, gp) in enumerate(zip(params.layers, gradients.layers)):
-        if lp is None:
+    out: Parameters = []
+    for k, (w, g, m, v) in enumerate(zip(params, gradients, state.m, state.v, strict=True)):
+        if not np.all(np.isfinite(g)):
+            name = "bias" if k % 2 else "weight"
+            raise FloatingPointError(f"non-finite gradient for tensor {k} ({name})")
+        if state.algorithm == "sgd":
+            out.append(w - state.learning_rate * g)
             continue
-        new = []
-        for slot, (w, g) in enumerate(((lp.weight, gp.weight), (lp.bias, gp.bias))):
-            if not np.all(np.isfinite(g)):
-                name = "weight" if slot == 0 else "bias"
-                raise FloatingPointError(
-                    f"non-finite gradient for layer {i} {name}"
-                )
-            if state.algorithm == "sgd":
-                new.append(w - state.learning_rate * g)
-                continue
-            m = state.m[i][slot]
-            v = state.v[i][slot]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            if state.algorithm == "adam":
-                v *= BETA2
-                v += (1.0 - BETA2) * np.square(g)
-                mhat = m / (1.0 - BETA1**state.t)
-                vhat = v / (1.0 - BETA2**state.t)
-                new.append(w - state.learning_rate * mhat / (np.sqrt(vhat) + EPSILON))
-            else:  # adamax
-                np.maximum(BETA2 * v, np.abs(g), out=v)
-                scale = state.learning_rate / (1.0 - BETA1**state.t)
-                new.append(w - scale * m / (v + EPSILON))
-        out.layers[i] = LayerParams(new[0], new[1])
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        if state.algorithm == "adam":
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            mhat = m / (1.0 - BETA1**state.t)
+            vhat = v / (1.0 - BETA2**state.t)
+            out.append(w - state.learning_rate * mhat / (np.sqrt(vhat) + EPSILON))
+        else:  # adamax
+            np.maximum(BETA2 * v, np.abs(g), out=v)
+            scale = state.learning_rate / (1.0 - BETA1**state.t)
+            out.append(w - scale * m / (v + EPSILON))
     return out, state

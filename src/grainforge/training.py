@@ -438,7 +438,7 @@ def train_arrays(
     )
 
     history = TrainingHistory()
-    best_params = params.copy()
+    best_params = params
     stale_epochs = 0
 
     for epoch in range(config.epochs):
@@ -469,7 +469,7 @@ def train_arrays(
 
         history.best_epoch = best_epoch(rec.val_loss for rec in history.epochs)
         if history.best_epoch == epoch:
-            best_params = params.copy()
+            best_params = params
             stale_epochs = 0
         else:
             stale_epochs += 1

@@ -21,7 +21,7 @@ from conftest import random_image
 from test_explain import exact_shapley
 from test_imaging import exhaustive_otsu, square_fixture, square_perimeter
 from test_metrics import mann_whitney_auc
-from test_network import finite_difference_gradients, layer_param_counts, mini_spec
+from test_network import finite_difference_gradients, infer_shapes, layer_param_counts, mini_spec
 
 
 def verdict(criterion: str, ok: bool, detail: str, started: float) -> None:
@@ -34,7 +34,7 @@ def test_criterion_1_parameter_counts():
     t0 = time.time()
     spec = network.build_rice_cnn()
     counts = layer_param_counts(spec)
-    shapes = network.infer_shapes(spec)
+    shapes = infer_shapes(spec)
     ok = (
         counts == [896, 0, 18496, 0, 0, 247840, 165]
         and sum(counts) == 267_397
@@ -68,14 +68,11 @@ def test_criterion_2_gradient_correctness():
         _, cache = network.forward(spec, params, batch)
         analytic = network.backward(spec, params, cache, onehot, lam)
         numeric = finite_difference_gradients(spec, params, batch, onehot, lam, h=1e-5)
-        for lp, fd in zip(analytic.layers, numeric):
-            if lp is None:
-                continue
-            for ga, gn in ((lp.weight, fd[0]), (lp.bias, fd[1])):
-                rel = np.abs(ga - gn) / np.maximum.reduce(
-                    [np.abs(ga), np.abs(gn), np.full_like(gn, 1e-6)]
-                )
-                worst = max(worst, float(rel.max()))
+        for ga, gn in zip(analytic, numeric, strict=True):
+            rel = np.abs(ga - gn) / np.maximum.reduce(
+                [np.abs(ga), np.abs(gn), np.full_like(gn, 1e-6)]
+            )
+            worst = max(worst, float(rel.max()))
     elapsed_ok = time.time() - t0 < 120
     verdict(
         "criterion 2 (gradient check)",
@@ -326,19 +323,14 @@ def test_criterion_9_determinism_and_persistence(tmp_path, rng):
         saved.append(params)
     identical_history = histories[0] == histories[1]
     identical_weights = all(
-        np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
-        for a, b in zip(saved[0].layers, saved[1].layers)
-        if a is not None
+        np.array_equal(a, b) for a, b in zip(saved[0], saved[1], strict=True)
     )
 
     weights_path = tmp_path / "weights.gfw"
     network.save_weights(spec, saved[0], weights_path)
     _, loaded = network.load_weights(weights_path)
     round_trip = all(
-        np.array_equal(a.weight.astype(np.float32), b.weight)
-        and np.array_equal(a.bias.astype(np.float32), b.bias)
-        for a, b in zip(saved[0].layers, loaded.layers)
-        if a is not None
+        np.array_equal(a.astype(np.float32), b) for a, b in zip(saved[0], loaded, strict=True)
     )
 
     group_ok = True

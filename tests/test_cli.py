@@ -311,11 +311,11 @@ class TestEvaluate:
             num_classes=2,
         )
         params = network.init_parameters(spec, Rng(0), dtype=np.float32)
-        lp = params.layers[1]
-        lp.weight[:] = 0.0
+        weight, bias = params
+        weight[:] = 0.0
         # class order is lexicographic: bright = 0, dark = 1
-        lp.weight[:, 0] = 1.0  # logit 0 grows with brightness
-        lp.bias[:] = np.array([-7.8, 0.0], dtype=np.float32)
+        weight[:, 0] = 1.0  # logit 0 grows with brightness
+        bias[:] = np.array([-7.8, 0.0], dtype=np.float32)
         weights = tmp_path / "oracle.gfw"
         network.save_weights(spec, params, weights)
 
@@ -876,6 +876,20 @@ class TestConfig:
         assert getattr(resolve_config(args), key) == limit
         help_text = " ".join(subcommand_parsers()["explain"].format_help().split())
         assert f"1 to {limit}" in help_text
+
+    @pytest.mark.parametrize(
+        "content", [b"[" * 100_000, b'{"seed": "\xff"}'], ids=["deep-nesting", "bad-utf8"]
+    )
+    def test_unreadable_config_file_is_a_usage_error_naming_it(
+        self, tmp_path, capsys, monkeypatch, content
+    ):
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "deep.json"
+        config.write_bytes(content)
+        code, stdout, stderr = run_cli(capsys, *REQUIRED_ARGS["explain"], "--config", str(config))
+        assert code == 2
+        assert stdout == ""
+        assert f"config file {config} is not valid JSON" in stderr
 
     @settings(
         max_examples=300, deadline=None,

@@ -67,6 +67,11 @@ def closed_form_param_count(spec):
     return total
 
 
+def infer_shapes(spec):
+    """Output shape after each layer; raises NetworkError on any mismatch."""
+    return [out_shape for _, out_shape, _, _ in network._layer_plan(spec)]
+
+
 def layer_param_counts(spec):
     """Trainable scalars per layer (0 for pool/flatten), from the stored tensor table."""
     counts = [0] * len(spec.layers)
@@ -81,7 +86,7 @@ def param_count(spec):
 
 def scalar_count(params):
     """Scalars held by the weight and bias arrays of ``params``."""
-    return sum(lp.weight.size + lp.bias.size for lp in params.layers if lp is not None)
+    return sum(p.size for p in params)
 
 
 class TestArchitectures:
@@ -100,7 +105,7 @@ class TestArchitectures:
         assert param_count(build_rice_cnn()) == 267_397
 
     def test_rice_shapes(self):
-        assert network.infer_shapes(build_rice_cnn()) == [
+        assert infer_shapes(build_rice_cnn()) == [
             (48, 48, 32),
             (24, 24, 32),
             (22, 22, 64),
@@ -113,7 +118,7 @@ class TestArchitectures:
     def test_disease_classes_and_first_conv(self):
         spec = build_disease_cnn()
         assert spec.num_classes == 4
-        assert network.infer_shapes(spec)[0] == (222, 222, 32)
+        assert infer_shapes(spec)[0] == (222, 222, 32)
 
     def test_disease_param_count_closed_form(self):
         spec = build_disease_cnn()
@@ -139,14 +144,14 @@ class TestArchitectures:
     def test_invalid_specs_rejected(self):
         empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
         with pytest.raises(NetworkError):
-            network.infer_shapes(empty)
+            infer_shapes(empty)
         no_softmax = NetworkSpec(
             input_shape=(1, 1, 4),
             layers=(LayerSpec("flatten"), LayerSpec("dense", units=2)),
             num_classes=2,
         )
         with pytest.raises(NetworkError, match="softmax"):
-            network.infer_shapes(no_softmax)
+            infer_shapes(no_softmax)
 
 
 class TestForward:
@@ -162,10 +167,8 @@ class TestForward:
     def test_zero_params_uniform(self, rng):
         spec = mini_spec(num_classes=5)
         params = network.init_parameters(spec, Rng(2))
-        for lp in params.layers:
-            if lp is not None:
-                lp.weight[:] = 0
-                lp.bias[:] = 0
+        for p in params:
+            p[:] = 0
         probs, _ = network.forward(spec, params, rng.normal(0, 1, (3, 8, 8, 1)))
         assert np.array_equal(probs, np.full((3, 5), 0.2))
 
@@ -191,14 +194,14 @@ class TestForward:
 
 
 def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
-    """Probabilities and (dweight, dbias) per layer in the original layer order.
+    """Probabilities and the gradients, in tensor-table order, in the original layer order.
 
     ReLU runs straight after its conv and the pool follows, with the input
     gradient computed at every conv; the network pools first and applies
     ReLU to the pooled values.
     """
-    x, saved = batch, []
-    for layer, lp in zip(spec.layers, params.layers):
+    x, saved, tensors = batch, [], iter(params)
+    for layer in spec.layers:
         if layer.kind == "maxpool2d":
             out, argmax = tensor.maxpool2d_batch(x)
             saved.append((x.shape, argmax))
@@ -207,7 +210,7 @@ def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
             saved.append((x.shape, None))
         else:
             kernel = tensor.conv2d_batch if layer.kind == "conv2d" else tensor.dense_forward
-            pre = kernel(x, lp.weight, lp.bias)
+            pre = kernel(x, next(tensors), next(tensors))
             out = pre
             if layer.activation == "relu":
                 out = tensor.relu(pre)
@@ -217,7 +220,7 @@ def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
         x = out
     probs = x
     dout = (probs - onehot.astype(probs.dtype)) / len(probs)
-    grads = [None] * len(spec.layers)
+    grads, weights = [], iter(params[-2::-2])
     for i in range(len(spec.layers) - 1, -1, -1):
         layer, (a, b) = spec.layers[i], saved[i]
         if layer.kind == "maxpool2d":
@@ -228,9 +231,9 @@ def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
             if layer.activation == "relu":
                 dout = tensor.relu_backward(b, dout)
             kernel = tensor.conv2d_backward if layer.kind == "conv2d" else tensor.dense_backward
-            w = params.layers[i].weight
+            w = next(weights)
             dout, dw, db = kernel(a, w, dout)
-            grads[i] = (dw + 2.0 * lam * w if lam else dw, db)
+            grads[:0] = (dw + 2.0 * lam * w if lam else dw, db)
     return probs, grads
 
 
@@ -245,10 +248,10 @@ def model_inputs(spec, params, case, batch_size, rng):
         batch = np.repeat(np.repeat(coarse, 4, axis=1), 4, axis=2)[:, :h, :w].astype(float)
     elif case == "non_positive":
         # even conv channels sit far below zero, so every pool window there is negative
-        params = params.copy()
-        for layer, lp in zip(spec.layers, params.layers):
-            if layer.kind == "conv2d":
-                lp.bias[::2] = -1e3
+        params = [p.copy() for p in params]
+        for entry, p in zip(network._tensor_table(spec), params):
+            if entry["name"] == "bias" and spec.layers[entry["layer"]].kind == "conv2d":
+                p[::2] = -1e3
     elif case == "zeros":
         batch = np.zeros(shape)
     elif case == "nan":
@@ -292,11 +295,8 @@ class TestLayerOrderAndInference:
         grads = network.backward(spec, params, cache, onehot, lam=1e-3)
         want_probs, want = relu_then_pool_reference(spec, params, batch, onehot, lam=1e-3)
         assert np.array_equal(probs, want_probs)
-        for got, expect in zip(grads.layers, want):
-            if expect is None:
-                assert got is None
-                continue
-            assert np.array_equal(got.weight, expect[0]) and np.array_equal(got.bias, expect[1])
+        for got, expect in zip(grads, want, strict=True):
+            assert np.array_equal(got, expect)
 
 
 class TestLoss:
@@ -319,9 +319,8 @@ class TestLoss:
     def test_zero_weights_no_penalty(self):
         spec = mini_spec()
         params = network.init_parameters(spec, Rng(8))
-        for lp in params.layers:
-            if lp is not None:
-                lp.weight[:] = 0
+        for w in params[::2]:
+            w[:] = 0
         probs = np.full((1, 3), 1 / 3)
         onehot = np.array([[1.0, 0.0, 0.0]])
         with_l2 = network.loss(probs, onehot, params, 0.5)
@@ -331,27 +330,21 @@ class TestLoss:
 
 def finite_difference_gradients(spec, params, batch, onehot, lam, h=1e-5):
     grads = []
-    for lp in params.layers:
-        if lp is None:
-            grads.append(None)
-            continue
-        pair = []
-        for arr in (lp.weight, lp.bias):
-            g = np.zeros_like(arr)
-            flat = arr.ravel()
-            gflat = g.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                up, _ = network.forward(spec, params, batch)
-                lu = network.loss(up, onehot, params, lam)
-                flat[i] = orig - h
-                dn, _ = network.forward(spec, params, batch)
-                ld = network.loss(dn, onehot, params, lam)
-                flat[i] = orig
-                gflat[i] = (lu - ld) / (2 * h)
-            pair.append(g)
-        grads.append(pair)
+    for arr in params:
+        g = np.zeros_like(arr)
+        flat = arr.ravel()
+        gflat = g.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up, _ = network.forward(spec, params, batch)
+            lu = network.loss(up, onehot, params, lam)
+            flat[i] = orig - h
+            dn, _ = network.forward(spec, params, batch)
+            ld = network.loss(dn, onehot, params, lam)
+            flat[i] = orig
+            gflat[i] = (lu - ld) / (2 * h)
+        grads.append(g)
     return grads
 
 
@@ -366,14 +359,11 @@ class TestBackward:
         analytic = network.backward(spec, params, cache, onehot, lam)
         numeric = finite_difference_gradients(spec, params, batch, onehot, lam)
         worst = 0.0
-        for lp, fd in zip(analytic.layers, numeric):
-            if lp is None:
-                continue
-            for ga, gn in ((lp.weight, fd[0]), (lp.bias, fd[1])):
-                rel = np.abs(ga - gn) / np.maximum.reduce(
-                    [np.abs(ga), np.abs(gn), np.full_like(gn, 1e-6)]
-                )
-                worst = max(worst, float(rel.max()))
+        for ga, gn in zip(analytic, numeric, strict=True):
+            rel = np.abs(ga - gn) / np.maximum.reduce(
+                [np.abs(ga), np.abs(gn), np.full_like(gn, 1e-6)]
+            )
+            worst = max(worst, float(rel.max()))
         assert worst < 1e-4
 
     def test_zero_residual_zero_gradients(self, rng):
@@ -382,10 +372,8 @@ class TestBackward:
         batch = rng.normal(0, 1, (2, 8, 8, 1))
         probs, cache = network.forward(spec, params, batch)
         grads = network.backward(spec, params, cache, probs, lam=0.0)
-        for lp in grads.layers:
-            if lp is not None:
-                assert np.all(lp.weight == 0)
-                assert np.all(lp.bias == 0)
+        for g in grads:
+            assert np.all(g == 0)
 
     def test_l2_term_is_2_lam_w(self, rng):
         spec = mini_spec()
@@ -396,11 +384,10 @@ class TestBackward:
         _, cache = network.forward(spec, params, batch)
         without = network.backward(spec, params, cache, onehot, 0.0)
         with_l2 = network.backward(spec, params, cache, onehot, lam)
-        for lp, g0, g1 in zip(params.layers, without.layers, with_l2.layers):
-            if lp is None:
-                continue
-            assert np.allclose(g1.weight - g0.weight, 2 * lam * lp.weight, atol=1e-15)
-            assert np.array_equal(g1.bias, g0.bias)
+        for w, g0, g1 in zip(params[::2], without[::2], with_l2[::2], strict=True):
+            assert np.allclose(g1 - g0, 2 * lam * w, atol=1e-15)
+        for b0, b1 in zip(without[1::2], with_l2[1::2], strict=True):
+            assert np.array_equal(b1, b0)
 
     def test_one_adam_step_decreases_loss(self, rng):
         spec = mini_spec()
@@ -426,12 +413,8 @@ class TestSerialization:
         spec2, params2 = network.load_weights(path)
         assert spec2 == spec
         assert param_count(spec2) == 267_397
-        for a, b in zip(params.layers, params2.layers):
-            if a is None:
-                assert b is None
-                continue
-            assert np.array_equal(a.weight, b.weight)
-            assert np.array_equal(a.bias, b.bias)
+        for a, b in zip(params, params2, strict=True):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("spec", [mini_spec(), recorded_spec()], ids=["plain", "recorded"])
     def test_save_load_save_identical_bytes(self, tmp_path, spec):
@@ -448,7 +431,7 @@ class TestSerialization:
         plain, recorded = tmp_path / "plain.gfw", tmp_path / "recorded.gfw"
         network.save_weights(mini_spec(), params, plain)
         network.save_weights(recorded_spec(), params, recorded)
-        payload = sum(4 * (lp.weight.size + lp.bias.size) for lp in params.layers if lp)
+        payload = 4 * scalar_count(params)
         assert plain.read_bytes()[-payload:] == recorded.read_bytes()[-payload:]
         (header_len,) = struct.unpack("<Q", recorded.read_bytes()[4:12])
         header = json.loads(recorded.read_bytes()[12 : 12 + header_len])
@@ -461,7 +444,23 @@ class TestSerialization:
     def test_empty_spec_rejected_at_save(self, tmp_path):
         empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
         with pytest.raises(NetworkError):
-            network.save_weights(empty, network.Parameters([]), tmp_path / "x.gfw")
+            network.save_weights(empty, [], tmp_path / "x.gfw")
+
+    @pytest.mark.parametrize("edit", ["missing", "extra", "swapped"])
+    def test_params_off_the_tensor_table_rejected_at_save(self, tmp_path, edit):
+        spec = mini_spec()
+        params = network.init_parameters(spec, Rng(13), dtype=np.float32)
+        if edit == "missing":
+            params = params[:-1]
+        elif edit == "extra":
+            params = [*params, np.zeros(3, dtype=np.float32)]
+        else:
+            params[0], params[1] = params[1], params[0]
+        expected = [tuple(t["shape"]) for t in network._tensor_table(spec)]
+        path = tmp_path / "x.gfw"
+        with pytest.raises(NetworkError, match=re.escape(f"expected {expected}")):
+            network.save_weights(spec, params, path)
+        assert not path.exists()
 
     def test_truncated_file_errors(self, tmp_path):
         spec = mini_spec()

@@ -217,10 +217,8 @@ class TestTrainLoop:
                           learning_rate=0.0, dtype="f64")
         params, _ = training.train_arrays(spec, x, y, x[:4], y[:4], cfg)
         fresh = network.init_parameters(spec, Rng(3).child("init"), dtype=np.float64)
-        for a, b in zip(params.layers, fresh.layers):
-            if a is not None:
-                assert np.array_equal(a.weight, b.weight)
-                assert np.array_equal(a.bias, b.bias)
+        for a, b in zip(params, fresh, strict=True):
+            assert np.array_equal(a, b)
 
     def test_determinism_same_seed(self, rng):
         spec = flat_spec()
@@ -231,10 +229,8 @@ class TestTrainLoop:
         p2, h2 = training.train_arrays(spec, x, y, x[:6], y[:6], cfg)
         assert len(h1.epochs) == 3
         assert h1.epochs == h2.epochs
-        for a, b in zip(p1.layers, p2.layers):
-            if a is not None:
-                assert np.array_equal(a.weight, b.weight)
-                assert np.array_equal(a.bias, b.bias)
+        for a, b in zip(p1, p2, strict=True):
+            assert np.array_equal(a, b)
 
     def test_best_params_reproduce_best_val_loss(self, rng):
         spec = flat_spec()
@@ -319,9 +315,9 @@ class TestEvaluate:
     def test_constant_class0_model_on_balanced_set(self, rng):
         spec = flat_spec(num_classes=2)
         params = network.init_parameters(spec, Rng(1), dtype=np.float64)
-        lp = params.layers[1]
-        lp.weight[:] = 0
-        lp.bias[:] = np.array([5.0, 0.0])  # always predicts class 0
+        weight, bias = params
+        weight[:] = 0
+        bias[:] = np.array([5.0, 0.0])  # always predicts class 0
         x = rng.normal(0, 1, (10, 4, 4, 1))
         y = np.array([0, 1] * 5)
         result = training.evaluate_arrays(spec, params, x, y)
@@ -332,11 +328,11 @@ class TestEvaluate:
     def test_perfect_oracle_is_diagonal(self):
         spec = flat_spec(num_classes=2)
         params = network.init_parameters(spec, Rng(2), dtype=np.float64)
-        lp = params.layers[1]
+        weight, bias = params
         # brightness readout: dark images to class 0, bright to class 1
-        lp.weight[:, 0] = -1.0
-        lp.weight[:, 1] = 1.0
-        lp.bias[:] = 0.0
+        weight[:, 0] = -1.0
+        weight[:, 1] = 1.0
+        bias[:] = 0.0
         dark = np.full((3, 4, 4, 1), -1.0)
         bright = np.full((3, 4, 4, 1), 1.0)
         x = np.concatenate([dark, bright])
@@ -356,9 +352,9 @@ class TestEvaluate:
     def test_argmax_tie_goes_to_lowest_class(self):
         spec = flat_spec(num_classes=2)
         params = network.init_parameters(spec, Rng(4), dtype=np.float64)
-        lp = params.layers[1]
-        lp.weight[:] = 0.0
-        lp.bias[:] = 0.0  # exact 0.5/0.5 tie
+        weight, bias = params
+        weight[:] = 0.0
+        bias[:] = 0.0  # exact 0.5/0.5 tie
         x = np.zeros((4, 4, 4, 1))
         y = np.array([1, 1, 1, 1])
         result = training.evaluate_arrays(spec, params, x, y)
