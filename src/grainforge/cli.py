@@ -242,6 +242,8 @@ def _model_closure(spec, params, cfg):
     def model(image: imaging.Image) -> np.ndarray:
         x = imaging.normalize(training.preprocess(image, spec, cfg)).astype(dtype)
         probs, _ = network.forward(spec, params, x, train=False)
+        if not np.isfinite(probs).all():  # finite weights can still overflow float32
+            raise ValueError("class probabilities are not finite")
         return np.asarray(probs, dtype=np.float64)
 
     return model
@@ -282,7 +284,7 @@ def cmd_explain(args) -> int:
             break
 
     if cfg.method == "lime":
-        attribution, highlight = explain_mod.lime_explain(
+        weights, highlight = explain_mod.lime_explain(
             model,
             image,
             superpixels,
@@ -295,23 +297,17 @@ def cmd_explain(args) -> int:
             baseline=baseline,
         )
         heatmap = explain_mod.render_lime_heatmap(image, superpixels, highlight)
-        heatmap_path = out_dir / f"{stem}.lime.ppm"
-        csv_path = out_dir / f"{stem}.lime.csv"
+        method = "lime"
     else:
-        attribution = explain_mod.kernel_shap(
-            model,
-            image,
-            superpixels,
-            target,
-            baseline=baseline,
-            n_samples=cfg.samples,
-            rng=rng,
+        weights = explain_mod.kernel_shap(
+            model, image, superpixels, target, baseline=baseline, n_samples=cfg.samples, rng=rng
         )
-        heatmap = explain_mod.render_shap_heatmap(image, superpixels, attribution)
-        heatmap_path = out_dir / f"{stem}.shap.ppm"
-        csv_path = out_dir / f"{stem}.shap.csv"
+        heatmap = explain_mod.render_shap_heatmap(image, superpixels, weights)
+        method = "kernel_shap"
 
-    explain_mod.write_attribution_csv(csv_path, attribution)
+    csv_path = out_dir / f"{stem}.{cfg.method}.csv"
+    heatmap_path = out_dir / f"{stem}.{cfg.method}.ppm"
+    explain_mod.write_attribution_csv(csv_path, weights, target, method)
     imaging.write_image(heatmap, heatmap_path)
     _emit(csv_path)
     _emit(heatmap_path)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .imaging import Image, label_components
+from .imaging import Image, label_components, overlap
 from .rng import Rng
 
 Model = Callable[[Image], np.ndarray]
@@ -32,13 +32,6 @@ Model = Callable[[Image], np.ndarray]
 class SuperpixelMap:
     labels: np.ndarray  # (H,W) int32, values in [0, count)
     count: int
-
-
-@dataclass(frozen=True, eq=False)
-class Attribution:
-    weights: np.ndarray  # one weight per segment
-    class_index: int
-    method: str  # lime | kernel_shap
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +241,7 @@ def lime_explain(
     top_k: int = 5,
     rng: Rng | None = None,
     baseline: tuple[int, ...] | None = None,
-) -> tuple[Attribution, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Weighted ridge surrogate over mask perturbations.
 
     Returns the per-segment coefficients and the highlight mask of the
@@ -294,13 +287,10 @@ def lime_explain(
         ) from exc
 
     coefficients = beta[1:]
-    order = np.argsort(-coefficients, kind="stable")
+    top = np.argsort(-coefficients, kind="stable")[:top_k]
     highlight = np.zeros(m, dtype=bool)
-    for idx in order[:top_k]:
-        if coefficients[idx] > 0:
-            highlight[idx] = True
-    attribution = Attribution(weights=coefficients, class_index=class_index, method="lime")
-    return attribution, highlight
+    highlight[top[coefficients[top] > 0]] = True
+    return coefficients, highlight
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +348,7 @@ def kernel_shap(
     baseline: tuple[int, ...] | None = None,
     n_samples: int = 2048,
     rng: Rng | None = None,
-) -> Attribution:
+) -> np.ndarray:
     """Per-superpixel Shapley attributions of one class probability."""
     if baseline is None:
         baseline = mean_baseline(image)
@@ -366,8 +356,7 @@ def kernel_shap(
     def value(mask: np.ndarray) -> float:
         return float(model(perturb(image, superpixels, mask, baseline))[class_index])
 
-    phi = kernel_shap_values(value, superpixels.count, n_samples=n_samples, rng=rng)
-    return Attribution(weights=phi, class_index=class_index, method="kernel_shap")
+    return kernel_shap_values(value, superpixels.count, n_samples=n_samples, rng=rng)
 
 
 def _sample_coalitions(m: int, n_samples: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
@@ -375,11 +364,11 @@ def _sample_coalitions(m: int, n_samples: int, rng: Rng) -> tuple[np.ndarray, np
     size_weight = np.array(
         [math.comb(m, s) * _shapley_kernel_weight(m, s) for s in range(1, m)]
     )
-    size_prob = size_weight / size_weight.sum()
+    cumulative = np.cumsum(size_weight / size_weight.sum())
     counts: dict[tuple, float] = {}
     pairs = max(1, n_samples // 2)
     for _ in range(pairs):
-        size = 1 + int(np.searchsorted(np.cumsum(size_prob), rng.random()))
+        size = 1 + int(np.searchsorted(cumulative, rng.random()))
         members = rng.permutation(m)[:size]
         mask = np.zeros(m, dtype=np.float64)
         mask[members] = 1.0
@@ -433,15 +422,11 @@ def _highlight_boundary(superpixels: SuperpixelMap, highlight: np.ndarray) -> np
     """Pixels inside highlighted segments with a 4-neighbor outside them."""
     hl = highlight[superpixels.labels]
     boundary = np.zeros_like(hl)
-    h, w = hl.shape
-    for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        shifted = np.zeros_like(hl)
-        ys = slice(max(dy, 0), h + min(dy, 0))
-        ye = slice(max(-dy, 0), h + min(-dy, 0))
-        xs = slice(max(dx, 0), w + min(dx, 0))
-        xe = slice(max(-dx, 0), w + min(-dx, 0))
-        shifted[ye, xe] = ~hl[ys, xs]
-        boundary |= hl & shifted
+    for dy, dx in ((0, 1), (1, 0)):
+        a, b = overlap(hl, dy, dx)
+        edge_a, edge_b = overlap(boundary, dy, dx)  # views: |= writes into boundary
+        edge_a |= a & ~b
+        edge_b |= b & ~a
     return boundary
 
 
@@ -455,18 +440,16 @@ def render_lime_heatmap(
     return Image.from_array(rgb)
 
 
-def render_shap_heatmap(
-    image: Image, superpixels: SuperpixelMap, attribution: Attribution
-) -> Image:
+def render_shap_heatmap(image: Image, superpixels: SuperpixelMap, weights: np.ndarray) -> Image:
     """Red-positive / blue-negative overlay scaled by |weight| / max |weight|.
 
     The per-pixel blend factor is 0.5 at the strongest segment, fading to
     0 for zero-weight segments, so an all-zero attribution is a no-op.
     """
     rgb = _ensure_rgb(image).astype(np.float64)
-    peak = float(np.max(np.abs(attribution.weights))) if len(attribution.weights) else 0.0
+    peak = float(np.max(np.abs(weights))) if len(weights) else 0.0
     if peak > 0:
-        norm = attribution.weights / peak
+        norm = weights / peak
         strength = np.abs(norm)[superpixels.labels]
         color = np.where(
             (norm > 0)[superpixels.labels][:, :, None],
@@ -478,10 +461,11 @@ def render_shap_heatmap(
     return Image.from_array(np.clip(np.floor(rgb + 0.5), 0, 255).astype(np.uint8))
 
 
-def write_attribution_csv(path, attribution: Attribution) -> None:
+def write_attribution_csv(path, weights: np.ndarray, class_index: int, method: str) -> None:
+    """One weight per segment, then the explained class and the method (lime | kernel_shap)."""
     with open(path, "w", newline="") as fh:
         fh.write("segment_id,weight\n")
-        for i, weight in enumerate(attribution.weights):
+        for i, weight in enumerate(weights):
             fh.write(f"{i},{float(weight)!r}\n")
-        fh.write(f"class,{attribution.class_index}\n")
-        fh.write(f"method,{attribution.method}\n")
+        fh.write(f"class,{class_index}\n")
+        fh.write(f"method,{method}\n")

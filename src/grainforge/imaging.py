@@ -280,7 +280,7 @@ def otsu_threshold(image: Image) -> int:
     return best_t
 
 
-def _overlap(arr: np.ndarray, dy: int, dx: int) -> tuple[np.ndarray, np.ndarray]:
+def overlap(arr: np.ndarray, dy: int, dx: int) -> tuple[np.ndarray, np.ndarray]:
     """``arr`` and ``arr`` shifted by (dy, dx), both cut to where they overlap."""
     h, w = arr.shape
     return arr[: h - dy, max(-dx, 0) : w - max(dx, 0)], arr[dy:, max(dx, 0) : w + min(dx, 0)]
@@ -308,10 +308,10 @@ def label_components(
     pairs = []
     # right and down, plus both lower diagonals for 8-connectivity
     for dy, dx in ((0, 1), (1, 0), (1, 1), (1, -1))[: connectivity // 2]:
-        joined = np.logical_and(*_overlap(mask, dy, dx))
+        joined = np.logical_and(*overlap(mask, dy, dx))
         if values is not None:
-            joined &= np.equal(*_overlap(values, dy, dx))
-        pairs.append(np.stack(_overlap(index, dy, dx))[:, joined])
+            joined &= np.equal(*overlap(values, dy, dx))
+        pairs.append(np.stack(overlap(index, dy, dx))[:, joined])
     a, b = np.concatenate(pairs, axis=1)
     parent = flat.copy()
     while (split := parent[a] != parent[b]).any():

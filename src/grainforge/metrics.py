@@ -1,11 +1,11 @@
 """Classification metrics: confusion matrices, per-class scores, ROC/AUC.
 
-Confusion matrices are oriented rows = true class, columns = predicted
-class.  The ROC is micro-averaged: every (sample, class) pair enters a
-pooled one-vs-rest sweep, ties are grouped at distinct score values, and
-the area accumulates exactly over integer counts before a single final
-division, so the trapezoid AUC matches the Mann-Whitney pairwise
-statistic to the last bit.
+A confusion matrix is a plain (K,K) int64 array, rows = true class,
+columns = predicted class.  The ROC is micro-averaged: every (sample,
+class) pair enters a pooled one-vs-rest sweep, ties are grouped at
+distinct score values, and the area accumulates exactly over integer
+counts before a single final division, so the trapezoid AUC matches the
+Mann-Whitney pairwise statistic to the last bit.
 """
 
 from __future__ import annotations
@@ -14,19 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class ConfusionMatrix:
-    counts: np.ndarray  # (K,K) int64, rows true, columns predicted
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)
@@ -43,29 +30,29 @@ class RocCurve:
     auc: float
 
 
-def confusion_from_pairs(truths, predictions, num_classes: int) -> ConfusionMatrix:
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(truths, predictions):
-        counts[t, p] += 1
-    return ConfusionMatrix(counts)
+def confusion_from_pairs(truths, predictions, num_classes: int) -> np.ndarray:
+    truths = np.asarray(truths, dtype=np.int64)
+    predictions = np.asarray(predictions, dtype=np.int64)
+    counts = np.bincount(truths * num_classes + predictions, minlength=num_classes**2)
+    return counts.reshape(num_classes, num_classes)
 
 
-def accuracy(cm: ConfusionMatrix) -> float:
-    total = cm.total
+def accuracy(cm: np.ndarray) -> float:
+    total = int(cm.sum())
     if total == 0:
         raise ValueError("confusion matrix is empty")
-    return float(np.trace(cm.counts)) / total
+    return float(np.trace(cm)) / total
 
 
-def class_report(cm: ConfusionMatrix) -> list[ClassScore]:
+def class_report(cm: np.ndarray) -> list[ClassScore]:
     """Per-class precision/recall/F1; zero denominators yield 0."""
-    if cm.num_classes < 2:
+    if len(cm) < 2:
         raise ValueError("class report needs at least two classes")
     scores = []
-    col_sums = cm.counts.sum(axis=0)
-    row_sums = cm.counts.sum(axis=1)
-    for k in range(cm.num_classes):
-        tp = int(cm.counts[k, k])
+    col_sums = cm.sum(axis=0)
+    row_sums = cm.sum(axis=1)
+    for k in range(len(cm)):
+        tp = int(cm[k, k])
         precision = tp / int(col_sums[k]) if col_sums[k] > 0 else 0.0
         recall = tp / int(row_sums[k]) if row_sums[k] > 0 else 0.0
         if precision + recall > 0:
@@ -94,6 +81,8 @@ def roc_micro(scores: np.ndarray, labels) -> RocCurve:
     positive[np.arange(n), labels] = True
 
     flat_scores = scores.ravel()
+    if not np.isfinite(flat_scores).all():
+        raise ValueError("ROC scores must be finite")
     flat_pos = positive.ravel()
     p = int(flat_pos.sum())
     q = flat_pos.size - p
@@ -102,24 +91,13 @@ def roc_micro(scores: np.ndarray, labels) -> RocCurve:
 
     order = np.argsort(-flat_scores, kind="stable")
     sorted_scores = flat_scores[order]
-    sorted_pos = flat_pos[order]
-
-    points = [(0.0, 0.0)]
-    # accumulate trapezoids over integer counts; divide once at the end
-    area2 = 0  # 2 * P * Q * AUC
-    tp = fp = 0
-    i = 0
-    while i < flat_pos.size:
-        j = i
-        while j < flat_pos.size and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        group_tp = int(sorted_pos[i:j].sum())
-        group_fp = (j - i) - group_tp
-        area2 += group_fp * (2 * tp + group_tp)
-        tp += group_tp
-        fp += group_fp
-        points.append((fp / q, tp / p))
-        i = j
+    # the last index of each group of equal scores, then the counts up to it
+    ends = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    tp = np.cumsum(flat_pos[order], dtype=np.int64)[ends]
+    fp = ends + 1 - tp
+    # integer trapezoids, 2 * P * Q * AUC in all; divide once at the end
+    area2 = int((np.diff(fp, prepend=0) * (tp + np.append(0, tp[:-1]))).sum())
+    points = [(0.0, 0.0), *zip((fp / q).tolist(), (tp / p).tolist())]
     return RocCurve(points=points, auc=area2 / (2 * p * q))
 
 
@@ -139,11 +117,11 @@ def write_metrics_csv(path, class_names, scores: list[ClassScore]) -> None:
         writer.writerow(["macro_f1", f"{macro_f1(scores):.6f}"])
 
 
-def write_confusion_csv(path, class_names, cm: ConfusionMatrix) -> None:
+def write_confusion_csv(path, class_names, cm: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", *class_names])
-        for name, row in zip(class_names, cm.counts):
+        for name, row in zip(class_names, cm):
             writer.writerow([name, *[int(v) for v in row]])
 
 

@@ -11,7 +11,8 @@ Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
 order, then each tensor's raw little-endian float32 values row-major.
 The header's tensor list must be exactly the table the layers imply (each
-parameterised layer's weight then bias, in layer order, integer shapes).
+parameterised layer's weight then bias, in layer order, integer shapes),
+and every tensor value must be finite.
 A trained model's header also records its preprocessing settings and
 class names; headers written before those keys existed still load.
 
@@ -486,7 +487,14 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
             raise WeightsFormatError("truncated tensor payload", size)
         if size > end:
             raise WeightsFormatError(f"{size - end} unexpected trailing bytes", end)
-        return spec, [
-            np.fromfile(fh, dtype="<f4", count=math.prod(t["shape"])).reshape(t["shape"])
-            for t in table
-        ]
+        arrays, offset = [], 12 + header_len
+        for k, t in enumerate(table):
+            values = np.fromfile(fh, dtype="<f4", count=math.prod(t["shape"]))
+            if not np.isfinite(values).all():
+                i = int(np.argmin(np.isfinite(values)))
+                raise WeightsFormatError(
+                    f"tensors[{k}] {t} holds the non-finite value {values[i]}", offset + 4 * i
+                )
+            arrays.append(values.reshape(t["shape"]))
+            offset += values.nbytes
+        return spec, arrays

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import imaging
 from .imaging import Image
-from .metrics import ConfusionMatrix, accuracy, confusion_from_pairs
+from .metrics import accuracy, confusion_from_pairs
 from .network import (
     NetworkSpec,
     Parameters,
@@ -309,7 +309,11 @@ HISTORY_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc")
 @dataclass
 class TrainingHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int | None = None  # index into epochs chosen by best_epoch()
+
+    @property
+    def best_epoch(self) -> int | None:
+        """Index into ``epochs`` of the epoch that ``best_epoch()`` picks."""
+        return best_epoch(r.val_loss for r in self.epochs)
 
 
 def best_epoch(val_losses) -> int | None:
@@ -359,13 +363,12 @@ def read_history(path) -> TrainingHistory:
                     f"expected a number, got {cells.get(column)!r}"
                 ) from None
         history.epochs.append(EpochRecord(**values))
-    history.best_epoch = best_epoch(rec.val_loss for rec in history.epochs)
     return history
 
 
 @dataclass
 class EvalResult:
-    confusion: ConfusionMatrix
+    confusion: np.ndarray  # (K,K) int64, rows true, columns predicted
     loss: float
     probabilities: np.ndarray
     labels: np.ndarray
@@ -398,9 +401,8 @@ def evaluate_arrays(
         total_ce += loss_fn(p, y, params, 0.0) * len(batch)
     mean_loss = total_ce / len(xs) + l2_penalty(params, lam)
     predictions = probs.argmax(axis=1)
-    cm = confusion_from_pairs(labels, predictions, k)
     return EvalResult(
-        confusion=cm,
+        confusion=confusion_from_pairs(labels, predictions, k),
         loss=float(mean_loss),
         probabilities=probs,
         labels=np.asarray(labels),
@@ -467,7 +469,6 @@ def train_arrays(
         )
         history.epochs.append(record)
 
-        history.best_epoch = best_epoch(rec.val_loss for rec in history.epochs)
         if history.best_epoch == epoch:
             best_params = params
             stale_epochs = 0

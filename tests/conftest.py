@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,30 @@ from grainforge.rng import Rng
 @pytest.fixture
 def rng():
     return Rng(20240917)
+
+
+class StillRunning(BaseException):
+    """Raised by ``time_limit``; no ``except Exception`` in the code under test swallows it."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the block, instead of hanging the suite, if it runs longer than ``seconds``.
+
+    SIGALRM interrupts Python code only in the main thread, which is where
+    pytest runs tests; a loop that never ends is then a test failure.
+    """
+
+    def interrupt(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_image(rng: Rng, width: int, height: int, channels: int = 3) -> Image:

@@ -16,7 +16,7 @@ from grainforge.cli import RunConfig, UsageError, build_parser, main, resolve_co
 from grainforge.imaging import Image
 from grainforge.rng import Rng
 
-from conftest import random_image
+from conftest import random_image, time_limit
 
 
 def run_cli(capsys, *argv):
@@ -290,6 +290,36 @@ class TestEvaluate:
         assert code == 1
         assert "ghost" in stderr
 
+    def test_non_finite_weights_exit_1_naming_the_offset(self, trained, tmp_path, capsys):
+        root, manifest, weights, _ = trained
+        spec, params = network.load_weights(weights)
+        params[-1][-1] = np.nan
+        bad = tmp_path / "nan.gfw"
+        network.save_weights(spec, params, bad)
+        with time_limit(60):
+            code, stdout, stderr = run_cli(
+                capsys,
+                "evaluate", "--weights", str(bad), "--manifest", str(manifest),
+                "--data-root", str(root), "--out-dir", str(tmp_path / "eval"),
+            )
+        assert (code, stdout) == (1, "")
+        assert f"non-finite value nan (byte offset {bad.stat().st_size - 4})" in stderr
+
+    def test_overflowing_weights_exit_1(self, trained, tmp_path, capsys):
+        # finite weights whose class probabilities overflow to NaN
+        root, manifest, weights, _ = trained
+        spec, params = network.load_weights(weights)
+        big = tmp_path / "big.gfw"
+        network.save_weights(spec, [np.full_like(p, 1e38) for p in params], big)
+        with time_limit(60), np.errstate(all="ignore"):
+            code, stdout, stderr = run_cli(
+                capsys,
+                "evaluate", "--weights", str(big), "--manifest", str(manifest),
+                "--data-root", str(root), "--out-dir", str(tmp_path / "eval"),
+            )
+        assert (code, stdout) == (1, "")
+        assert "ROC scores must be finite" in stderr
+
     def test_perfect_oracle_model_scores_all_ones(self, tmp_path, capsys):
         # two constant-brightness classes and a hand-built readout that
         # separates them exactly: every metric must come out 1.0
@@ -354,6 +384,41 @@ class TestExplain:
         assert heatmap.width == 50 and heatmap.channels == 3
         lines = csv_path.read_text().splitlines()
         assert lines[-1] == "method,lime"
+
+    @pytest.mark.parametrize("method", ["lime", "shap"])
+    def test_non_finite_weights_exit_1(self, trained, tmp_path, capsys, method):
+        root, _, weights, _ = trained
+        spec, params = network.load_weights(weights)
+        params[0][0, 0, 0, 1] = -np.inf
+        bad = tmp_path / "inf.gfw"
+        network.save_weights(spec, params, bad)
+        out_dir = tmp_path / "out"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(bad), "--image", self.image_path(root),
+            "--method", method, "--samples", "60", "--out-dir", str(out_dir),
+        )
+        (header_len,) = struct.unpack("<Q", bad.read_bytes()[4:12])
+        assert (code, stdout) == (1, "")
+        assert "tensors[0] {'layer': 0, 'name': 'weight'" in stderr
+        assert f"(byte offset {12 + header_len + 4})" in stderr
+        assert not out_dir.exists()
+
+    def test_overflowing_weights_exit_1(self, trained, tmp_path, capsys):
+        root, _, weights, _ = trained
+        spec, params = network.load_weights(weights)
+        big = tmp_path / "big.gfw"
+        network.save_weights(spec, [np.full_like(p, 1e38) for p in params], big)
+        out_dir = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code, stdout, stderr = run_cli(
+                capsys,
+                "explain", "--weights", str(big), "--image", self.image_path(root),
+                "--samples", "60", "--out-dir", str(out_dir),
+            )
+        assert (code, stdout) == (1, "")
+        assert "class probabilities are not finite" in stderr
+        assert not out_dir.exists()
 
     def test_shap_local_accuracy_from_csv(self, trained, tmp_path, capsys):
         root, _, weights, _ = trained
@@ -488,12 +553,12 @@ class TestRecordedPreprocessing:
             return np.asarray(probs, dtype=np.float64)
 
         superpixels = explain.slic_superpixels(image, 40, compactness=10.0, iters=10)
-        attribution, _ = explain.lime_explain(
+        weights, _ = explain.lime_explain(
             model, image, superpixels, 0, n_samples=60,
             kernel_width=0.25, ridge=1.0, top_k=5, rng=Rng(8),
             baseline=explain.mean_baseline(image),
         )
-        explain.write_attribution_csv(path, attribution)
+        explain.write_attribution_csv(path, weights, 0, "lime")
         return path.read_bytes()
 
     def test_header_records_settings_and_classes(self, trained, trained_canny):

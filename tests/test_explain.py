@@ -408,22 +408,22 @@ class TestLime:
     def test_flat_model_gives_zero_coefficients(self):
         image, spmap = banded_setup(4)
         model = mask_reading_model(image, spmap, lambda z: [0.37])
-        attribution, _ = explain.lime_explain(
+        weights, _ = explain.lime_explain(
             model, image, spmap, 0, n_samples=16, ridge=1e-8, rng=Rng(0),
             baseline=BASELINE,
         )
-        assert np.abs(attribution.weights).max() < 1e-9
+        assert np.abs(weights).max() < 1e-9
 
     def test_linear_model_recovered_exactly(self):
         m = 6
         image, spmap = banded_setup(m)
         c = np.array([0.05, -0.2, 0.4, 0.0, 0.15, -0.1])
         model = mask_reading_model(image, spmap, lambda z: [0.1 + float(c @ z)])
-        attribution, _ = explain.lime_explain(
+        weights, _ = explain.lime_explain(
             model, image, spmap, 0, n_samples=64, ridge=1e-8, rng=Rng(1),
             baseline=BASELINE,
         )
-        assert np.abs(attribution.weights - c).max() < 1e-6
+        assert np.abs(weights - c).max() < 1e-6
 
     def test_two_segment_normal_equations(self):
         # hand-specified value table over all four masks
@@ -433,7 +433,7 @@ class TestLime:
             image, spmap, lambda z: [table[(int(z[0]), int(z[1]))]]
         )
         sigma, lam = 0.25, 1e-8
-        attribution, _ = explain.lime_explain(
+        weights, _ = explain.lime_explain(
             model, image, spmap, 0, n_samples=4, kernel_width=sigma, ridge=lam,
             rng=Rng(2), baseline=BASELINE,
         )
@@ -446,7 +446,7 @@ class TestLime:
         design = np.hstack([np.ones((4, 1)), masks])
         gram = design.T @ (design * wts[:, None]) + lam * np.diag([0.0, 1.0, 1.0])
         beta = np.linalg.solve(gram, design.T @ (wts * f))
-        assert np.abs(attribution.weights - beta[1:]).max() < 1e-9
+        assert np.abs(weights - beta[1:]).max() < 1e-9
 
     def test_highlight_holds_most_positive_segments(self):
         m = 5
@@ -468,7 +468,7 @@ class TestLime:
             explain.lime_explain(model, image, spmap, 0, n_samples=n, rng=Rng(4), baseline=BASELINE)
             for n in (5, 6)
         )
-        assert np.array_equal(raised[0].weights, exact[0].weights)
+        assert np.array_equal(raised[0], exact[0])
         assert np.array_equal(raised[1], exact[1])
 
     def test_singular_system_suggests_ridge(self):
@@ -497,7 +497,7 @@ class TestLime:
         a2, _ = explain.lime_explain(
             model, image, spmap, 0, n_samples=64, rng=Rng(9), baseline=BASELINE
         )
-        assert np.array_equal(a1.weights, a2.weights)
+        assert np.array_equal(a1, a2)
 
 
 MAX_EXACT_PLAYERS = 12
@@ -565,10 +565,10 @@ class TestKernelShap:
         m = 5
         image, spmap = banded_setup(m)
         model = mask_reading_model(image, spmap, lambda z: [float(z.sum() ** 2)])
-        attribution = explain.kernel_shap(
+        weights = explain.kernel_shap(
             model, image, spmap, 0, baseline=BASELINE, n_samples=2**m, rng=Rng(0)
         )
-        assert np.abs(attribution.weights - attribution.weights[0]).max() < 1e-9
+        assert np.abs(weights - weights[0]).max() < 1e-9
 
     def test_null_player_gets_zero(self):
         m = 4
@@ -576,10 +576,10 @@ class TestKernelShap:
         model = mask_reading_model(
             image, spmap, lambda z: [float(z[0] + 0.5 * z[2] * z[3])]
         )
-        attribution = explain.kernel_shap(
+        weights = explain.kernel_shap(
             model, image, spmap, 0, baseline=BASELINE, n_samples=2**m, rng=Rng(1)
         )
-        assert abs(attribution.weights[1]) < 1e-9
+        assert abs(weights[1]) < 1e-9
 
     def test_full_enumeration_matches_exact_shapley(self, rng):
         m = 8
@@ -590,11 +590,11 @@ class TestKernelShap:
             return [float(table[int(sum(int(b) << i for i, b in enumerate(z)))])]
 
         model = mask_reading_model(image, spmap, lookup)
-        attribution = explain.kernel_shap(
+        weights = explain.kernel_shap(
             model, image, spmap, 0, baseline=BASELINE, n_samples=2**m, rng=Rng(2)
         )
         exact = exact_shapley(lambda z: lookup(z)[0], m)
-        assert np.abs(attribution.weights - exact).max() < 1e-6
+        assert np.abs(weights - exact).max() < 1e-6
 
     def test_sampled_mode_keeps_local_accuracy(self, rng):
         m = 12
@@ -605,11 +605,11 @@ class TestKernelShap:
             return [float(table[int(sum(int(b) << i for i, b in enumerate(z)))])]
 
         model = mask_reading_model(image, spmap, lookup)
-        attribution = explain.kernel_shap(
+        weights = explain.kernel_shap(
             model, image, spmap, 0, baseline=BASELINE, n_samples=256, rng=Rng(3)
         )
         delta = lookup(np.ones(m))[0] - lookup(np.zeros(m))[0]
-        assert attribution.weights.sum() == pytest.approx(delta, abs=1e-9)
+        assert weights.sum() == pytest.approx(delta, abs=1e-9)
 
     def test_rank_deficient_samples_keep_local_accuracy_on_a_cnn(self):
         # 100 sampled coalitions for 100 segments leave the reduced normal
@@ -625,21 +625,21 @@ class TestKernelShap:
         spmap = explain.slic_superpixels(image, 100)
         target = int(np.argmax(model(image)))
         baseline = explain.mean_baseline(image)
-        attribution = explain.kernel_shap(
+        weights = explain.kernel_shap(
             model, image, spmap, target, baseline=baseline, n_samples=100, rng=Rng(51)
         )
         empty = explain.perturb(image, spmap, np.zeros(spmap.count), baseline)
         delta = model(image)[target] - model(empty)[target]
-        assert abs(attribution.weights.sum() - delta) <= 1e-6
-        assert np.abs(attribution.weights).max() <= 1.0
+        assert abs(weights.sum() - delta) <= 1e-6
+        assert np.abs(weights).max() <= 1.0
 
     def test_single_segment_gets_the_delta(self):
         image, spmap = banded_setup(1)
         model = mask_reading_model(image, spmap, lambda z: [0.25 + 0.5 * float(z[0])])
-        attribution = explain.kernel_shap(
+        weights = explain.kernel_shap(
             model, image, spmap, 0, baseline=BASELINE, rng=Rng(4)
         )
-        assert attribution.weights[0] == pytest.approx(0.5, abs=1e-12)
+        assert weights[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_under_seed(self, rng):
         m = 12
@@ -651,7 +651,7 @@ class TestKernelShap:
         a2 = explain.kernel_shap(
             model, image, spmap, 0, baseline=BASELINE, n_samples=200, rng=Rng(7)
         )
-        assert np.array_equal(a1.weights, a2.weights)
+        assert np.array_equal(a1, a2)
 
 
 class TestRendering:
@@ -677,21 +677,35 @@ class TestRendering:
                     expected[y, x] = True
         assert np.array_equal(yellow, expected)
 
+    def test_outline_matches_per_pixel_oracle(self, rng):
+        for _ in range(50):
+            h, w, m = int(rng.integers(1, 9)), int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            labels = rng.integers(0, m, (h, w)).astype(np.int32)
+            highlight = rng.uniform(0, 1, m) < 0.5
+            out = explain.render_lime_heatmap(
+                Image.from_array(np.zeros((h, w, 3), dtype=np.uint8)),
+                SuperpixelMap(labels, m),
+                highlight,
+            )
+            inside = highlight[labels]
+            # oracle: a highlighted pixel with a 4-neighbour inside the image that is not
+            expected = np.zeros((h, w), dtype=bool)
+            for y in range(h):
+                for x in range(w):
+                    for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                        if 0 <= ny < h and 0 <= nx < w and inside[y, x] and not inside[ny, nx]:
+                            expected[y, x] = True
+            assert np.array_equal(np.all(out.pixels == (255, 255, 0), axis=2), expected)
+
     def test_zero_attribution_is_identity(self, rng):
         image = random_image(rng, 8, 8)
         spmap = explain.slic_superpixels(image, 4)
-        attribution = explain.Attribution(
-            weights=np.zeros(spmap.count), class_index=0, method="kernel_shap"
-        )
-        out = explain.render_shap_heatmap(image, spmap, attribution)
+        out = explain.render_shap_heatmap(image, spmap, np.zeros(spmap.count))
         assert np.array_equal(out.pixels, image.pixels)
 
     def test_signed_overlay_colors(self):
         image, spmap = banded_setup(2, h=4)
-        attribution = explain.Attribution(
-            weights=np.array([1.0, -1.0]), class_index=0, method="kernel_shap"
-        )
-        out = explain.render_shap_heatmap(image, spmap, attribution)
+        out = explain.render_shap_heatmap(image, spmap, np.array([1.0, -1.0]))
         pos = out.pixels[spmap.labels == 0].astype(int)
         neg = out.pixels[spmap.labels == 1].astype(int)
         orig_pos = image.pixels[spmap.labels == 0].astype(int)
@@ -700,11 +714,8 @@ class TestRendering:
         assert np.all(neg[:, 2] > orig_neg[:, 2])  # pulled toward blue
 
     def test_attribution_csv_format(self, tmp_path):
-        attribution = explain.Attribution(
-            weights=np.array([0.25, -0.5]), class_index=3, method="lime"
-        )
         path = tmp_path / "attr.csv"
-        explain.write_attribution_csv(path, attribution)
+        explain.write_attribution_csv(path, np.array([0.25, -0.5]), 3, "lime")
         lines = path.read_text().splitlines()
         assert lines[0] == "segment_id,weight"
         assert lines[1].startswith("0,") and float(lines[1].split(",")[1]) == 0.25

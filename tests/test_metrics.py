@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grainforge import metrics
-from grainforge.metrics import ConfusionMatrix
 from grainforge.rng import Rng
+
+from conftest import time_limit
 
 
 def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -29,12 +30,12 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 class TestClassReport:
     def test_diagonal_all_ones(self):
-        cm = ConfusionMatrix(np.diag([5, 8, 2]).astype(np.int64))
+        cm = np.diag([5, 8, 2]).astype(np.int64)
         for score in metrics.class_report(cm):
             assert score.precision == score.recall == score.f1 == 1.0
 
     def test_two_class_worked_example(self):
-        cm = ConfusionMatrix(np.array([[9, 3], [1, 7]], dtype=np.int64))
+        cm = np.array([[9, 3], [1, 7]], dtype=np.int64)
         report = metrics.class_report(cm)
         assert report[0].precision == pytest.approx(0.9)
         assert report[0].recall == pytest.approx(0.75)
@@ -42,7 +43,7 @@ class TestClassReport:
         assert report[0].support == 12
 
     def test_single_column_predictions(self):
-        cm = ConfusionMatrix(np.array([[10, 0], [4, 0]], dtype=np.int64))
+        cm = np.array([[10, 0], [4, 0]], dtype=np.int64)
         report = metrics.class_report(cm)
         assert report[0].recall == 1.0
         assert report[1].recall == 0.0
@@ -51,8 +52,8 @@ class TestClassReport:
     def test_permutation_invariance(self, rng):
         counts = rng.integers(0, 30, (4, 4)).astype(np.int64)
         perm = [2, 0, 3, 1]
-        base = metrics.class_report(ConfusionMatrix(counts))
-        permuted = metrics.class_report(ConfusionMatrix(counts[np.ix_(perm, perm)]))
+        base = metrics.class_report(counts)
+        permuted = metrics.class_report(counts[np.ix_(perm, perm)])
         for i, p in enumerate(perm):
             assert permuted[i].precision == pytest.approx(base[p].precision)
             assert permuted[i].recall == pytest.approx(base[p].recall)
@@ -63,7 +64,7 @@ class TestClassReport:
             counts = rng.integers(0, 12, (3, 3)).astype(np.int64)
             if counts.sum() == 0:
                 continue
-            for s in metrics.class_report(ConfusionMatrix(counts)):
+            for s in metrics.class_report(counts):
                 assert 0.0 <= s.precision <= 1.0
                 assert 0.0 <= s.recall <= 1.0
                 assert 0.0 <= s.f1 <= 1.0
@@ -71,24 +72,29 @@ class TestClassReport:
 
 class TestAccuracy:
     def test_diagonal(self):
-        assert metrics.accuracy(ConfusionMatrix(np.diag([3, 9]).astype(np.int64))) == 1.0
+        assert metrics.accuracy(np.diag([3, 9]).astype(np.int64)) == 1.0
 
     def test_symmetric_half(self):
-        cm = ConfusionMatrix(np.array([[1, 1], [1, 1]], dtype=np.int64))
+        cm = np.array([[1, 1], [1, 1]], dtype=np.int64)
         assert metrics.accuracy(cm) == 0.5
+
+    def test_empty_pairs_give_zero_counts(self):
+        cm = metrics.confusion_from_pairs([], [], 4)
+        assert cm.dtype == np.int64 and cm.shape == (4, 4) and cm.sum() == 0
 
     def test_recount_from_pairs(self, rng):
         truths = rng.integers(0, 3, 60)
         preds = rng.integers(0, 3, 60)
         cm = metrics.confusion_from_pairs(truths, preds, 3)
-        assert cm.total == 60
+        assert cm.dtype == np.int64 and cm.shape == (3, 3)
+        assert cm.sum() == 60
         assert metrics.accuracy(cm) == pytest.approx(
             1 - float((truths != preds).sum()) / 60
         )
         # recount: the matrix holds the exact pair multiset
         for t in range(3):
             for p in range(3):
-                assert cm.counts[t, p] == int(((truths == t) & (preds == p)).sum())
+                assert cm[t, p] == int(((truths == t) & (preds == p)).sum())
 
 
 class TestRocMicro:
@@ -131,6 +137,31 @@ class TestRocMicro:
         with pytest.raises(ValueError, match="positive and one negative"):
             metrics.roc_micro(np.array([[1.0]]), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        scores = np.array([[0.9, 0.1], [0.4, 0.6], [0.3, 0.7]])
+        scores[1, 0] = bad
+        with time_limit(30), pytest.raises(ValueError, match="ROC scores must be finite"):
+            metrics.roc_micro(scores, np.array([0, 1, 1]))
+
+    def test_points_match_threshold_oracle(self, rng):
+        """Each point is (share of negatives, share of positives) scoring >= a distinct score."""
+        for trial in range(40):
+            n, k = int(rng.integers(2, 30)), int(rng.integers(2, 6))
+            scores = np.round(rng.uniform(-1, 1, (n, k)), int(trial % 3))
+            scores[rng.uniform(0, 1, (n, k)) < 0.2] = -0.0  # signed zeros tie with 0.0
+            labels = rng.integers(0, k, n)
+            positive = np.zeros((n, k), dtype=bool)
+            positive[np.arange(n), labels] = True
+            pos, neg = scores[positive], scores[~positive]
+            expected = [(0.0, 0.0)] + [
+                (int((neg >= t).sum()) / len(neg), int((pos >= t).sum()) / len(pos))
+                for t in sorted(set(scores.ravel().tolist()), reverse=True)
+            ]
+            curve = metrics.roc_micro(scores, labels)
+            assert curve.points == expected
+            assert curve.auc == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-12)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_auc_oracle_property(self, seed):
@@ -144,7 +175,7 @@ class TestRocMicro:
 
 class TestCsvWriters:
     def test_metrics_csv_round_trip(self, tmp_path, rng):
-        cm = ConfusionMatrix(np.array([[9, 3], [1, 7]], dtype=np.int64))
+        cm = np.array([[9, 3], [1, 7]], dtype=np.int64)
         report = metrics.class_report(cm)
         path = tmp_path / "metrics.csv"
         metrics.write_metrics_csv(path, ["a", "b"], report)
@@ -155,13 +186,13 @@ class TestCsvWriters:
         assert float(rows[-1][1]) == pytest.approx(metrics.macro_f1(report), abs=1e-6)
 
     def test_confusion_csv_recounts(self, tmp_path):
-        cm = ConfusionMatrix(np.array([[4, 1], [2, 3]], dtype=np.int64))
+        cm = np.array([[4, 1], [2, 3]], dtype=np.int64)
         path = tmp_path / "confusion.csv"
         metrics.write_confusion_csv(path, ["x", "y"], cm)
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["class", "x", "y"]
         total = sum(int(v) for row in rows[1:] for v in row[1:])
-        assert total == cm.total
+        assert total == cm.sum()
 
     def test_roc_csv_final_auc_line(self, tmp_path, rng):
         scores = rng.uniform(0, 1, (10, 2))

@@ -462,6 +462,29 @@ class TestSerialization:
             network.save_weights(spec, params, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_non_finite_tensor_value_rejected(self, tmp_path, where, value):
+        spec = mini_spec()
+        params = network.init_parameters(spec, Rng(13), dtype=np.float32)
+        path = tmp_path / "x.gfw"
+        network.save_weights(spec, params, path)
+        data = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack("<Q", data[4:12])
+        # the first tensor's third value, or the last tensor's last value
+        k, index = (0, 2) if where == "first" else (len(params) - 1, params[-1].size - 1)
+        offset = 12 + header_len + 4 * (sum(p.size for p in params[:k]) + index)
+        data[offset : offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(data))
+        entry = network._tensor_table(spec)[k]
+        with pytest.raises(WeightsFormatError) as info:
+            network.load_weights(path)
+        assert info.value.offset == offset
+        assert str(info.value) == (
+            f"tensors[{k}] {entry} holds the non-finite value {np.float32(value)} "
+            f"(byte offset {offset})"
+        )
+
     def test_truncated_file_errors(self, tmp_path):
         spec = mini_spec()
         params = network.init_parameters(spec, Rng(14), dtype=np.float32)

@@ -338,7 +338,7 @@ class TestEvaluate:
         x = np.concatenate([dark, bright])
         y = np.array([0, 0, 0, 1, 1, 1])
         result = training.evaluate_arrays(spec, params, x, y)
-        assert np.array_equal(result.confusion.counts, np.diag([3, 3]))
+        assert np.array_equal(result.confusion, np.diag([3, 3]))
 
     def test_row_sums_equal_class_counts(self, rng):
         spec = flat_spec(num_classes=3)
@@ -347,7 +347,7 @@ class TestEvaluate:
         y = rng.integers(0, 3, 30)
         result = training.evaluate_arrays(spec, params, x, y)
         for k in range(3):
-            assert result.confusion.counts[k].sum() == int((y == k).sum())
+            assert result.confusion[k].sum() == int((y == k).sum())
 
     def test_argmax_tie_goes_to_lowest_class(self):
         spec = flat_spec(num_classes=2)
@@ -358,7 +358,7 @@ class TestEvaluate:
         x = np.zeros((4, 4, 4, 1))
         y = np.array([1, 1, 1, 1])
         result = training.evaluate_arrays(spec, params, x, y)
-        assert result.confusion.counts[1, 0] == 4  # all predicted class 0
+        assert result.confusion[1, 0] == 4  # all predicted class 0
 
 
 class TestHistoryCsv:
@@ -368,7 +368,6 @@ class TestHistoryCsv:
                 training.EpochRecord(1.23456789, 0.5, 0.99999999, 0.25),
                 training.EpochRecord(0.5, 0.75, 0.4, 0.8),
             ],
-            best_epoch=1,
         )
         path = tmp_path / "history.csv"
         training.write_history(history, path)
