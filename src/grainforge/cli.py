@@ -426,7 +426,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # overflow to inf/NaN is caught by the commands' own finite checks,
+        # which name the weights, scores or gradient; numpy's warnings would
+        # only name kernel lines
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

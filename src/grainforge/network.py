@@ -27,6 +27,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +49,10 @@ LOG_EPSILON = 1e-12
 KERNEL_SIZE = 3
 
 MAGIC = b"GFW1"
+
+# weights are drawn this many float64 values (128 KiB) at a time, so no
+# layer-sized float64 temporary is ever held beside the target-dtype array
+INIT_CHUNK = 16_384
 
 
 class NetworkError(ValueError):
@@ -201,7 +206,9 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters
     """He-normal weights for relu layers, Glorot-uniform otherwise, zero biases.
 
     Each layer draws from its own derived stream, so adding or removing a
-    layer does not perturb the draws of the others.
+    layer does not perturb the draws of the others.  The draws go straight
+    into the target-dtype array in flat chunks of ``INIT_CHUNK`` values;
+    a stream yields the same values in chunks as in one whole-array draw.
     """
     params: Parameters = []
     for i, (layer, _, wshape, bshape) in enumerate(_layer_plan(spec)):
@@ -211,11 +218,15 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters
         fan_in, fan_out = receptive * wshape[-2], receptive * wshape[-1]
         stream = rng.child(f"layer{i}")
         if layer.activation == "relu":
-            weight = stream.normal(0.0, np.sqrt(2.0 / fan_in), wshape)
+            draw = partial(stream.normal, 0.0, np.sqrt(2.0 / fan_in))
         else:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            weight = stream.uniform(-limit, limit, wshape)
-        params += [weight.astype(dtype), np.zeros(bshape, dtype=dtype)]
+            draw = partial(stream.uniform, -limit, limit)
+        weight = np.empty(wshape, dtype=dtype)
+        flat = weight.reshape(-1)
+        for start in range(0, flat.size, INIT_CHUNK):
+            flat[start : start + INIT_CHUNK] = draw(min(INIT_CHUNK, flat.size - start))
+        params += [weight, np.zeros(bshape, dtype=dtype)]
     return params
 
 

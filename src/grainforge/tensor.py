@@ -13,8 +13,12 @@ The forward convolution is one im2col matrix product (Chellapilla et al.,
 same im2col matrix and takes the kernel gradient as one product over it;
 the input gradient is one product per kernel offset, each added into its
 shifted slice of the input.  Max pooling selects between the four window
-corners with elementwise maxima and comparisons.  The test suite checks
-every kernel element-by-element against naive nested-loop oracles.
+corners with elementwise maxima, and its training winners come from
+strict comparisons combined bitwise.  The pooling backward pass writes
+``dout`` times each corner's winner mask straight into that corner of
+``dx``, so a non-winner's gradient is ``dout * 0``: a zero carrying
+``dout``'s sign, or NaN where ``dout`` is not finite.  The test suite
+checks every kernel element-by-element against naive nested-loop oracles.
 """
 
 from __future__ import annotations
@@ -124,22 +128,32 @@ def maxpool2d_batch(x: Tensor, winners: bool = True):
     pooled = np.maximum(bot, top)
     if not winners:
         return pooled, np.empty(0, dtype=np.uint8)
-    # strict comparisons keep the first maximum of each pair and of the two rows
-    argmax = np.where(bot > top, (d > c) + np.uint8(2), (b > a).view(np.uint8))
+    # strict comparisons keep the first maximum of each pair and of the two
+    # rows; the high bit picks the row, the low bit the column within it
+    hi = bot > top
+    lo = b > a
+    lo ^= (lo ^ (d > c)) & hi  # the bottom row's column where hi is set
+    argmax = hi.view(np.uint8) << 1
+    argmax |= lo.view(np.uint8)
     return pooled, argmax
 
 
 def maxpool2d_backward(x_shape, argmax: Tensor, dout: Tensor) -> Tensor:
-    """Scatter upstream gradient back to each window's argmax position."""
+    """Scatter upstream gradient back to each window's argmax position.
+
+    Each corner of every window receives ``dout`` times whether it won,
+    so a non-winner gets ``dout * 0``: a zero with ``dout``'s sign, or NaN
+    where ``dout`` is not finite.  A trailing odd row or column, which no
+    window covers, is +0.
+    """
     b, h, w, c = x_shape
     oh, ow = h // 2, w // 2
-    corners = np.zeros((b, oh, ow, c, 4), dtype=dout.dtype)
-    np.put_along_axis(corners, argmax[..., None], dout[..., None], axis=-1)
-    dx = np.zeros(x_shape, dtype=dout.dtype)
-    dx[:, 0 : 2 * oh : 2, 0 : 2 * ow : 2, :] = corners[..., 0]
-    dx[:, 0 : 2 * oh : 2, 1 : 2 * ow : 2, :] = corners[..., 1]
-    dx[:, 1 : 2 * oh : 2, 0 : 2 * ow : 2, :] = corners[..., 2]
-    dx[:, 1 : 2 * oh : 2, 1 : 2 * ow : 2, :] = corners[..., 3]
+    # every element is written below unless a trailing odd row/col is left over
+    dx = (np.zeros if h % 2 or w % 2 else np.empty)(x_shape, dtype=dout.dtype)
+    # splitting the row and column axes is always a view, so the writes land in dx
+    win = dx[:, : 2 * oh, : 2 * ow, :].reshape(b, oh, 2, ow, 2, c)
+    for k in range(4):
+        np.multiply(dout, argmax == k, out=win[:, :, k // 2, :, k % 2])
     return dx
 
 

@@ -193,6 +193,38 @@ class TestForward:
             network.forward(spec, params, rng.normal(0, 1, (2, 9, 8, 1)))
 
 
+class TestInit:
+    @pytest.mark.parametrize("activation", ["relu", "none"])  # He-normal, Glorot-uniform
+    def test_chunked_draws_equal_one_whole_draw(self, activation):
+        # the disease dense layer holds 43264 x 128 weights, hundreds of chunks
+        spec = build_disease_cnn()
+        layers = list(spec.layers)
+        layers[7] = replace(layers[7], activation=activation)
+        spec = replace(spec, layers=tuple(layers))
+        params = network.init_parameters(spec, Rng(21), dtype=np.float32)
+        weight = params[6]
+        assert weight.shape == (26 * 26 * 64, 128) and weight.size > network.INIT_CHUNK
+        stream = Rng(21).child("layer7")
+        fan_in, fan_out = weight.shape
+        if activation == "relu":
+            whole = stream.normal(0.0, np.sqrt(2.0 / fan_in), weight.shape)
+        else:
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            whole = stream.uniform(-limit, limit, weight.shape)
+        assert weight.dtype == np.float32
+        assert weight.tobytes() == whole.astype(np.float32).tobytes()
+
+    def test_disease_float32_peak_near_the_weights(self):
+        spec = build_disease_cnn()
+        tracemalloc.start()
+        try:
+            params = network.init_parameters(spec, Rng(22), dtype=np.float32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * sum(p.nbytes for p in params)
+
+
 def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
     """Probabilities and the gradients, in tensor-table order, in the original layer order.
 

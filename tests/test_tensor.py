@@ -54,6 +54,32 @@ def naive_pool(x):
     return out
 
 
+def naive_pool_backward(x, dout):
+    """Per-window loop: each corner gets dout times whether it is the first maximum."""
+    n, h, w, c = x.shape
+    dx = np.zeros(x.shape, dtype=dout.dtype)
+    for i in range(n):
+        for y in range(h // 2):
+            for xx in range(w // 2):
+                for ch in range(c):
+                    window = x[i, 2 * y : 2 * y + 2, 2 * xx : 2 * xx + 2, ch].reshape(-1)
+                    first = int(np.argmax(window))
+                    for k in range(4):
+                        g = dout[i, y, xx, ch] * dout.dtype.type(k == first)
+                        dx[i, 2 * y + k // 2, 2 * xx + k % 2, ch] = g
+    return dx
+
+
+def where_winners(x):
+    """The winner codes as one np.where over strict corner comparisons."""
+    n, h, w, c = x.shape
+    win = x[:, : h // 2 * 2, : w // 2 * 2].reshape(n, h // 2, 2, w // 2, 2, c)
+    a, b = win[:, :, 0, :, 0], win[:, :, 0, :, 1]
+    c_, d = win[:, :, 1, :, 0], win[:, :, 1, :, 1]
+    top, bot = np.maximum(b, a), np.maximum(d, c_)
+    return np.where(bot > top, (d > c_) + np.uint8(2), (b > a).view(np.uint8))
+
+
 def naive_dense(x, weights, bias):
     n, m = weights.shape
     out = np.zeros(m)
@@ -259,6 +285,45 @@ class TestMaxPool:
         assert np.all(np.isnan(pooled[:, 0, 0, 0]))
         assert np.array_equal(pooled[:, 0, 0, 1], np.zeros(4, dtype=dtype))
 
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_matches_window_loop_bit_for_bit(self, rng, dtype):
+        # integer inputs in {-1, 0, 1} tie in most windows; dout holds -0.0,
+        # whose sign a non-winner keeps, and a trailing odd row or column
+        # must come out +0
+        for h in range(2, 10):
+            for w in range(2, 10):
+                x = rng.integers(-1, 2, (2, h, w, 3)).astype(dtype)
+                dout = np.array([-0.0, 0.0, -1.5, 2.0], dtype=dtype)[rng.integers(0, 4, (2, h // 2, w // 2, 3))]
+                _, argmax = tensor.maxpool2d_batch(x)
+                dx = tensor.maxpool2d_backward(x.shape, argmax, dout)
+                want = naive_pool_backward(x, dout)
+                assert dx.dtype == dtype and dx.shape == x.shape
+                assert dx.tobytes() == want.tobytes(), (h, w)
+                assert not np.signbit(dx[:, 2 * (h // 2) :]).any(), (h, w)
+                assert not np.signbit(dx[:, :, 2 * (w // 2) :]).any(), (h, w)
+
+    def test_non_winners_carry_dout_times_zero(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1)
+        _, argmax = tensor.maxpool2d_batch(x)
+        for g in (-2.0, np.inf, np.nan):
+            with np.errstate(invalid="ignore"):  # inf * 0
+                dx = tensor.maxpool2d_backward(x.shape, argmax, np.full((1, 1, 1, 1), g))
+            flat = dx.reshape(-1)
+            assert np.array_equal(flat[3], g, equal_nan=True)
+            assert np.array_equal(flat[:3], np.full(3, g * 0.0), equal_nan=True)
+            assert np.signbit(flat[:3]).all() == np.signbit(g * 0.0)
+
+    def test_winners_match_where_formula(self, rng):
+        tie_heavy = rng.integers(-1, 2, (3, 9, 8, 4)).astype(np.float32)
+        tie_heavy[(tie_heavy == 0) & (rng.random(tie_heavy.shape) < 0.5)] = -0.0
+        nan = rng.integers(-1, 2, (4, 7, 6, 5)).astype(np.float64)
+        nan[rng.random(nan.shape) < 0.2] = np.nan
+        for x in (tie_heavy, -tie_heavy, nan, -nan, rng.normal(0, 1, (2, 6, 10, 3))):
+            _, argmax = tensor.maxpool2d_batch(x)
+            want = where_winners(x)
+            assert argmax.dtype == np.uint8 and want.dtype == np.uint8
+            assert np.array_equal(argmax, want)
 
     def test_without_winners_pools_the_same_bytes(self, rng):
         tie_heavy = rng.integers(-1, 2, (3, 9, 8, 4)).astype(np.float32)
