@@ -9,8 +9,11 @@ For each workload in ``perfbench/workloads.py`` the script runs the
 set-up, ``prepare`` and one round of commands through
 ``grainforge.cli.main`` in a temporary directory, with seed 11 for the
 train workloads and 7 for the explain workloads, and BLAS pinned to one
-thread as the benchmark pins it.  Every command must exit 0, print the
-paths the workload expects and pass the workload's check.  The script then
+thread as the benchmark pins it.  After a train workload's round it also
+runs ``report`` on the round's history and metrics, from inside the
+temporary directory so that the report names the same relative paths on
+every run.  Every command must exit 0, print the paths the workload
+expects and pass the workload's check.  The script then
 prints one ``workload relative-path sha256`` line for every file in that
 directory, sorted by path.  A change that must not alter any output runs
 the script on the parent tree and on its own tree and diffs the two
@@ -29,6 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = {"train": 11, "explain": 7}  # by the workload name's first word
+# the files a train workload's round writes, relative to its directory
+REPORT_ARGV = [
+    "report", "--history", "history.csv", "--metrics", "eval/metrics.csv", "--out", "report.txt"
+]
 
 
 def run(cli, command) -> str | None:
@@ -59,7 +66,7 @@ def main() -> int:
     os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from grainforge import cli
-    from workloads import WORKLOADS
+    from workloads import WORKLOADS, Command
 
     failures = 0
     for name, workload in WORKLOADS.items():
@@ -72,6 +79,10 @@ def main() -> int:
             workload.prepare(prepared, seed)
             for command in workload.round(prepared, seed):
                 failures += report(name, command, run(cli, command))
+            if name.startswith("train"):
+                command = Command("report", REPORT_ARGV, ["report.txt"])
+                with contextlib.chdir(root):
+                    failures += report(name, command, run(cli, command))
             for path in sorted(p for p in root.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(name, path.relative_to(root).as_posix(), digest)

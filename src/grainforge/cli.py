@@ -218,18 +218,18 @@ def cmd_evaluate(args) -> int:
             f"manifest has {len(manifest.classes)} classes but the model has {spec.num_classes}"
         )
     assignment = training.split(manifest, cfg.seed)
-    indices = assignment.indices(cfg.split)
-    result = training.evaluate(spec, params, manifest, indices, cfg)
-    curve = metrics.roc_micro(result.probabilities, result.labels)
-    scores = metrics.class_report(result.confusion)
+    xs, labels = training.load_dataset(manifest, assignment.indices(cfg.split), spec, cfg)
+    probs, _ = training.evaluate_arrays(spec, params, xs, labels, batch_size=cfg.batch_size)
+    cm = metrics.confusion_from_pairs(labels, probs.argmax(axis=1), spec.num_classes)
+    points, auc = metrics.roc_micro(probs, labels)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
     confusion_path = out_dir / "confusion.csv"
     roc_path = out_dir / "roc_points.csv"
-    metrics.write_metrics_csv(metrics_path, manifest.classes, scores)
-    metrics.write_confusion_csv(confusion_path, manifest.classes, result.confusion)
-    metrics.write_roc_csv(roc_path, curve)
+    metrics.write_metrics_csv(metrics_path, manifest.classes, cm)
+    metrics.write_confusion_csv(confusion_path, manifest.classes, cm)
+    metrics.write_roc_csv(roc_path, points, auc)
     for path in (metrics_path, confusion_path, roc_path):
         _emit(path)
     return 0
@@ -317,23 +317,21 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     lines = []
     history = training.read_history(args.history)
-    if not history.epochs:
+    if len(history) == 0:
         raise UsageError(f"history {args.history} holds no epochs")
+    best = training.best_epoch(history[:, training.VAL_LOSS])
     lines.append(f"Training history: {args.history}")
     lines.append("epoch  train_loss  train_acc  val_loss  val_acc")
-    for i, rec in enumerate(history.epochs, start=1):
-        marker = "  <- best" if i - 1 == history.best_epoch else ""
+    for i, (train_loss, train_acc, val_loss, val_acc) in enumerate(history.tolist(), start=1):
+        marker = "  <- best" if i - 1 == best else ""
         lines.append(
-            f"{i:5d}  {rec.train_loss:10.6f}  {rec.train_acc:9.6f}  "
-            f"{rec.val_loss:8.6f}  {rec.val_acc:7.6f}{marker}"
+            f"{i:5d}  {train_loss:10.6f}  {train_acc:9.6f}  "
+            f"{val_loss:8.6f}  {val_acc:7.6f}{marker}"
         )
-    if history.best_epoch is None:
+    if best is None:
         lines.append("best epoch: none (no finite validation loss)")
     else:
-        lines.append(
-            f"best epoch: {history.best_epoch + 1} "
-            f"(val loss {history.epochs[history.best_epoch].val_loss:.6f})"
-        )
+        lines.append(f"best epoch: {best + 1} (val loss {history[best, training.VAL_LOSS]:.6f})")
     if args.metrics:
         lines.append("")
         lines.append(f"Metrics: {args.metrics}")
@@ -344,7 +342,7 @@ def cmd_report(args) -> int:
             raise ValueError(f"metrics {args.metrics}: not UTF-8 text ({exc.reason})") from None
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         _emit(args.out)
     else:

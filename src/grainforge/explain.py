@@ -252,8 +252,11 @@ def lime_explain(
     """
     m = superpixels.count
     n_samples = max(n_samples, m + 2)
-    if kernel_width <= 0:
-        raise ValueError(f"kernel width must be positive, got {kernel_width}")
+    # a width whose square underflows to 0 would weigh the full mask exp(-0/0)
+    if not (kernel_width > 0 and kernel_width * kernel_width > 0):
+        raise ValueError(
+            f"kernel width must be positive with a positive square, got {kernel_width}"
+        )
     if ridge < 0:
         raise ValueError(f"ridge strength must be non-negative, got {ridge}")
     if rng is None:

@@ -1,33 +1,22 @@
 """Classification metrics: confusion matrices, per-class scores, ROC/AUC.
 
-A confusion matrix is a plain (K,K) int64 array, rows = true class,
-columns = predicted class.  The ROC is micro-averaged: every (sample,
-class) pair enters a pooled one-vs-rest sweep, ties are grouped at
-distinct score values, and the area accumulates exactly over integer
-counts before a single final division, so the trapezoid AUC matches the
-Mann-Whitney pairwise statistic to the last bit.
+Every result is a plain array.  A confusion matrix is a (K,K) int64
+array, rows = true class, columns = predicted class.  A class report is
+a (K,3) float64 array whose columns are precision, recall and F1.  The
+ROC is a (D+1,2) float64 array of (fpr, tpr) points, (0,0) and then one
+per distinct score down to (1,1), plus its AUC.  The ROC is
+micro-averaged: every (sample, class) pair enters a pooled one-vs-rest
+sweep, ties are grouped at distinct score values, and the area
+accumulates exactly over integer counts before a single final division,
+so the trapezoid AUC matches the Mann-Whitney pairwise statistic to the
+last bit.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ClassScore:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    points: list[tuple[float, float]]  # (fpr, tpr), monotone from (0,0) to (1,1)
-    auc: float
 
 
 def confusion_from_pairs(truths, predictions, num_classes: int) -> np.ndarray:
@@ -44,33 +33,26 @@ def accuracy(cm: np.ndarray) -> float:
     return float(np.trace(cm)) / total
 
 
-def class_report(cm: np.ndarray) -> list[ClassScore]:
-    """Per-class precision/recall/F1; zero denominators yield 0."""
+def class_report(cm: np.ndarray) -> np.ndarray:
+    """Per-class (precision, recall, F1) rows; zero denominators yield 0."""
     if len(cm) < 2:
         raise ValueError("class report needs at least two classes")
-    scores = []
-    col_sums = cm.sum(axis=0)
-    row_sums = cm.sum(axis=1)
-    for k in range(len(cm)):
-        tp = int(cm[k, k])
-        precision = tp / int(col_sums[k]) if col_sums[k] > 0 else 0.0
-        recall = tp / int(row_sums[k]) if row_sums[k] > 0 else 0.0
-        if precision + recall > 0:
-            f1 = 2 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-        scores.append(
-            ClassScore(precision=precision, recall=recall, f1=f1, support=int(row_sums[k]))
-        )
-    return scores
+    tp = np.diag(cm).astype(np.float64)
+    predicted, actual = cm.sum(axis=0), cm.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros(len(cm)), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(len(cm)), where=actual > 0)
+    den = precision + recall
+    f1 = np.divide(2 * precision * recall, den, out=np.zeros(len(cm)), where=den > 0)
+    return np.stack([precision, recall, f1], axis=1)
 
 
-def macro_f1(scores: list[ClassScore]) -> float:
-    return sum(s.f1 for s in scores) / len(scores)
+def macro_f1(report: np.ndarray) -> float:
+    """Mean F1 of a class report, summed left to right."""
+    return sum(report[:, 2].tolist()) / len(report)
 
 
-def roc_micro(scores: np.ndarray, labels) -> RocCurve:
-    """Micro-average one-vs-rest ROC over per-sample class probabilities.
+def roc_micro(scores: np.ndarray, labels) -> tuple[np.ndarray, float]:
+    """Micro-average one-vs-rest ROC points and AUC over per-sample class probabilities.
 
     ``scores`` is (n, K); ``labels`` holds the true class index per sample.
     """
@@ -97,8 +79,10 @@ def roc_micro(scores: np.ndarray, labels) -> RocCurve:
     fp = ends + 1 - tp
     # integer trapezoids, 2 * P * Q * AUC in all; divide once at the end
     area2 = int((np.diff(fp, prepend=0) * (tp + np.append(0, tp[:-1]))).sum())
-    points = [(0.0, 0.0), *zip((fp / q).tolist(), (tp / p).tolist())]
-    return RocCurve(points=points, auc=area2 / (2 * p * q))
+    points = np.zeros((len(ends) + 1, 2))
+    points[1:, 0] = fp / q
+    points[1:, 1] = tp / p
+    return points, area2 / (2 * p * q)
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +90,28 @@ def roc_micro(scores: np.ndarray, labels) -> RocCurve:
 # ---------------------------------------------------------------------------
 
 
-def write_metrics_csv(path, class_names, scores: list[ClassScore]) -> None:
-    with open(path, "w", newline="") as fh:
+def write_metrics_csv(path, class_names, cm: np.ndarray) -> None:
+    report = class_report(cm)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "precision", "recall", "f1", "support"])
-        for name, s in zip(class_names, scores):
-            writer.writerow(
-                [name, f"{s.precision:.6f}", f"{s.recall:.6f}", f"{s.f1:.6f}", s.support]
-            )
-        writer.writerow(["macro_f1", f"{macro_f1(scores):.6f}"])
+        for name, scores, support in zip(class_names, report.tolist(), cm.sum(axis=1).tolist()):
+            writer.writerow([name, *(f"{v:.6f}" for v in scores), support])
+        writer.writerow(["macro_f1", f"{macro_f1(report):.6f}"])
 
 
 def write_confusion_csv(path, class_names, cm: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", *class_names])
-        for name, row in zip(class_names, cm):
-            writer.writerow([name, *[int(v) for v in row]])
+        for name, row in zip(class_names, cm.tolist()):
+            writer.writerow([name, *row])
 
 
-def write_roc_csv(path, curve: RocCurve) -> None:
+def write_roc_csv(path, points: np.ndarray, auc: float) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in curve.points:
+        for fpr, tpr in points.tolist():
             writer.writerow([f"{fpr:.10f}", f"{tpr:.10f}"])
-        writer.writerow(["auc", f"{curve.auc:.12f}"])
+        writer.writerow(["auc", f"{auc:.12f}"])

@@ -7,6 +7,11 @@ loop shuffles with seeded streams, keeps the parameters from the epoch
 that ``best_epoch`` picks (the first minimum of the validation loss, never
 a NaN), and records per-epoch curves; identical
 (seed, config, dataset) triples reproduce histories and weights exactly.
+
+A training history is an (E, 4) float64 array, one row per epoch, whose
+columns are ``HISTORY_COLUMNS``: train loss, train accuracy, validation
+loss and validation accuracy.  ``evaluate_arrays`` returns the (n, K)
+float64 class probabilities and the mean loss.
 """
 
 from __future__ import annotations
@@ -295,25 +300,8 @@ def onehot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    train_loss: float
-    train_acc: float
-    val_loss: float
-    val_acc: float
-
-
 HISTORY_COLUMNS = ("train_loss", "train_acc", "val_loss", "val_acc")
-
-
-@dataclass
-class TrainingHistory:
-    epochs: list[EpochRecord] = field(default_factory=list)
-
-    @property
-    def best_epoch(self) -> int | None:
-        """Index into ``epochs`` of the epoch that ``best_epoch()`` picks."""
-        return best_epoch(r.val_loss for r in self.epochs)
+VAL_LOSS = HISTORY_COLUMNS.index("val_loss")
 
 
 def best_epoch(val_losses) -> int | None:
@@ -329,49 +317,33 @@ def best_epoch(val_losses) -> int | None:
     return best
 
 
-def write_history(history: TrainingHistory, path) -> None:
+def write_history(history: np.ndarray, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", *HISTORY_COLUMNS])
-        for i, rec in enumerate(history.epochs, start=1):
-            writer.writerow(
-                [
-                    i,
-                    f"{rec.train_loss:.6f}",
-                    f"{rec.train_acc:.6f}",
-                    f"{rec.val_loss:.6f}",
-                    f"{rec.val_acc:.6f}",
-                ]
-            )
+        for i, row in enumerate(history.tolist(), start=1):
+            writer.writerow([i, *(f"{v:.6f}" for v in row)])
 
 
-def read_history(path) -> TrainingHistory:
+def read_history(path) -> np.ndarray:
     rows = _read_csv_rows(path, "history")
     header = rows[0][1] if rows else []
-    history = TrainingHistory()
+    history = []
     for line, row in rows[1:]:
         if not row:
             continue
         cells = dict(zip(header, row))
-        values = {}
+        values = []
         for column in HISTORY_COLUMNS:
             try:
-                values[column] = float(cells.get(column))
+                values.append(float(cells.get(column)))
             except (TypeError, ValueError):  # None when the column is missing
                 raise ValueError(
                     f"history {path}, line {line}, column {column!r}: "
                     f"expected a number, got {cells.get(column)!r}"
                 ) from None
-        history.epochs.append(EpochRecord(**values))
-    return history
-
-
-@dataclass
-class EvalResult:
-    confusion: np.ndarray  # (K,K) int64, rows true, columns predicted
-    loss: float
-    probabilities: np.ndarray
-    labels: np.ndarray
+        history.append(values)
+    return np.array(history, dtype=np.float64).reshape(-1, len(HISTORY_COLUMNS))
 
 
 def evaluate_arrays(
@@ -381,11 +353,11 @@ def evaluate_arrays(
     labels: np.ndarray,
     lam: float = 0.0,
     batch_size: int = 32,
-) -> EvalResult:
-    """Run the model over stacked examples and score the predictions.
+) -> tuple[np.ndarray, float]:
+    """Class probabilities of stacked examples and their mean loss.
 
-    Predictions take the argmax probability; ties resolve to the lowest
-    class index.
+    A prediction is the argmax of its row; ``argmax`` resolves ties to the
+    lowest class index.
     """
     if len(xs) == 0:
         raise TrainingError("evaluation subset is empty")
@@ -400,24 +372,7 @@ def evaluate_arrays(
         y = onehot(batch_labels, k, p.dtype)
         total_ce += loss_fn(p, y, params, 0.0) * len(batch)
     mean_loss = total_ce / len(xs) + l2_penalty(params, lam)
-    predictions = probs.argmax(axis=1)
-    return EvalResult(
-        confusion=confusion_from_pairs(labels, predictions, k),
-        loss=float(mean_loss),
-        probabilities=probs,
-        labels=np.asarray(labels),
-    )
-
-
-def evaluate(
-    spec: NetworkSpec,
-    params: Parameters,
-    manifest: Manifest,
-    indices,
-    config: TrainConfig,
-) -> EvalResult:
-    xs, labels = load_dataset(manifest, indices, spec, config)
-    return evaluate_arrays(spec, params, xs, labels, batch_size=config.batch_size)
+    return probs, float(mean_loss)
 
 
 def train_arrays(
@@ -427,8 +382,8 @@ def train_arrays(
     val_x: np.ndarray,
     val_y: np.ndarray,
     config: TrainConfig,
-) -> tuple[Parameters, TrainingHistory]:
-    """Core epoch loop over preloaded arrays."""
+) -> tuple[Parameters, np.ndarray]:
+    """Core epoch loop over preloaded arrays; returns the kept parameters and the history."""
     config.validate()
     if len(train_x) == 0 or len(val_x) == 0:
         raise TrainingError("train and validation splits must be non-empty")
@@ -439,7 +394,7 @@ def train_arrays(
         algorithm=config.optimizer, learning_rate=config.learning_rate
     )
 
-    history = TrainingHistory()
+    history = np.empty((config.epochs, len(HISTORY_COLUMNS)))
     best_params = params
     stale_epochs = 0
 
@@ -458,25 +413,20 @@ def train_arrays(
             grads = backward(spec, params, cache, y, config.l2)
             params, state = step(state, params, grads)
 
-        val = evaluate_arrays(
+        val_probs, val_loss = evaluate_arrays(
             spec, params, val_x, val_y, lam=config.l2, batch_size=config.batch_size
         )
-        record = EpochRecord(
-            train_loss=loss_sum / len(train_x),
-            train_acc=correct / len(train_x),
-            val_loss=val.loss,
-            val_acc=accuracy(val.confusion),
-        )
-        history.epochs.append(record)
+        val_acc = accuracy(confusion_from_pairs(val_y, val_probs.argmax(axis=1), k))
+        history[epoch] = loss_sum / len(train_x), correct / len(train_x), val_loss, val_acc
 
-        if history.best_epoch == epoch:
+        if best_epoch(history[: epoch + 1, VAL_LOSS]) == epoch:
             best_params = params
             stale_epochs = 0
         else:
             stale_epochs += 1
             if stale_epochs >= config.patience:
                 break
-    return best_params, history
+    return best_params, history[: epoch + 1]
 
 
 def train(
@@ -484,7 +434,7 @@ def train(
     manifest: Manifest,
     assignment: SplitAssignment,
     config: TrainConfig,
-) -> tuple[Parameters, TrainingHistory]:
+) -> tuple[Parameters, np.ndarray]:
     """Load the split's examples from disk and run the epoch loop."""
     if len(manifest.classes) != spec.num_classes:
         raise TrainingError(

@@ -4,7 +4,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,8 @@ from grainforge.imaging import Image
 from grainforge.rng import Rng
 
 from conftest import random_image, time_limit
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -421,6 +426,21 @@ class TestExplain:
         assert stderr == "error: class probabilities are not finite\n"
         assert not out_dir.exists()
 
+    def test_kernel_width_whose_square_underflows_exit_1(self, trained, tmp_path, capsys):
+        root, _, weights, _ = trained
+        out_dir = tmp_path / "out"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", self.image_path(root),
+            "--method", "lime", "--kernel-width", "1e-200", "--samples", "60",
+            "--out-dir", str(out_dir),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            "error: kernel width must be positive with a positive square, got 1e-200\n"
+        )
+        assert not (out_dir / "disc_0000.lime.csv").exists()
+
     def test_shap_local_accuracy_from_csv(self, trained, tmp_path, capsys):
         root, _, weights, _ = trained
         out_dir = tmp_path / "shap_out"
@@ -783,6 +803,89 @@ class TestReport:
         assert code == 2
         assert stdout == ""
         assert "no epochs" in stderr
+
+    def test_whole_text_pinned(self, tmp_path, capsys):
+        history = tmp_path / "history.csv"
+        history.write_text(
+            "epoch,train_loss,train_acc,val_loss,val_acc\n"
+            "1,1.234568,0.500000,nan,0.250000\n"
+            "2,0.912345,0.625000,0.700000,0.600000\n"
+            "3,inf,0.700000,0.650000,0.650000\n"
+            "4,0.500000,0.812500,-inf,0.800000\n"
+            "5,0.450000,0.875000,inf,0.812500\n"
+        )
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(
+            "class,precision,recall,f1,support\n"
+            "arborio,0.900000,0.750000,0.818182,12\n"
+            "basmati,0.700000,0.875000,0.777778,8\n"
+            "macro_f1,0.797980\n"
+        )
+        code, stdout, stderr = run_cli(
+            capsys, "report", "--history", str(history), "--metrics", str(metrics)
+        )
+        assert (code, stderr) == (0, "")
+        assert stdout == (
+            f"Training history: {history}\n"
+            "epoch  train_loss  train_acc  val_loss  val_acc\n"
+            "    1    1.234568   0.500000       nan  0.250000\n"
+            "    2    0.912345   0.625000  0.700000  0.600000\n"
+            "    3         inf   0.700000  0.650000  0.650000\n"
+            "    4    0.500000   0.812500      -inf  0.800000  <- best\n"
+            "    5    0.450000   0.875000       inf  0.812500\n"
+            "best epoch: 4 (val loss -inf)\n"
+            "\n"
+            f"Metrics: {metrics}\n"
+            "class,precision,recall,f1,support\n"
+            "arborio,0.900000,0.750000,0.818182,12\n"
+            "basmati,0.700000,0.875000,0.777778,8\n"
+            "macro_f1,0.797980\n"
+        )
+
+
+class TestUtf8Output:
+    """Class names reach every written file as UTF-8 whatever the locale's encoding."""
+
+    NAME = "jasm\u00edn"
+
+    @staticmethod
+    def run_ascii_locale(*argv):
+        env = dict(os.environ, LC_ALL="C", LANG="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+        )
+        return subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_metrics_and_confusion_csv(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from grainforge import metrics\n"
+            f"names = [{ascii(self.NAME)}, 'basmati']\n"
+            "cm = np.array([[3, 1], [0, 4]])\n"
+            "metrics.write_metrics_csv(sys.argv[1], names, cm)\n"
+            "metrics.write_confusion_csv(sys.argv[2], names, cm)\n"
+        )
+        paths = [tmp_path / "metrics.csv", tmp_path / "confusion.csv"]
+        proc = self.run_ascii_locale("-c", script, *map(str, paths))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for path in paths:
+            assert f"\n{self.NAME},".encode() in path.read_bytes()
+
+    def test_report_out(self, tmp_path):
+        history = tmp_path / "history.csv"
+        history.write_text("epoch,train_loss,train_acc,val_loss,val_acc\n1,0.9,0.5,0.7,0.5\n")
+        metrics = tmp_path / "metrics.csv"
+        metrics.write_text(f"class,f1\n{self.NAME},0.5\n", encoding="utf-8")
+        out = tmp_path / "report.txt"
+        proc = self.run_ascii_locale(
+            "-m", "grainforge.cli", "report", "--history", str(history),
+            "--metrics", str(metrics), "--out", str(out),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{out}\n", "")
+        assert out.read_bytes().endswith(f"\n{self.NAME},0.5\n".encode())
 
 
 # The flags of each subcommand and the config-file keys, as the parser built

@@ -471,6 +471,19 @@ class TestLime:
         assert np.array_equal(raised[0], exact[0])
         assert np.array_equal(raised[1], exact[1])
 
+    @pytest.mark.parametrize("width", [0.0, -0.25, math.nan, 1e-200])
+    def test_kernel_width_without_a_positive_square_rejected(self, width):
+        # 1e-200 ** 2 underflows to 0.0, which weighs the full mask exp(-0/0)
+        image, spmap = banded_setup(4)
+        calls = []
+        model = mask_reading_model(image, spmap, lambda z: calls.append(z) or [0.5])
+        with pytest.raises(ValueError, match=f"kernel width .*got {width}$"):
+            explain.lime_explain(
+                model, image, spmap, 0, n_samples=16, kernel_width=width, rng=Rng(0),
+                baseline=BASELINE,
+            )
+        assert calls == []
+
     def test_singular_system_suggests_ridge(self):
         image, spmap = banded_setup(3)
         model = mask_reading_model(image, spmap, lambda z: [float(z.sum())])

@@ -28,26 +28,37 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     return wins / (len(pos) * len(neg))
 
 
+def class_report_loop(cm: np.ndarray) -> list[list[float]]:
+    """Per-class (precision, recall, F1) in Python floats, one class at a time."""
+    rows = []
+    for k in range(len(cm)):
+        tp, predicted, actual = int(cm[k, k]), int(cm[:, k].sum()), int(cm[k].sum())
+        precision = tp / predicted if predicted > 0 else 0.0
+        recall = tp / actual if actual > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        rows.append([precision, recall, f1])
+    return rows
+
+
 class TestClassReport:
     def test_diagonal_all_ones(self):
         cm = np.diag([5, 8, 2]).astype(np.int64)
-        for score in metrics.class_report(cm):
-            assert score.precision == score.recall == score.f1 == 1.0
+        for precision, recall, f1 in metrics.class_report(cm).tolist():
+            assert precision == recall == f1 == 1.0
 
     def test_two_class_worked_example(self):
         cm = np.array([[9, 3], [1, 7]], dtype=np.int64)
-        report = metrics.class_report(cm)
-        assert report[0].precision == pytest.approx(0.9)
-        assert report[0].recall == pytest.approx(0.75)
-        assert report[0].f1 == pytest.approx(0.8182, abs=1e-4)
-        assert report[0].support == 12
+        precision, recall, f1 = metrics.class_report(cm)[0]
+        assert precision == pytest.approx(0.9)
+        assert recall == pytest.approx(0.75)
+        assert f1 == pytest.approx(0.8182, abs=1e-4)
 
     def test_single_column_predictions(self):
         cm = np.array([[10, 0], [4, 0]], dtype=np.int64)
         report = metrics.class_report(cm)
-        assert report[0].recall == 1.0
-        assert report[1].recall == 0.0
-        assert report[1].precision == report[1].f1 == 0.0  # empty prediction column
+        assert report[0, 1] == 1.0
+        assert report[1, 1] == 0.0
+        assert report[1, 0] == report[1, 2] == 0.0  # empty prediction column
 
     def test_permutation_invariance(self, rng):
         counts = rng.integers(0, 30, (4, 4)).astype(np.int64)
@@ -55,19 +66,42 @@ class TestClassReport:
         base = metrics.class_report(counts)
         permuted = metrics.class_report(counts[np.ix_(perm, perm)])
         for i, p in enumerate(perm):
-            assert permuted[i].precision == pytest.approx(base[p].precision)
-            assert permuted[i].recall == pytest.approx(base[p].recall)
-            assert permuted[i].f1 == pytest.approx(base[p].f1)
+            assert permuted[i].tolist() == pytest.approx(base[p].tolist())
 
     def test_scores_in_unit_interval(self, rng):
         for _ in range(20):
             counts = rng.integers(0, 12, (3, 3)).astype(np.int64)
             if counts.sum() == 0:
                 continue
-            for s in metrics.class_report(counts):
-                assert 0.0 <= s.precision <= 1.0
-                assert 0.0 <= s.recall <= 1.0
-                assert 0.0 <= s.f1 <= 1.0
+            report = metrics.class_report(counts)
+            assert ((0.0 <= report) & (report <= 1.0)).all()
+
+    def test_matches_per_class_loop_bit_for_bit(self, rng):
+        cases = [
+            np.zeros((8, 8), dtype=np.int64),  # every denominator zero
+            np.diag([0, 3, 0, 5, 1, 0, 2, 7, 0]).astype(np.int64),
+            np.array([[0, 4, 0], [0, 0, 0], [2, 9, 0]], dtype=np.int64),  # zero row, zero column
+        ]
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            counts = rng.integers(0, 50, (k, k))
+            counts[rng.uniform(0, 1, (k, k)) < 0.3] = 0
+            cases.append(counts.astype(np.int64))
+        for cm in cases:
+            report = metrics.class_report(cm)
+            assert report.dtype == np.float64 and report.shape == (len(cm), 3)
+            assert report.tobytes() == np.array(class_report_loop(cm)).tobytes()
+
+    def test_macro_f1_is_the_left_to_right_sum(self, rng):
+        for _ in range(300):
+            k = int(rng.integers(2, 12))
+            counts = rng.integers(0, 50, (k, k))
+            counts[rng.uniform(0, 1, (k, k)) < 0.3] = 0
+            rows = class_report_loop(counts)
+            total = 0.0
+            for _, _, f1 in rows:
+                total += f1
+            assert metrics.macro_f1(metrics.class_report(counts)) == total / k
 
 
 class TestAccuracy:
@@ -101,14 +135,14 @@ class TestRocMicro:
     def test_perfect_separator(self):
         scores = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.3, 0.7]])
         labels = np.array([0, 0, 1, 1])
-        curve = metrics.roc_micro(scores, labels)
-        assert curve.auc == 1.0
+        _, auc = metrics.roc_micro(scores, labels)
+        assert auc == 1.0
 
     def test_identical_scores_chance_level(self):
         scores = np.full((6, 3), 1 / 3)
         labels = np.array([0, 1, 2, 0, 1, 2])
-        curve = metrics.roc_micro(scores, labels)
-        assert curve.auc == 0.5
+        _, auc = metrics.roc_micro(scores, labels)
+        assert auc == 0.5
 
     def test_matches_pairwise_oracle(self, rng):
         for trial in range(30):
@@ -117,21 +151,21 @@ class TestRocMicro:
             if trial % 3 == 0:
                 scores = np.round(scores, 1)  # force tie groups
             labels = rng.integers(0, k, n)
-            curve = metrics.roc_micro(scores, labels)
-            assert curve.auc == pytest.approx(
+            _, auc = metrics.roc_micro(scores, labels)
+            assert auc == pytest.approx(
                 mann_whitney_auc(scores, labels), abs=1e-12
             )
 
     def test_points_monotone_and_bounded(self, rng):
         scores = rng.uniform(0, 1, (25, 4))
         labels = rng.integers(0, 4, 25)
-        curve = metrics.roc_micro(scores, labels)
-        fprs = [p[0] for p in curve.points]
-        tprs = [p[1] for p in curve.points]
+        points, auc = metrics.roc_micro(scores, labels)
+        fprs = points[:, 0].tolist()
+        tprs = points[:, 1].tolist()
         assert fprs == sorted(fprs) and tprs == sorted(tprs)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
-        assert 0.0 <= curve.auc <= 1.0
+        assert points[0].tolist() == [0.0, 0.0]
+        assert points[-1].tolist() == [1.0, 1.0]
+        assert 0.0 <= auc <= 1.0
 
     def test_degenerate_pool_rejected(self):
         with pytest.raises(ValueError, match="positive and one negative"):
@@ -158,9 +192,9 @@ class TestRocMicro:
                 (int((neg >= t).sum()) / len(neg), int((pos >= t).sum()) / len(pos))
                 for t in sorted(set(scores.ravel().tolist()), reverse=True)
             ]
-            curve = metrics.roc_micro(scores, labels)
-            assert curve.points == expected
-            assert curve.auc == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-12)
+            points, auc = metrics.roc_micro(scores, labels)
+            assert list(map(tuple, points.tolist())) == expected
+            assert auc == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -169,8 +203,8 @@ class TestRocMicro:
         n = int(rng.integers(2, 25))
         scores = np.round(rng.uniform(0, 1, (n, 3)), 2)
         labels = rng.integers(0, 3, n)
-        curve = metrics.roc_micro(scores, labels)
-        assert curve.auc == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-12)
+        _, auc = metrics.roc_micro(scores, labels)
+        assert auc == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-12)
 
 
 class TestCsvWriters:
@@ -178,10 +212,11 @@ class TestCsvWriters:
         cm = np.array([[9, 3], [1, 7]], dtype=np.int64)
         report = metrics.class_report(cm)
         path = tmp_path / "metrics.csv"
-        metrics.write_metrics_csv(path, ["a", "b"], report)
+        metrics.write_metrics_csv(path, ["a", "b"], cm)
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["class", "precision", "recall", "f1", "support"]
         assert rows[1][0] == "a" and float(rows[1][1]) == pytest.approx(0.9)
+        assert rows[1][4] == "12"
         assert rows[-1][0] == "macro_f1"
         assert float(rows[-1][1]) == pytest.approx(metrics.macro_f1(report), abs=1e-6)
 
@@ -197,10 +232,10 @@ class TestCsvWriters:
     def test_roc_csv_final_auc_line(self, tmp_path, rng):
         scores = rng.uniform(0, 1, (10, 2))
         labels = rng.integers(0, 2, 10)
-        curve = metrics.roc_micro(scores, labels)
+        points, auc = metrics.roc_micro(scores, labels)
         path = tmp_path / "roc_points.csv"
-        metrics.write_roc_csv(path, curve)
+        metrics.write_roc_csv(path, points, auc)
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["fpr", "tpr"]
         assert rows[-1][0] == "auc"
-        assert float(rows[-1][1]) == pytest.approx(curve.auc, abs=1e-12)
+        assert float(rows[-1][1]) == pytest.approx(auc, abs=1e-12)

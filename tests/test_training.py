@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grainforge import network, training
+from grainforge.metrics import accuracy, confusion_from_pairs
 from grainforge.network import LayerSpec, NetworkSpec
 from grainforge.rng import Rng
 from grainforge.training import (
@@ -204,7 +205,8 @@ class TestBestEpoch:
     def test_read_history_skips_nan_epoch(self, tmp_path):
         path = tmp_path / "history.csv"
         path.write_text(HISTORY_HEADER + "1,0.9,0.5,nan,0.5\n2,0.8,0.6,0.7,0.6\n")
-        assert training.read_history(path).best_epoch == 1
+        history = training.read_history(path)
+        assert training.best_epoch(history[:, training.VAL_LOSS]) == 1
 
 
 class TestTrainLoop:
@@ -227,8 +229,8 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=3, batch_size=5, seed=7, dtype="f64")
         p1, h1 = training.train_arrays(spec, x, y, x[:6], y[:6], cfg)
         p2, h2 = training.train_arrays(spec, x, y, x[:6], y[:6], cfg)
-        assert len(h1.epochs) == 3
-        assert h1.epochs == h2.epochs
+        assert len(h1) == 3
+        assert np.array_equal(h1, h2)
         for a, b in zip(p1, p2, strict=True):
             assert np.array_equal(a, b)
 
@@ -238,12 +240,13 @@ class TestTrainLoop:
         y = rng.integers(0, 2, 24)
         cfg = TrainConfig(epochs=4, batch_size=6, seed=13, l2=1e-3, dtype="f64")
         params, history = training.train_arrays(spec, x, y, x[:8], y[:8], cfg)
-        best = history.epochs[history.best_epoch]
-        result = training.evaluate_arrays(
+        val_losses = history[:, training.VAL_LOSS]
+        best = val_losses[training.best_epoch(val_losses)]
+        _, loss = training.evaluate_arrays(
             spec, params, x[:8], y[:8], lam=cfg.l2, batch_size=cfg.batch_size
         )
-        assert result.loss == pytest.approx(best.val_loss, abs=1e-12)
-        assert all(best.val_loss <= e.val_loss for e in history.epochs)
+        assert loss == pytest.approx(best, abs=1e-12)
+        assert all(best <= v for v in val_losses)
 
     def test_history_length_and_early_stop(self, rng):
         spec = flat_spec()
@@ -251,10 +254,10 @@ class TestTrainLoop:
         y = rng.integers(0, 2, 16)
         cfg = TrainConfig(epochs=50, patience=2, batch_size=8, seed=5, dtype="f64")
         _, history = training.train_arrays(spec, x, y, x[:4], y[:4], cfg)
-        assert len(history.epochs) <= 50
+        assert len(history) <= 50
         # stopping rule: best epoch is at least patience epochs before the end
-        if len(history.epochs) < 50:
-            assert len(history.epochs) - 1 - history.best_epoch >= 2
+        if len(history) < 50:
+            assert len(history) - 1 - training.best_epoch(history[:, training.VAL_LOSS]) >= 2
 
     def test_empty_split_rejected(self, rng):
         spec = flat_spec()
@@ -269,7 +272,7 @@ class TestTrainLoop:
         spec = network.build_rice_cnn()
         cfg = TrainConfig(data_root=root, epochs=2, seed=2, dtype="f32")
         params, history = training.train(spec, manifest, assignment, cfg)
-        assert len(history.epochs) == 2
+        assert len(history) == 2
         assert scalar_count(params) == param_count(spec)
 
     def test_unreadable_image_identifies_path(self, tmp_path):
@@ -311,6 +314,12 @@ class TestLoaderStages:
         assert list(ys) == [ys[0]] * 5 + [ys[5]] * 5
 
 
+def confusion(spec, params, x, y):
+    """Confusion matrix of the argmax predictions, built as the ``evaluate`` command builds it."""
+    probs, _ = training.evaluate_arrays(spec, params, x, y)
+    return confusion_from_pairs(y, probs.argmax(axis=1), spec.num_classes)
+
+
 class TestEvaluate:
     def test_constant_class0_model_on_balanced_set(self, rng):
         spec = flat_spec(num_classes=2)
@@ -320,10 +329,7 @@ class TestEvaluate:
         bias[:] = np.array([5.0, 0.0])  # always predicts class 0
         x = rng.normal(0, 1, (10, 4, 4, 1))
         y = np.array([0, 1] * 5)
-        result = training.evaluate_arrays(spec, params, x, y)
-        from grainforge.metrics import accuracy
-
-        assert accuracy(result.confusion) == 0.5
+        assert accuracy(confusion(spec, params, x, y)) == 0.5
 
     def test_perfect_oracle_is_diagonal(self):
         spec = flat_spec(num_classes=2)
@@ -337,17 +343,16 @@ class TestEvaluate:
         bright = np.full((3, 4, 4, 1), 1.0)
         x = np.concatenate([dark, bright])
         y = np.array([0, 0, 0, 1, 1, 1])
-        result = training.evaluate_arrays(spec, params, x, y)
-        assert np.array_equal(result.confusion, np.diag([3, 3]))
+        assert np.array_equal(confusion(spec, params, x, y), np.diag([3, 3]))
 
     def test_row_sums_equal_class_counts(self, rng):
         spec = flat_spec(num_classes=3)
         params = network.init_parameters(spec, Rng(3), dtype=np.float64)
         x = rng.normal(0, 1, (30, 4, 4, 1))
         y = rng.integers(0, 3, 30)
-        result = training.evaluate_arrays(spec, params, x, y)
+        cm = confusion(spec, params, x, y)
         for k in range(3):
-            assert result.confusion[k].sum() == int((y == k).sum())
+            assert cm[k].sum() == int((y == k).sum())
 
     def test_argmax_tie_goes_to_lowest_class(self):
         spec = flat_spec(num_classes=2)
@@ -357,23 +362,18 @@ class TestEvaluate:
         bias[:] = 0.0  # exact 0.5/0.5 tie
         x = np.zeros((4, 4, 4, 1))
         y = np.array([1, 1, 1, 1])
-        result = training.evaluate_arrays(spec, params, x, y)
-        assert result.confusion[1, 0] == 4  # all predicted class 0
+        assert confusion(spec, params, x, y)[1, 0] == 4  # all predicted class 0
 
 
 class TestHistoryCsv:
     def test_six_decimal_format_and_round_trip(self, tmp_path):
-        history = training.TrainingHistory(
-            epochs=[
-                training.EpochRecord(1.23456789, 0.5, 0.99999999, 0.25),
-                training.EpochRecord(0.5, 0.75, 0.4, 0.8),
-            ],
-        )
+        history = np.array([[1.23456789, 0.5, 0.99999999, 0.25], [0.5, 0.75, 0.4, 0.8]])
         path = tmp_path / "history.csv"
         training.write_history(history, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,train_loss,train_acc,val_loss,val_acc"
         assert lines[1] == "1,1.234568,0.500000,1.000000,0.250000"
         back = training.read_history(path)
-        assert back.best_epoch == 1
-        assert back.epochs[1].val_acc == pytest.approx(0.8)
+        assert back.dtype == np.float64 and back.shape == (2, len(training.HISTORY_COLUMNS))
+        assert training.best_epoch(back[:, training.VAL_LOSS]) == 1
+        assert back[1, training.HISTORY_COLUMNS.index("val_acc")] == pytest.approx(0.8)
