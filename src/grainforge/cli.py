@@ -273,6 +273,7 @@ def cmd_explain(args) -> int:
         image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
     )
     baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * image.channels
+    value = explain_mod.coalition_value(model, image, superpixels, target, baseline)
     rng = Rng(cfg.seed)
 
     out_dir = Path(args.out_dir) if args.out_dir else image_path.parent
@@ -284,24 +285,13 @@ def cmd_explain(args) -> int:
             break
 
     if cfg.method == "lime":
-        weights, highlight = explain_mod.lime_explain(
-            model,
-            image,
-            superpixels,
-            target,
-            n_samples=cfg.samples,
-            kernel_width=cfg.kernel_width,
-            ridge=cfg.ridge,
-            top_k=cfg.top_k,
-            rng=rng,
-            baseline=baseline,
+        weights = explain_mod.lime_explain(
+            value, superpixels.count, cfg.samples, cfg.kernel_width, cfg.ridge, rng
         )
-        heatmap = explain_mod.render_lime_heatmap(image, superpixels, highlight)
+        heatmap = explain_mod.render_lime_heatmap(image, superpixels, weights, cfg.top_k)
         method = "lime"
     else:
-        weights = explain_mod.kernel_shap(
-            model, image, superpixels, target, baseline=baseline, n_samples=cfg.samples, rng=rng
-        )
+        weights = explain_mod.kernel_shap(value, superpixels.count, cfg.samples, rng)
         heatmap = explain_mod.render_shap_heatmap(image, superpixels, weights)
         method = "kernel_shap"
 

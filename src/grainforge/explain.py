@@ -1,9 +1,13 @@
 """Superpixel attribution: SLIC segmentation, LIME surrogates, Shapley values.
 
 Attributions are computed per superpixel for one designated class.  Both
-explainers share the same perturbation semantics: a binary mask over
-segments selects which regions keep their pixels and which are replaced
-by a baseline color (per-image mean unless overridden).
+explainers estimate one coalition game, built by ``coalition_value``: a
+mask over the M segments keeps the included regions' pixels and paints the
+rest with a baseline color, and the value is the model's probability of
+the class on that image.  LIME rejects a kernel width at which a mask that
+drops one segment weighs 0.0, since the surrogate would fit the full mask
+alone; KernelSHAP samples coalition sizes by the closed-form kernel mass
+(M - 1) / (s (M - s)), which, unlike C(M, s), fits a float at any M.
 
 The KernelSHAP solver enforces local accuracy exactly: the last
 coefficient is eliminated through the constraint sum(phi) = v(full) -
@@ -54,9 +58,7 @@ def _color_features(image: Image) -> np.ndarray:
     return image.pixels.astype(np.float64) * (100.0 / 255.0)
 
 
-def slic_superpixels(
-    image: Image, target: int, compactness: float = 10.0, iters: int = 10
-) -> SuperpixelMap:
+def slic_superpixels(image: Image, target: int, compactness: float, iters: int) -> SuperpixelMap:
     """Windowed k-means over (color, position) with connectivity cleanup.
 
     This is SLIC as published (Achanta et al., TPAMI 2012).  Centers start
@@ -194,10 +196,7 @@ def mean_baseline(image: Image) -> tuple[int, ...]:
 
 
 def perturb(
-    image: Image,
-    superpixels: SuperpixelMap,
-    mask: np.ndarray,
-    baseline: tuple[int, ...] | None = None,
+    image: Image, superpixels: SuperpixelMap, mask: np.ndarray, baseline: tuple[int, ...]
 ) -> Image:
     """Replace the pixels of every excluded segment with the baseline color."""
     mask = np.asarray(mask)
@@ -205,12 +204,25 @@ def perturb(
         raise ValueError(
             f"mask length {mask.shape} does not match {superpixels.count} segments"
         )
-    if baseline is None:
-        baseline = mean_baseline(image)
     excluded = ~mask.astype(bool)
     out = image.pixels.copy()
     out[excluded[superpixels.labels]] = np.array(baseline, dtype=np.uint8)
     return Image.from_array(out)
+
+
+def coalition_value(
+    model: Model,
+    image: Image,
+    superpixels: SuperpixelMap,
+    class_index: int,
+    baseline: tuple[int, ...],
+) -> Callable[[np.ndarray], float]:
+    """The game both explainers estimate: a segment mask to the class probability."""
+
+    def value(mask: np.ndarray) -> float:
+        return float(model(perturb(image, superpixels, mask, baseline))[class_index])
+
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -231,36 +243,35 @@ def _proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
 
 
 def lime_explain(
-    model: Model,
-    image: Image,
-    superpixels: SuperpixelMap,
-    class_index: int,
-    n_samples: int = 1000,
-    kernel_width: float = 0.25,
-    ridge: float = 1.0,
-    top_k: int = 5,
-    rng: Rng | None = None,
-    baseline: tuple[int, ...] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted ridge surrogate over mask perturbations.
+    value: Callable[[np.ndarray], float],
+    m: int,
+    n_samples: int,
+    kernel_width: float,
+    ridge: float,
+    rng: Rng,
+) -> np.ndarray:
+    """Per-segment coefficients of a weighted ridge surrogate of ``value``.
 
-    Returns the per-segment coefficients and the highlight mask of the
-    ``top_k`` most positive segments.  An ``n_samples`` below M + 2 is
-    raised to M + 2, so the surrogate (M coefficients and an intercept)
-    has more samples than unknowns.  When 2^M fits inside ``n_samples``
-    the full mask space is enumerated instead of sampled.
+    An ``n_samples`` below M + 2 is raised to M + 2, so the surrogate (M
+    coefficients and an intercept) has more samples than unknowns.  When
+    2^M fits inside ``n_samples`` the full mask space is enumerated instead
+    of sampled.  A kernel width that gives the nearest mask dropping a
+    segment, at distance 1 - sqrt((M-1)/M), proximity weight 0.0 is
+    rejected before ``value`` is called.
     """
-    m = superpixels.count
     n_samples = max(n_samples, m + 2)
     # a width whose square underflows to 0 would weigh the full mask exp(-0/0)
     if not (kernel_width > 0 and kernel_width * kernel_width > 0):
         raise ValueError(
             f"kernel width must be positive with a positive square, got {kernel_width}"
         )
+    nearest = 1.0 - math.sqrt((m - 1) / m)
+    if math.exp(-(nearest * nearest) / (kernel_width * kernel_width)) == 0.0:
+        raise ValueError(
+            f"kernel width {kernel_width} gives every mask that drops a segment weight 0"
+        )
     if ridge < 0:
         raise ValueError(f"ridge strength must be non-negative, got {ridge}")
-    if rng is None:
-        rng = Rng(0)
 
     if m <= 30 and 2**m <= n_samples:
         masks = _enumerate_masks(m)
@@ -268,11 +279,7 @@ def lime_explain(
         draws = (rng.child("lime-masks").random((n_samples - 1, m)) < 0.5).astype(np.float64)
         masks = np.vstack([np.ones((1, m)), draws])
 
-    if baseline is None:
-        baseline = mean_baseline(image)
-    targets = np.array(
-        [model(perturb(image, superpixels, mask, baseline))[class_index] for mask in masks]
-    )
+    targets = np.array([value(mask) for mask in masks])
     weights = _proximity_weights(masks, kernel_width)
 
     # weighted ridge with free intercept: penalty applies to coefficients only
@@ -288,12 +295,7 @@ def lime_explain(
         raise ValueError(
             "singular regression system; retry with ridge > 0"
         ) from exc
-
-    coefficients = beta[1:]
-    top = np.argsort(-coefficients, kind="stable")[:top_k]
-    highlight = np.zeros(m, dtype=bool)
-    highlight[top[coefficients[top] > 0]] = True
-    return coefficients, highlight
+    return beta[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -305,13 +307,10 @@ def _shapley_kernel_weight(m: int, size: int) -> float:
     return (m - 1) / (math.comb(m, size) * size * (m - size))
 
 
-def kernel_shap_values(
-    value_fn: Callable[[np.ndarray], float],
-    m: int,
-    n_samples: int = 2048,
-    rng: Rng | None = None,
+def kernel_shap(
+    value: Callable[[np.ndarray], float], m: int, n_samples: int, rng: Rng
 ) -> np.ndarray:
-    """Shapley values of an arbitrary coalition value function.
+    """Shapley values of a coalition game over ``m`` players.
 
     All 2^m - 2 proper coalitions are enumerated when they fit inside
     ``n_samples``; otherwise coalitions are sampled proportional to the
@@ -321,10 +320,8 @@ def kernel_shap_values(
     """
     if m < 1:
         raise ValueError(f"need at least one player, got {m}")
-    if rng is None:
-        rng = Rng(0)
-    v_empty = float(value_fn(np.zeros(m)))
-    v_full = float(value_fn(np.ones(m)))
+    v_empty = float(value(np.zeros(m)))
+    v_full = float(value(np.ones(m)))
     delta = v_full - v_empty
     if m == 1:
         return np.array([delta])
@@ -339,34 +336,15 @@ def kernel_shap_values(
     else:
         masks, weights = _sample_coalitions(m, n_samples, rng.child("shap-masks"))
 
-    targets = np.array([float(value_fn(z)) for z in masks])
+    targets = np.array([float(value(z)) for z in masks])
     return _constrained_solve(masks, weights, targets, v_empty, delta)
-
-
-def kernel_shap(
-    model: Model,
-    image: Image,
-    superpixels: SuperpixelMap,
-    class_index: int,
-    baseline: tuple[int, ...] | None = None,
-    n_samples: int = 2048,
-    rng: Rng | None = None,
-) -> np.ndarray:
-    """Per-superpixel Shapley attributions of one class probability."""
-    if baseline is None:
-        baseline = mean_baseline(image)
-
-    def value(mask: np.ndarray) -> float:
-        return float(model(perturb(image, superpixels, mask, baseline))[class_index])
-
-    return kernel_shap_values(value, superpixels.count, n_samples=n_samples, rng=rng)
 
 
 def _sample_coalitions(m: int, n_samples: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Draw coalitions proportional to kernel weight, in complement pairs."""
-    size_weight = np.array(
-        [math.comb(m, s) * _shapley_kernel_weight(m, s) for s in range(1, m)]
-    )
+    sizes = np.arange(1, m)
+    # the kernel mass of all C(m, s) coalitions of size s, without the binomial
+    size_weight = (m - 1) / (sizes * (m - sizes))
     cumulative = np.cumsum(size_weight / size_weight.sum())
     counts: dict[tuple, float] = {}
     pairs = max(1, n_samples // 2)
@@ -434,12 +412,18 @@ def _highlight_boundary(superpixels: SuperpixelMap, highlight: np.ndarray) -> np
 
 
 def render_lime_heatmap(
-    image: Image, superpixels: SuperpixelMap, highlight: np.ndarray
+    image: Image, superpixels: SuperpixelMap, weights: np.ndarray, top_k: int
 ) -> Image:
-    """Original image with a 1-pixel yellow outline on highlighted segments."""
+    """Original image with a 1-pixel yellow outline on the ``top_k`` most positive segments.
+
+    Segments are ranked by a stable sort of their weights, so a tie keeps
+    the lower id; a segment whose weight is not positive is never outlined.
+    """
+    top = np.argsort(-weights, kind="stable")[:top_k]
+    highlight = np.zeros(superpixels.count, dtype=bool)
+    highlight[top[weights[top] > 0]] = True
     rgb = _ensure_rgb(image)
-    boundary = _highlight_boundary(superpixels, np.asarray(highlight, dtype=bool))
-    rgb[boundary] = (255, 255, 0)
+    rgb[_highlight_boundary(superpixels, highlight)] = (255, 255, 0)
     return Image.from_array(rgb)
 
 

@@ -1,8 +1,8 @@
 """Seeded random number generation.
 
 Every stochastic choice in the toolkit (weight init, dataset shuffles,
-perturbation masks) flows through :class:`Rng`, a thin wrapper around
-numpy's PCG64 bit generator.  PCG64 streams are documented and
+perturbation masks) flows through :class:`Rng`, a numpy ``Generator`` over
+the PCG64 bit generator.  PCG64 streams are documented and
 platform-independent, so a run is reproducible from its seed alone.
 
 Derived streams are obtained with :meth:`Rng.child`, which folds a string
@@ -23,34 +23,16 @@ def _label_entropy(label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class Rng:
+class Rng(np.random.Generator):
     """Deterministic generator keyed by a 64-bit seed."""
 
     def __init__(self, seed: int, _entropy: tuple[int, ...] = ()):
         if seed < 0 or seed >= 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+        super().__init__(np.random.PCG64(np.random.SeedSequence((seed, *_entropy))))
         self.seed = seed
         self._entropy = _entropy
-        self._gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, *_entropy)))
-        )
 
     def child(self, label: str) -> "Rng":
         """Split off an independent stream named by ``label``."""
         return Rng(self.seed, (*self._entropy, _label_entropy(label)))
-
-    def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def normal(self, mean: float, std: float, shape=None) -> np.ndarray:
-        return self._gen.normal(mean, std, size=shape)
-
-    def integers(self, low: int, high: int, shape=None) -> np.ndarray:
-        """Draws from [low, high), matching numpy's half-open convention."""
-        return self._gen.integers(low, high, size=shape)
-
-    def random(self, shape=None) -> np.ndarray:
-        return self._gen.random(size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)

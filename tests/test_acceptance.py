@@ -175,10 +175,8 @@ def test_criterion_5_lime_fidelity():
             )
             return np.array([0.1 + float(c @ z)])
 
-        weights, _ = explain.lime_explain(
-            model, image, spmap, 0, n_samples=2**m, ridge=1e-8,
-            rng=Rng(trial), baseline=baseline,
-        )
+        value = explain.coalition_value(model, image, spmap, 0, baseline)
+        weights = explain.lime_explain(value, m, 2**m, 0.25, 1e-8, Rng(trial))
         worst = max(worst, float(np.abs(weights - c).max()))
     verdict(
         "criterion 5 (LIME fidelity)",
@@ -200,7 +198,7 @@ def test_criterion_6_shap_exactness():
             def value(z, table=table):
                 return float(table[int(sum(int(b) << i for i, b in enumerate(z)))])
 
-            phi = explain.kernel_shap_values(value, m, n_samples=2**m, rng=rng)
+            phi = explain.kernel_shap(value, m, 2**m, rng)
             exact = exact_shapley(value, m)
             worst_gap = max(worst_gap, float(np.abs(phi - exact).max()))
             delta = value(np.ones(m)) - value(np.zeros(m))
@@ -213,7 +211,7 @@ def test_criterion_6_shap_exactness():
         def value(z, table=table):
             return float(table[int(sum(int(b) << i for i, b in enumerate(z)))])
 
-        phi = explain.kernel_shap_values(value, m, n_samples=300, rng=rng.child(f"s{trial}"))
+        phi = explain.kernel_shap(value, m, 300, rng.child(f"s{trial}"))
         delta = value(np.ones(m)) - value(np.zeros(m))
         worst_local = max(worst_local, abs(float(phi.sum()) - delta))
     elapsed_ok = time.time() - t0 < 120

@@ -441,6 +441,25 @@ class TestExplain:
         )
         assert not (out_dir / "disc_0000.lime.csv").exists()
 
+    @pytest.mark.parametrize("width", ["1e-4", "1e-160"])
+    def test_kernel_width_that_zeroes_every_dropped_segment_exit_1(
+        self, trained, tmp_path, capsys, width
+    ):
+        # every mask but the full one would weigh 0.0 and every CSV weight would be 0.0
+        root, _, weights, _ = trained
+        out_dir = tmp_path / "out"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", self.image_path(root),
+            "--method", "lime", "--kernel-width", width, "--samples", "200",
+            "--out-dir", str(out_dir),
+        )
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            f"error: kernel width {float(width)} gives every mask that drops a segment weight 0\n"
+        )
+        assert not (out_dir / "disc_0000.lime.csv").exists()
+
     def test_shap_local_accuracy_from_csv(self, trained, tmp_path, capsys):
         root, _, weights, _ = trained
         out_dir = tmp_path / "shap_out"
@@ -574,11 +593,8 @@ class TestRecordedPreprocessing:
             return np.asarray(probs, dtype=np.float64)
 
         superpixels = explain.slic_superpixels(image, 40, compactness=10.0, iters=10)
-        weights, _ = explain.lime_explain(
-            model, image, superpixels, 0, n_samples=60,
-            kernel_width=0.25, ridge=1.0, top_k=5, rng=Rng(8),
-            baseline=explain.mean_baseline(image),
-        )
+        value = explain.coalition_value(model, image, superpixels, 0, explain.mean_baseline(image))
+        weights = explain.lime_explain(value, superpixels.count, 60, 0.25, 1.0, Rng(8))
         explain.write_attribution_csv(path, weights, 0, "lime")
         return path.read_bytes()
 

@@ -153,13 +153,13 @@ def benchmark_image(size: int, seed: int, index: int) -> Image:
 class TestSlic:
     def test_single_segment(self, rng):
         img = random_image(rng, 9, 7)
-        spmap = explain.slic_superpixels(img, 1)
+        spmap = explain.slic_superpixels(img, 1, compactness=10.0, iters=10)
         assert spmap.count == 1
         assert np.all(spmap.labels == 0)
 
     def test_uniform_image_gives_equal_quadrants(self):
         img = Image.from_array(np.full((32, 32, 3), 90, dtype=np.uint8))
-        spmap = explain.slic_superpixels(img, 4)
+        spmap = explain.slic_superpixels(img, 4, compactness=10.0, iters=10)
         assert spmap.count == 4
         quads = {
             spmap.labels[:16, :16].ravel()[0],
@@ -177,7 +177,7 @@ class TestSlic:
     def test_invariants_on_random_images(self, rng):
         for trial in range(5):
             img = random_image(rng, 20, 14)
-            spmap = explain.slic_superpixels(img, 6, iters=4)
+            spmap = explain.slic_superpixels(img, 6, compactness=10.0, iters=4)
             labels = spmap.labels
             # coverage with contiguous ids
             present = np.unique(labels)
@@ -191,12 +191,12 @@ class TestSlic:
     def test_distance_tie_goes_to_lower_center_id(self):
         # centers start at x = 0.25 and 1.75, so the middle pixel is 0.75 from both
         img = Image.from_array(np.full((1, 3, 3), 90, dtype=np.uint8))
-        spmap = explain.slic_superpixels(img, 2)
+        spmap = explain.slic_superpixels(img, 2, compactness=10.0, iters=10)
         assert np.array_equal(spmap.labels, [[0, 0, 1]])
 
     def test_target_larger_than_pixel_count_rejected(self, rng):
         with pytest.raises(ValueError, match="cannot split"):
-            explain.slic_superpixels(random_image(rng, 3, 3), 10)
+            explain.slic_superpixels(random_image(rng, 3, 3), 10, compactness=10.0, iters=10)
 
     @pytest.mark.parametrize("size, segments, images", [(224, 100, 1), (50, 40, 3)])
     def test_agrees_with_global_reference_on_benchmark_images(self, size, segments, images):
@@ -399,43 +399,38 @@ class TestPerturb:
     def test_default_baseline_is_mean_color(self, rng):
         image = random_image(rng, 6, 6)
         spmap = SuperpixelMap(np.zeros((6, 6), dtype=np.int32), 1)
-        out = explain.perturb(image, spmap, np.zeros(1))
         expected = explain.mean_baseline(image)
+        out = explain.perturb(image, spmap, np.zeros(1), expected)
         assert np.all(out.pixels.reshape(-1, 3) == expected)
+
+
+class TestCoalitionValue:
+    def test_scores_the_perturbed_image_for_the_class(self):
+        image, spmap = banded_setup(4)
+        c = np.array([0.5, -0.4, 0.3, 0.1])
+        model = mask_reading_model(image, spmap, lambda z: [float(c @ z), 1.0 + float(z.sum())])
+        value = explain.coalition_value(model, image, spmap, 1, BASELINE)
+        for z in explain._enumerate_masks(4):
+            assert value(z) == 1.0 + z.sum()
 
 
 class TestLime:
     def test_flat_model_gives_zero_coefficients(self):
-        image, spmap = banded_setup(4)
-        model = mask_reading_model(image, spmap, lambda z: [0.37])
-        weights, _ = explain.lime_explain(
-            model, image, spmap, 0, n_samples=16, ridge=1e-8, rng=Rng(0),
-            baseline=BASELINE,
-        )
+        weights = explain.lime_explain(lambda z: 0.37, 4, 16, 0.25, 1e-8, Rng(0))
         assert np.abs(weights).max() < 1e-9
 
     def test_linear_model_recovered_exactly(self):
         m = 6
-        image, spmap = banded_setup(m)
         c = np.array([0.05, -0.2, 0.4, 0.0, 0.15, -0.1])
-        model = mask_reading_model(image, spmap, lambda z: [0.1 + float(c @ z)])
-        weights, _ = explain.lime_explain(
-            model, image, spmap, 0, n_samples=64, ridge=1e-8, rng=Rng(1),
-            baseline=BASELINE,
-        )
+        weights = explain.lime_explain(lambda z: 0.1 + float(c @ z), m, 64, 0.25, 1e-8, Rng(1))
         assert np.abs(weights - c).max() < 1e-6
 
     def test_two_segment_normal_equations(self):
         # hand-specified value table over all four masks
         table = {(0, 0): 0.2, (1, 0): 0.5, (0, 1): 0.9, (1, 1): 1.0}
-        image, spmap = banded_setup(2)
-        model = mask_reading_model(
-            image, spmap, lambda z: [table[(int(z[0]), int(z[1]))]]
-        )
         sigma, lam = 0.25, 1e-8
-        weights, _ = explain.lime_explain(
-            model, image, spmap, 0, n_samples=4, kernel_width=sigma, ridge=lam,
-            rng=Rng(2), baseline=BASELINE,
+        weights = explain.lime_explain(
+            lambda z: table[(int(z[0]), int(z[1]))], 2, 4, sigma, lam, Rng(2)
         )
         # oracle: solve the 3-unknown weighted normal equations directly
         masks = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)
@@ -452,63 +447,64 @@ class TestLime:
         m = 5
         image, spmap = banded_setup(m)
         c = np.array([0.5, -0.4, 0.3, 0.0, 0.1])
-        model = mask_reading_model(image, spmap, lambda z: [float(c @ z)])
-        _, highlight = explain.lime_explain(
-            model, image, spmap, 0, n_samples=32, ridge=1e-8, top_k=2,
-            rng=Rng(3), baseline=BASELINE,
-        )
-        assert set(np.nonzero(highlight)[0]) == {0, 2}
+        weights = explain.lime_explain(lambda z: float(c @ z), m, 32, 0.25, 1e-8, Rng(3))
+        out = explain.render_lime_heatmap(image, spmap, weights, 2)
+        outlined = spmap.labels[np.all(out.pixels == (255, 255, 0), axis=2)]
+        assert set(outlined.tolist()) == {0, 2}
 
     def test_sample_budget_below_floor_is_raised(self):
         # 4 segments need 4 + 2 samples; a budget of 5 runs as 6
-        image, spmap = banded_setup(4)
         c = np.array([0.5, -0.4, 0.3, 0.1])
-        model = mask_reading_model(image, spmap, lambda z: [float(c @ z)])
         raised, exact = (
-            explain.lime_explain(model, image, spmap, 0, n_samples=n, rng=Rng(4), baseline=BASELINE)
-            for n in (5, 6)
+            explain.lime_explain(lambda z: float(c @ z), 4, n, 0.25, 1.0, Rng(4)) for n in (5, 6)
         )
-        assert np.array_equal(raised[0], exact[0])
-        assert np.array_equal(raised[1], exact[1])
+        assert np.array_equal(raised, exact)
 
     @pytest.mark.parametrize("width", [0.0, -0.25, math.nan, 1e-200])
     def test_kernel_width_without_a_positive_square_rejected(self, width):
         # 1e-200 ** 2 underflows to 0.0, which weighs the full mask exp(-0/0)
-        image, spmap = banded_setup(4)
         calls = []
-        model = mask_reading_model(image, spmap, lambda z: calls.append(z) or [0.5])
         with pytest.raises(ValueError, match=f"kernel width .*got {width}$"):
-            explain.lime_explain(
-                model, image, spmap, 0, n_samples=16, kernel_width=width, rng=Rng(0),
-                baseline=BASELINE,
-            )
+            explain.lime_explain(lambda z: calls.append(z) or 0.5, 4, 16, width, 1.0, Rng(0))
         assert calls == []
 
+    @pytest.mark.parametrize("width", [1e-3, 1e-100, 1e-160])
+    def test_kernel_width_that_zeroes_every_dropped_segment_rejected(self, width):
+        # 6 segments: the nearest mask that drops one is 1 - sqrt(5/6) = 0.087 from the full
+        # mask; exp(-0.087^2 / 1e-6) is 0.0, and 1e-160 ** 2 is subnormal, so d^2 / w^2 is inf
+        calls = []
+        with pytest.raises(ValueError, match=f"kernel width {width} gives every mask"):
+            explain.lime_explain(lambda z: calls.append(z) or 0.5, 6, 64, width, 1e-8, Rng(1))
+        assert calls == []
+
+    def test_kernel_width_rejected_exactly_where_the_nearest_weight_underflows(self):
+        # exp(-740) is subnormal but positive; exp(-750) is 0.0
+        m = 6
+        c = np.array([0.05, -0.2, 0.4, 0.0, 0.15, -0.1])
+        nearest = 1.0 - math.sqrt((m - 1) / m)
+        kept = explain.lime_explain(
+            lambda z: 0.1 + float(c @ z), m, 64, nearest / math.sqrt(740), 1e-8, Rng(1)
+        )
+        assert np.all(np.isfinite(kept))
+        with pytest.raises(ValueError, match="gives every mask"):
+            explain.lime_explain(lambda z: 0.5, m, 64, nearest / math.sqrt(750), 1e-8, Rng(1))
+
     def test_singular_system_suggests_ridge(self):
-        image, spmap = banded_setup(3)
-        model = mask_reading_model(image, spmap, lambda z: [float(z.sum())])
         # seed chosen so one segment is kept in every sampled mask, making
         # its column collinear with the intercept under ridge = 0
         for seed in range(200):
             masks = (Rng(seed).child("lime-masks").random((4, 3)) < 0.5)
             if np.any(np.vstack([np.ones(3, bool), masks]).all(axis=0)):
                 with pytest.raises(ValueError, match="ridge > 0"):
-                    explain.lime_explain(
-                        model, image, spmap, 0, n_samples=5, ridge=0.0,
-                        rng=Rng(seed), baseline=BASELINE,
-                    )
+                    explain.lime_explain(lambda z: float(z.sum()), 3, 5, 0.25, 0.0, Rng(seed))
                 return
         pytest.fail("no singular seed found in range")
 
     def test_deterministic_under_seed(self):
         m = 12  # big enough to force the sampling path
-        image, spmap = banded_setup(m)
-        model = mask_reading_model(image, spmap, lambda z: [float(z[0] - z[5])])
-        a1, _ = explain.lime_explain(
-            model, image, spmap, 0, n_samples=64, rng=Rng(9), baseline=BASELINE
-        )
-        a2, _ = explain.lime_explain(
-            model, image, spmap, 0, n_samples=64, rng=Rng(9), baseline=BASELINE
+        a1, a2 = (
+            explain.lime_explain(lambda z: float(z[0] - z[5]), m, 64, 0.25, 1.0, Rng(9))
+            for _ in range(2)
         )
         assert np.array_equal(a1, a2)
 
@@ -573,56 +569,65 @@ class TestExactShapley:
             exact_shapley(lambda z: 0.0, 13)
 
 
+def table_game(table: np.ndarray):
+    """The coalition game whose value at mask z is table[z read as binary, bit i = z[i]]."""
+
+    def value(z):
+        return float(table[int(sum(int(b) << i for i, b in enumerate(z)))])
+
+    return value
+
+
 class TestKernelShap:
     def test_symmetric_model_equal_values(self):
         m = 5
-        image, spmap = banded_setup(m)
-        model = mask_reading_model(image, spmap, lambda z: [float(z.sum() ** 2)])
-        weights = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, n_samples=2**m, rng=Rng(0)
-        )
+        weights = explain.kernel_shap(lambda z: float(z.sum() ** 2), m, 2**m, Rng(0))
         assert np.abs(weights - weights[0]).max() < 1e-9
 
     def test_null_player_gets_zero(self):
         m = 4
-        image, spmap = banded_setup(m)
-        model = mask_reading_model(
-            image, spmap, lambda z: [float(z[0] + 0.5 * z[2] * z[3])]
-        )
         weights = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, n_samples=2**m, rng=Rng(1)
+            lambda z: float(z[0] + 0.5 * z[2] * z[3]), m, 2**m, Rng(1)
         )
         assert abs(weights[1]) < 1e-9
 
     def test_full_enumeration_matches_exact_shapley(self, rng):
         m = 8
-        image, spmap = banded_setup(m)
-        table = rng.normal(0, 1, 2**m)
-
-        def lookup(z):
-            return [float(table[int(sum(int(b) << i for i, b in enumerate(z)))])]
-
-        model = mask_reading_model(image, spmap, lookup)
-        weights = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, n_samples=2**m, rng=Rng(2)
-        )
-        exact = exact_shapley(lambda z: lookup(z)[0], m)
+        value = table_game(rng.normal(0, 1, 2**m))
+        weights = explain.kernel_shap(value, m, 2**m, Rng(2))
+        exact = exact_shapley(value, m)
         assert np.abs(weights - exact).max() < 1e-6
 
     def test_sampled_mode_keeps_local_accuracy(self, rng):
         m = 12
-        image, spmap = banded_setup(m)
-        table = rng.normal(0, 1, 2**m)
-
-        def lookup(z):
-            return [float(table[int(sum(int(b) << i for i, b in enumerate(z)))])]
-
-        model = mask_reading_model(image, spmap, lookup)
-        weights = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, n_samples=256, rng=Rng(3)
-        )
-        delta = lookup(np.ones(m))[0] - lookup(np.zeros(m))[0]
+        value = table_game(rng.normal(0, 1, 2**m))
+        weights = explain.kernel_shap(value, m, 256, Rng(3))
+        delta = value(np.ones(m)) - value(np.zeros(m))
         assert weights.sum() == pytest.approx(delta, abs=1e-9)
+
+    def test_sampled_sizes_follow_the_binomial_kernel_mass(self):
+        # each pair draws size s with probability proportional to C(m, s) times the
+        # per-coalition kernel weight, then adds the coalition of size s and of m - s
+        m, pairs = 6, 20000
+        masks, counts = explain._sample_coalitions(m, 2 * pairs, Rng(5))
+        drawn = np.bincount(masks.sum(axis=1).astype(int), weights=counts, minlength=m + 1)
+        sizes = range(1, m)
+        mass = np.array([math.comb(m, s) * explain._shapley_kernel_weight(m, s) for s in sizes])
+        expected = (mass + mass[::-1]) / mass.sum() * pairs
+        assert np.abs(drawn[1:m] - expected).max() < 0.02 * pairs
+
+    def test_sampled_at_1100_players_keeps_local_accuracy(self):
+        # C(1100, 550) does not fit a float, so the size weights need their closed form
+        m = 1100
+        c = Rng(11).normal(0, 1, m)
+
+        def value(z):
+            return 0.1 + float(c @ z)
+
+        weights = explain.kernel_shap(value, m, 20, Rng(11))
+        delta = value(np.ones(m)) - value(np.zeros(m))
+        assert weights.shape == (m,)
+        assert abs(weights.sum() - delta) <= 1e-9
 
     def test_rank_deficient_samples_keep_local_accuracy_on_a_cnn(self):
         # 100 sampled coalitions for 100 segments leave the reduced normal
@@ -635,34 +640,24 @@ class TestKernelShap:
             x = normalize(fit_to_input(img, spec)).astype(np.float32)
             return np.asarray(network.forward(spec, params, x)[0], dtype=np.float64)
 
-        spmap = explain.slic_superpixels(image, 100)
+        spmap = explain.slic_superpixels(image, 100, compactness=10.0, iters=10)
         target = int(np.argmax(model(image)))
         baseline = explain.mean_baseline(image)
-        weights = explain.kernel_shap(
-            model, image, spmap, target, baseline=baseline, n_samples=100, rng=Rng(51)
-        )
+        value = explain.coalition_value(model, image, spmap, target, baseline)
+        weights = explain.kernel_shap(value, spmap.count, 100, Rng(51))
         empty = explain.perturb(image, spmap, np.zeros(spmap.count), baseline)
         delta = model(image)[target] - model(empty)[target]
         assert abs(weights.sum() - delta) <= 1e-6
         assert np.abs(weights).max() <= 1.0
 
     def test_single_segment_gets_the_delta(self):
-        image, spmap = banded_setup(1)
-        model = mask_reading_model(image, spmap, lambda z: [0.25 + 0.5 * float(z[0])])
-        weights = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, rng=Rng(4)
-        )
+        weights = explain.kernel_shap(lambda z: 0.25 + 0.5 * float(z[0]), 1, 2048, Rng(4))
         assert weights[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_deterministic_under_seed(self, rng):
         m = 12
-        image, spmap = banded_setup(m)
-        model = mask_reading_model(image, spmap, lambda z: [float(z[:4].sum())])
-        a1 = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, n_samples=200, rng=Rng(7)
-        )
-        a2 = explain.kernel_shap(
-            model, image, spmap, 0, baseline=BASELINE, n_samples=200, rng=Rng(7)
+        a1, a2 = (
+            explain.kernel_shap(lambda z: float(z[:4].sum()), m, 200, Rng(7)) for _ in range(2)
         )
         assert np.array_equal(a1, a2)
 
@@ -670,8 +665,8 @@ class TestKernelShap:
 class TestRendering:
     def test_empty_highlight_is_identity(self, rng):
         image = random_image(rng, 8, 8)
-        spmap = explain.slic_superpixels(image, 4)
-        out = explain.render_lime_heatmap(image, spmap, np.zeros(spmap.count, bool))
+        spmap = explain.slic_superpixels(image, 4, compactness=10.0, iters=10)
+        out = explain.render_lime_heatmap(image, spmap, np.zeros(spmap.count), spmap.count)
         assert np.array_equal(out.pixels, image.pixels)
 
     def test_rectangle_inner_boundary(self):
@@ -679,8 +674,7 @@ class TestRendering:
         labels[2:6, 3:8] = 1
         spmap = SuperpixelMap(labels, 2)
         image = Image.from_array(np.full((10, 12, 3), 40, dtype=np.uint8))
-        highlight = np.array([False, True])
-        out = explain.render_lime_heatmap(image, spmap, highlight)
+        out = explain.render_lime_heatmap(image, spmap, np.array([0.0, 1.0]), 1)
         yellow = np.all(out.pixels == (255, 255, 0), axis=2)
         # oracle: rectangle pixels adjacent (4-way) to a pixel outside it
         expected = np.zeros((10, 12), dtype=bool)
@@ -698,7 +692,8 @@ class TestRendering:
             out = explain.render_lime_heatmap(
                 Image.from_array(np.zeros((h, w, 3), dtype=np.uint8)),
                 SuperpixelMap(labels, m),
-                highlight,
+                highlight.astype(np.float64),
+                m,
             )
             inside = highlight[labels]
             # oracle: a highlighted pixel with a 4-neighbour inside the image that is not
@@ -712,7 +707,7 @@ class TestRendering:
 
     def test_zero_attribution_is_identity(self, rng):
         image = random_image(rng, 8, 8)
-        spmap = explain.slic_superpixels(image, 4)
+        spmap = explain.slic_superpixels(image, 4, compactness=10.0, iters=10)
         out = explain.render_shap_heatmap(image, spmap, np.zeros(spmap.count))
         assert np.array_equal(out.pixels, image.pixels)
 

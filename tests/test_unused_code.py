@@ -1,9 +1,10 @@
-"""Every module-level function and class in the package has a reader.
+"""Every module-level function and class, and every class method, has a reader.
 
 A definition counts as used when its name is read (as a name or as an
 attribute) somewhere in ``src/``, ``perfbench/`` or ``scripts/`` outside
-the definition itself.  Tests do not count: code that only a test calls
-belongs in the test.
+the definition itself: outside the whole class for a class, outside the
+method for a method.  Dunder methods are exempt, since Python calls them.
+Tests do not count: code that only a test calls belongs in the test.
 """
 
 import ast
@@ -13,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "grainforge"
 READERS = ("src", "perfbench", "scripts")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def names_read(node: ast.AST) -> set[str]:
@@ -23,20 +25,39 @@ def names_read(node: ast.AST) -> set[str]:
     }
 
 
+def parts(stmt: ast.stmt) -> list[tuple[int | None, ast.AST]]:
+    """(index in the class body or None, node) pairs; only a class splits into several."""
+    if not isinstance(stmt, ast.ClassDef):
+        return [(None, stmt)]
+    header = stmt.bases + stmt.keywords + stmt.decorator_list
+    return [(None, node) for node in header] + list(enumerate(stmt.body))
+
+
 def test_every_module_level_definition_is_read_outside_itself():
-    # (file, index of the top-level statement) -> the names that statement reads
+    # (file, top-level index, class-body index) -> the names that part reads
     reads = {}
     for folder in READERS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             for i, stmt in enumerate(tree.body):
-                reads[path, i] = names_read(stmt)
+                for j, node in parts(stmt):
+                    reads.setdefault((path, i, j), set()).update(names_read(node))
     unused = []
+
+    def read_outside(name, own):
+        return any(name in names for key, names in reads.items() if not own(key))
+
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for i, stmt in enumerate(tree.body):
             if not isinstance(stmt, DEFINITIONS):
                 continue
-            if not any(stmt.name in names for key, names in reads.items() if key != (path, i)):
+            if not read_outside(stmt.name, lambda key: key[:2] == (path, i)):
                 unused.append(f"{path.name}: {stmt.name}")
+            methods = enumerate(stmt.body) if isinstance(stmt, ast.ClassDef) else ()
+            for j, method in methods:
+                if not isinstance(method, METHODS) or method.name.startswith("__"):
+                    continue
+                if not read_outside(method.name, lambda key: key == (path, i, j)):
+                    unused.append(f"{path.name}: {stmt.name}.{method.name}")
     assert unused == []
