@@ -81,8 +81,12 @@ def main() -> int:
                 failures += report(name, command, run(cli, command))
             if name.startswith("train"):
                 command = Command("report", REPORT_ARGV, ["report.txt"])
-                with contextlib.chdir(root):
+                cwd = os.getcwd()
+                os.chdir(root)  # contextlib.chdir needs Python 3.11
+                try:
                     failures += report(name, command, run(cli, command))
+                finally:
+                    os.chdir(cwd)
             for path in sorted(p for p in root.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(name, path.relative_to(root).as_posix(), digest)

@@ -143,10 +143,6 @@ def _check_settings(settings: dict, source: str) -> None:
             )
 
 
-def _emit(path) -> None:
-    print(path)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -176,7 +172,7 @@ def cmd_ingest(args) -> int:
         raise UsageError(f"no class directories with images under {root}")
     manifest = training.manifest_from_records(records)
     training.write_manifest(manifest, args.out)
-    _emit(args.out)
+    print(args.out)
     return 0
 
 
@@ -193,8 +189,8 @@ def cmd_train(args) -> int:
     )
     network.save_weights(spec, params, args.out)
     training.write_history(history, args.history)
-    _emit(args.out)
-    _emit(args.history)
+    print(args.out)
+    print(args.history)
     return 0
 
 
@@ -231,7 +227,7 @@ def cmd_evaluate(args) -> int:
     metrics.write_confusion_csv(confusion_path, manifest.classes, cm)
     metrics.write_roc_csv(roc_path, points, auc)
     for path in (metrics_path, confusion_path, roc_path):
-        _emit(path)
+        print(path)
     return 0
 
 
@@ -299,8 +295,8 @@ def cmd_explain(args) -> int:
     heatmap_path = out_dir / f"{stem}.{cfg.method}.ppm"
     explain_mod.write_attribution_csv(csv_path, weights, target, method)
     imaging.write_image(heatmap, heatmap_path)
-    _emit(csv_path)
-    _emit(heatmap_path)
+    print(csv_path)
+    print(heatmap_path)
     return 0
 
 
@@ -334,7 +330,7 @@ def cmd_report(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        _emit(args.out)
+        print(args.out)
     else:
         sys.stdout.write(text)
     return 0

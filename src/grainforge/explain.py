@@ -4,10 +4,10 @@ Attributions are computed per superpixel for one designated class.  Both
 explainers estimate one coalition game, built by ``coalition_value``: a
 mask over the M segments keeps the included regions' pixels and paints the
 rest with a baseline color, and the value is the model's probability of
-the class on that image.  LIME rejects a kernel width at which a mask that
-drops one segment weighs 0.0, since the surrogate would fit the full mask
-alone; KernelSHAP samples coalition sizes by the closed-form kernel mass
-(M - 1) / (s (M - s)), which, unlike C(M, s), fits a float at any M.
+the class on that image.  LIME rejects a kernel width at which the masks
+that drop a segment weigh nothing beside the full mask; KernelSHAP samples
+coalition sizes by the closed-form kernel mass (M - 1) / (s (M - s)),
+which, unlike C(M, s), fits a float at any M.
 
 The KernelSHAP solver enforces local accuracy exactly: the last
 coefficient is eliminated through the constraint sum(phi) = v(full) -
@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .imaging import Image, label_components, overlap
+from .imaging import Image, label_components, overlap, to_uint8
 from .rng import Rng
 
 Model = Callable[[Image], np.ndarray]
@@ -127,12 +127,12 @@ def slic_superpixels(image: Image, target: int, compactness: float, iters: int) 
     return SuperpixelMap(labels=labels, count=int(labels.max()) + 1)
 
 
-def _first_occurrence_ids(values: np.ndarray) -> tuple[np.ndarray, int]:
+def _first_occurrence_ids(values: np.ndarray) -> np.ndarray:
     """Renumber values 0..n-1 in row-major order of first occurrence."""
     _, first, inverse = np.unique(values.ravel(), return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int32)
     rank[np.argsort(first)] = np.arange(len(first), dtype=np.int32)
-    return rank[inverse].reshape(values.shape), len(first)
+    return rank[inverse].reshape(values.shape)
 
 
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
@@ -182,7 +182,7 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
             raise RuntimeError("connectivity enforcement failed to converge")
         orphans = remaining
 
-    return _first_occurrence_ids(np.array(seg_of)[comp])[0]
+    return _first_occurrence_ids(np.array(seg_of)[comp])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
 
 def mean_baseline(image: Image) -> tuple[int, ...]:
     means = image.pixels.reshape(-1, image.channels).mean(axis=0)
-    return tuple(int(v) for v in np.clip(np.floor(means + 0.5), 0, 255))
+    return tuple(int(v) for v in to_uint8(means))
 
 
 def perturb(
@@ -239,7 +239,9 @@ def _proximity_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
     m = masks.shape[1]
     kept = masks.sum(axis=1)
     distance = np.where(kept > 0, 1.0 - np.sqrt(kept / m), 1.0)
-    return np.exp(-(distance**2) / kernel_width**2)
+    # a width with a subnormal square sends d^2 / w^2 to inf, a weight of exactly 0
+    with np.errstate(over="ignore"):
+        return np.exp(-(distance**2) / kernel_width**2)
 
 
 def lime_explain(
@@ -255,20 +257,15 @@ def lime_explain(
     An ``n_samples`` below M + 2 is raised to M + 2, so the surrogate (M
     coefficients and an intercept) has more samples than unknowns.  When
     2^M fits inside ``n_samples`` the full mask space is enumerated instead
-    of sampled.  A kernel width that gives the nearest mask dropping a
-    segment, at distance 1 - sqrt((M-1)/M), proximity weight 0.0 is
-    rejected before ``value`` is called.
+    of sampled.  A kernel width at which the masks dropping a segment weigh
+    so little in sum that 1.0 (the full mask's weight) plus the sum is 1.0
+    is rejected before ``value`` is called: the fit would see no other mask.
     """
     n_samples = max(n_samples, m + 2)
     # a width whose square underflows to 0 would weigh the full mask exp(-0/0)
     if not (kernel_width > 0 and kernel_width * kernel_width > 0):
         raise ValueError(
             f"kernel width must be positive with a positive square, got {kernel_width}"
-        )
-    nearest = 1.0 - math.sqrt((m - 1) / m)
-    if math.exp(-(nearest * nearest) / (kernel_width * kernel_width)) == 0.0:
-        raise ValueError(
-            f"kernel width {kernel_width} gives every mask that drops a segment weight 0"
         )
     if ridge < 0:
         raise ValueError(f"ridge strength must be non-negative, got {ridge}")
@@ -279,8 +276,12 @@ def lime_explain(
         draws = (rng.child("lime-masks").random((n_samples - 1, m)) < 0.5).astype(np.float64)
         masks = np.vstack([np.ones((1, m)), draws])
 
-    targets = np.array([value(mask) for mask in masks])
     weights = _proximity_weights(masks, kernel_width)
+    if 1.0 + weights[masks.sum(axis=1) < m].sum() == 1.0:
+        raise ValueError(
+            f"kernel width {kernel_width} gives every mask that drops a segment weight 0"
+        )
+    targets = np.array([value(mask) for mask in masks])
 
     # weighted ridge with free intercept: penalty applies to coefficients only
     design = np.hstack([np.ones((len(masks), 1)), masks])
@@ -445,7 +446,7 @@ def render_shap_heatmap(image: Image, superpixels: SuperpixelMap, weights: np.nd
         )
         alpha = 0.5 * strength[:, :, None]
         rgb = (1 - alpha) * rgb + alpha * color
-    return Image.from_array(np.clip(np.floor(rgb + 0.5), 0, 255).astype(np.uint8))
+    return Image.from_array(to_uint8(rgb))
 
 
 def write_attribution_csv(path, weights: np.ndarray, class_index: int, method: str) -> None:

@@ -3,8 +3,9 @@
 Covers binary PPM/PGM parsing, grayscale conversion, Gaussian blur, Canny
 edge extraction, Otsu thresholding with largest-component segmentation,
 bilinear resize, [0,1] normalization, and the fixed five-way augmentation
-set.  All operations are pure: images are read-only once constructed and
-every function returns fresh buffers.
+set.  An ``Image`` derives its size from its pixels; ``to_uint8`` is the
+one float-to-8-bit rounding.  All operations are pure: images are
+read-only once constructed and every function returns fresh buffers.
 
 JPEG and PNG are deliberately not decoded here; datasets are expected to
 be converted to netpbm (P6/P5, maxval 255) with standard tooling before
@@ -29,33 +30,35 @@ class NetpbmError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Image:
-    """8-bit raster, (height, width, channels) uint8, channels interleaved."""
+    """8-bit raster: read-only (height, width, channels) uint8 pixels, which give its size."""
 
-    width: int
-    height: int
-    channels: int
     pixels: np.ndarray
 
-    def __post_init__(self):
-        if self.channels not in (1, 3):
-            raise ValueError(f"channels must be 1 or 3, got {self.channels}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"degenerate image size {self.width}x{self.height}")
-        expected = (self.height, self.width, self.channels)
-        if self.pixels.shape != expected or self.pixels.dtype != np.uint8:
-            raise ValueError(
-                f"pixel buffer must be uint8 with shape {expected}, "
-                f"got {self.pixels.dtype} {self.pixels.shape}"
-            )
-        self.pixels.flags.writeable = False
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def channels(self) -> int:
+        return self.pixels.shape[2]
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
+        """An (H, W) or (H, W, C) array as uint8, C 1 or 3 and H, W positive, made read-only."""
         if arr.ndim == 2:
             arr = arr[:, :, None]
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         h, w, c = arr.shape
-        return cls(width=w, height=h, channels=c, pixels=arr)
+        if c not in (1, 3):
+            raise ValueError(f"channels must be 1 or 3, got {c}")
+        if w < 1 or h < 1:
+            raise ValueError(f"degenerate image size {w}x{h}")
+        arr.flags.writeable = False
+        return cls(pixels=arr)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +146,18 @@ def write_image(image: Image, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def to_grayscale(image: Image) -> Image:
-    """ITU-R BT.601 luma; grayscale inputs pass through unchanged.
+def to_uint8(values: np.ndarray) -> np.ndarray:
+    """Round half up (floor(x + 0.5)), clamp to [0, 255] and cast to uint8."""
+    return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
-    Rounding is half-up (floor(x + 0.5)), then clamped to [0, 255].
-    """
+
+def to_grayscale(image: Image) -> Image:
+    """ITU-R BT.601 luma, rounded by ``to_uint8``; grayscale inputs pass through unchanged."""
     if image.channels == 1:
         return image
     rgb = image.pixels.astype(np.float64)
     luma = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    out = np.clip(np.floor(luma + 0.5), 0, 255).astype(np.uint8)
-    return Image.from_array(out)
+    return Image.from_array(to_uint8(luma))
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -219,7 +223,7 @@ def non_maximum_suppression(magnitude: np.ndarray, bins: np.ndarray) -> np.ndarr
     return out
 
 
-def canny(image: Image, sigma: float = 1.0, low: float = 50.0, high: float = 100.0) -> np.ndarray:
+def canny(image: Image, sigma: float, low: float, high: float) -> np.ndarray:
     """Classical Canny pipeline on the raw Sobel magnitude scale.
 
     Returns the (height, width) bool edge mask.  Thresholds apply to the
@@ -374,7 +378,7 @@ def resize(image: Image, target_w: int, target_h: int) -> Image:
     top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
     bottom = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
     blended = top * (1 - wy) + bottom * wy
-    return Image.from_array(np.clip(np.floor(blended + 0.5), 0, 255).astype(np.uint8))
+    return Image.from_array(to_uint8(blended))
 
 
 def normalize(image: Image) -> np.ndarray:

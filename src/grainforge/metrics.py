@@ -26,13 +26,6 @@ def confusion_from_pairs(truths, predictions, num_classes: int) -> np.ndarray:
     return counts.reshape(num_classes, num_classes)
 
 
-def accuracy(cm: np.ndarray) -> float:
-    total = int(cm.sum())
-    if total == 0:
-        raise ValueError("confusion matrix is empty")
-    return float(np.trace(cm)) / total
-
-
 def class_report(cm: np.ndarray) -> np.ndarray:
     """Per-class (precision, recall, F1) rows; zero denominators yield 0."""
     if len(cm) < 2:

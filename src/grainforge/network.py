@@ -202,7 +202,7 @@ def build_disease_cnn() -> NetworkSpec:
 ARCHITECTURES = {"rice": build_rice_cnn, "disease": build_disease_cnn}
 
 
-def init_parameters(spec: NetworkSpec, rng: Rng, dtype=np.float64) -> Parameters:
+def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
     """He-normal weights for relu layers, Glorot-uniform otherwise, zero biases.
 
     Each layer draws from its own derived stream, so adding or removing a

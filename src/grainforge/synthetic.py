@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import Image, write_image
+from .imaging import Image, to_uint8, write_image
 from .rng import Rng
 from .training import Manifest, ManifestRecord, SplitAssignment, manifest_from_records
 
@@ -52,7 +52,7 @@ def render_shape(kind: str, size: int, rng: Rng) -> Image:
     canvas[:] = background
     canvas[mask] = foreground
     canvas += rng.uniform(-12, 12, canvas.shape)
-    return Image.from_array(np.clip(np.floor(canvas + 0.5), 0, 255).astype(np.uint8))
+    return Image.from_array(to_uint8(canvas))
 
 
 def generate_shape_dataset(

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import imaging
 from .imaging import Image
-from .metrics import accuracy, confusion_from_pairs
 from .network import (
     NetworkSpec,
     Parameters,
@@ -351,8 +350,8 @@ def evaluate_arrays(
     params: Parameters,
     xs: np.ndarray,
     labels: np.ndarray,
+    batch_size: int,
     lam: float = 0.0,
-    batch_size: int = 32,
 ) -> tuple[np.ndarray, float]:
     """Class probabilities of stacked examples and their mean loss.
 
@@ -414,9 +413,9 @@ def train_arrays(
             params, state = step(state, params, grads)
 
         val_probs, val_loss = evaluate_arrays(
-            spec, params, val_x, val_y, lam=config.l2, batch_size=config.batch_size
+            spec, params, val_x, val_y, config.batch_size, lam=config.l2
         )
-        val_acc = accuracy(confusion_from_pairs(val_y, val_probs.argmax(axis=1), k))
+        val_acc = float((val_probs.argmax(axis=1) == val_y).mean())
         history[epoch] = loss_sum / len(train_x), correct / len(train_x), val_loss, val_acc
 
         if best_epoch(history[: epoch + 1, VAL_LOSS]) == epoch:

@@ -477,17 +477,33 @@ class TestLime:
             explain.lime_explain(lambda z: calls.append(z) or 0.5, 6, 64, width, 1e-8, Rng(1))
         assert calls == []
 
-    def test_kernel_width_rejected_exactly_where_the_nearest_weight_underflows(self):
-        # exp(-740) is subnormal but positive; exp(-750) is 0.0
+    def test_kernel_width_rejected_exactly_where_the_dropped_mass_vanishes_beside_1(self):
+        # 6 segments, all 64 masks: the six that drop one segment weigh exp(-k) each at width
+        # d / sqrt(k); 1.0 + 6 exp(-38) = 1.0 + 1.9e-16 is above 1.0, 1.0 + 6 exp(-39) is not
         m = 6
         c = np.array([0.05, -0.2, 0.4, 0.0, 0.15, -0.1])
         nearest = 1.0 - math.sqrt((m - 1) / m)
         kept = explain.lime_explain(
-            lambda z: 0.1 + float(c @ z), m, 64, nearest / math.sqrt(740), 1e-8, Rng(1)
+            lambda z: 0.1 + float(c @ z), m, 64, nearest / math.sqrt(38), 1e-8, Rng(1)
         )
         assert np.all(np.isfinite(kept))
         with pytest.raises(ValueError, match="gives every mask"):
-            explain.lime_explain(lambda z: 0.5, m, 64, nearest / math.sqrt(750), 1e-8, Rng(1))
+            explain.lime_explain(lambda z: 0.5, m, 64, nearest / math.sqrt(39), 1e-8, Rng(1))
+
+    def test_kernel_width_that_zeroes_every_sampled_dropped_mask_rejected(self):
+        # 36 segments, 200 sampled masks: almost none drops a single segment, so at width
+        # 0.01 the 199 drawn masks weigh 2.3e-121 in all and every coefficient would be 0.0
+        c = Rng(5).uniform(-0.5, 0.5, 36)
+        calls = []
+
+        def value(z):
+            calls.append(z)
+            return 0.1 + c @ z
+
+        with pytest.raises(ValueError, match="kernel width 0.01 gives every mask"):
+            explain.lime_explain(value, 36, 200, 0.01, 1.0, Rng(0))
+        assert calls == []
+        assert np.abs(explain.lime_explain(value, 36, 200, 0.05, 1.0, Rng(0))).max() > 0
 
     def test_singular_system_suggests_ridge(self):
         # seed chosen so one segment is kept in every sampled mask, making

@@ -35,6 +35,35 @@ def exhaustive_otsu(gray: np.ndarray) -> int:
     return best_t
 
 
+class TestImage:
+    @pytest.mark.parametrize("shape, channels", [((5, 7, 3), 3), ((5, 7, 1), 1), ((5, 7), 1)])
+    def test_size_is_the_pixels_shape(self, rng, shape, channels):
+        image = Image.from_array(rng.integers(0, 256, shape))
+        assert image.pixels.shape == (image.height, image.width, image.channels)
+        assert image.pixels.shape == (5, 7, channels) and image.pixels.dtype == np.uint8
+
+    def test_pixels_are_read_only(self, rng):
+        image = Image.from_array(rng.integers(0, 256, (4, 4, 3)))
+        with pytest.raises(ValueError, match="read-only"):
+            image.pixels[0, 0, 0] = 1
+
+    @pytest.mark.parametrize("channels", [2, 4])
+    def test_channel_count_other_than_1_or_3_rejected(self, channels):
+        with pytest.raises(ValueError, match=f"channels must be 1 or 3, got {channels}"):
+            Image.from_array(np.zeros((4, 4, channels), dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3), (3, 0, 1)])
+    def test_zero_size_rejected(self, shape):
+        with pytest.raises(ValueError, match="degenerate image size"):
+            Image.from_array(np.zeros(shape, dtype=np.uint8))
+
+    def test_to_uint8_rounds_half_up_and_clamps(self):
+        values = np.array([-3.0, 0.49, 0.5, 1.5, 2.5, 254.5, 300.0])
+        out = imaging.to_uint8(values)
+        assert out.dtype == np.uint8
+        assert out.tolist() == [0, 0, 1, 2, 3, 255, 255]
+
+
 class TestNetpbm:
     def test_round_trip_rgb(self, rng, tmp_path):
         image = random_image(rng, 7, 5, 3)

@@ -104,14 +104,7 @@ class TestClassReport:
             assert metrics.macro_f1(metrics.class_report(counts)) == total / k
 
 
-class TestAccuracy:
-    def test_diagonal(self):
-        assert metrics.accuracy(np.diag([3, 9]).astype(np.int64)) == 1.0
-
-    def test_symmetric_half(self):
-        cm = np.array([[1, 1], [1, 1]], dtype=np.int64)
-        assert metrics.accuracy(cm) == 0.5
-
+class TestConfusionFromPairs:
     def test_empty_pairs_give_zero_counts(self):
         cm = metrics.confusion_from_pairs([], [], 4)
         assert cm.dtype == np.int64 and cm.shape == (4, 4) and cm.sum() == 0
@@ -122,9 +115,6 @@ class TestAccuracy:
         cm = metrics.confusion_from_pairs(truths, preds, 3)
         assert cm.dtype == np.int64 and cm.shape == (3, 3)
         assert cm.sum() == 60
-        assert metrics.accuracy(cm) == pytest.approx(
-            1 - float((truths != preds).sum()) / 60
-        )
         # recount: the matrix holds the exact pair multiset
         for t in range(3):
             for p in range(3):

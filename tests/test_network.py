@@ -138,7 +138,7 @@ class TestArchitectures:
 
     def test_param_count_matches_initialized_scalars(self):
         spec = mini_spec()
-        params = network.init_parameters(spec, Rng(0))
+        params = network.init_parameters(spec, Rng(0), dtype=np.float64)
         assert scalar_count(params) == param_count(spec)
 
     def test_invalid_specs_rejected(self):
@@ -166,7 +166,7 @@ class TestForward:
 
     def test_zero_params_uniform(self, rng):
         spec = mini_spec(num_classes=5)
-        params = network.init_parameters(spec, Rng(2))
+        params = network.init_parameters(spec, Rng(2), dtype=np.float64)
         for p in params:
             p[:] = 0
         probs, _ = network.forward(spec, params, rng.normal(0, 1, (3, 8, 8, 1)))
@@ -174,7 +174,7 @@ class TestForward:
 
     def test_single_equals_batch_of_one(self, rng):
         spec = mini_spec()
-        params = network.init_parameters(spec, Rng(3))
+        params = network.init_parameters(spec, Rng(3), dtype=np.float64)
         x = rng.normal(0, 1, (8, 8, 1))
         single, _ = network.forward(spec, params, x)
         batched, _ = network.forward(spec, params, x[None])
@@ -188,7 +188,7 @@ class TestForward:
 
     def test_shape_mismatch(self, rng):
         spec = mini_spec()
-        params = network.init_parameters(spec, Rng(5))
+        params = network.init_parameters(spec, Rng(5), dtype=np.float64)
         with pytest.raises(NetworkError, match="does not match input"):
             network.forward(spec, params, rng.normal(0, 1, (2, 9, 8, 1)))
 
@@ -334,14 +334,14 @@ class TestLayerOrderAndInference:
 class TestLoss:
     def test_perfect_prediction_zero(self):
         spec = mini_spec()
-        params = network.init_parameters(spec, Rng(6))
+        params = network.init_parameters(spec, Rng(6), dtype=np.float64)
         probs = np.array([[1.0, 0.0, 0.0]])
         onehot = np.array([[1.0, 0.0, 0.0]])
         assert network.loss(probs, onehot, params, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_five_way_is_ln5(self):
         spec = mini_spec(num_classes=5)
-        params = network.init_parameters(spec, Rng(7))
+        params = network.init_parameters(spec, Rng(7), dtype=np.float64)
         probs = np.full((4, 5), 0.2)
         onehot = np.eye(5)[[0, 1, 2, 3]]
         assert network.loss(probs, onehot, params, 0.0) == pytest.approx(
@@ -350,7 +350,7 @@ class TestLoss:
 
     def test_zero_weights_no_penalty(self):
         spec = mini_spec()
-        params = network.init_parameters(spec, Rng(8))
+        params = network.init_parameters(spec, Rng(8), dtype=np.float64)
         for w in params[::2]:
             w[:] = 0
         probs = np.full((1, 3), 1 / 3)
@@ -555,7 +555,7 @@ class TestSerialization:
         """
         spec = recorded_spec()
         path = tmp_path / "w.gfw"
-        network.save_weights(spec, network.init_parameters(spec, Rng(16)), path)
+        network.save_weights(spec, network.init_parameters(spec, Rng(16), dtype=np.float64), path)
         data = path.read_bytes()
         (header_len,) = struct.unpack("<Q", data[4:12])
         header = json.loads(data[12 : 12 + header_len])
@@ -673,7 +673,8 @@ class TestSerialization:
     )
     def test_bad_header_length_field_rejected(self, tmp_path, header_len):
         path = tmp_path / "w.gfw"
-        network.save_weights(mini_spec(), network.init_parameters(mini_spec(), Rng(16)), path)
+        params = network.init_parameters(mini_spec(), Rng(16), dtype=np.float64)
+        network.save_weights(mini_spec(), params, path)
         data = path.read_bytes()
         field = header_len(len(data))
         path.write_bytes(data[:4] + struct.pack("<Q", field) + data[12:])

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grainforge import network, training
-from grainforge.metrics import accuracy, confusion_from_pairs
+from grainforge.metrics import confusion_from_pairs
 from grainforge.network import LayerSpec, NetworkSpec
 from grainforge.rng import Rng
 from grainforge.training import (
@@ -248,6 +248,17 @@ class TestTrainLoop:
         assert loss == pytest.approx(best, abs=1e-12)
         assert all(best <= v for v in val_losses)
 
+    def test_val_acc_is_the_argmax_agreement_of_the_kept_parameters(self, rng):
+        spec = flat_spec(num_classes=3)
+        x = rng.normal(0, 1, (30, 4, 4, 1))
+        y = x.reshape(30, -1)[:, :3].argmax(axis=1)  # learnable, so one epoch gets some right
+        cfg = TrainConfig(epochs=1, batch_size=7, seed=3, learning_rate=0.05, dtype="f64")
+        params, history = training.train_arrays(spec, x, y, x[:11], y[:11], cfg)
+        probs, _ = training.evaluate_arrays(spec, params, x[:11], y[:11], cfg.batch_size)
+        agreement = float((probs.argmax(axis=1) == y[:11]).mean())
+        assert 0 < agreement < 1
+        assert history[0, training.HISTORY_COLUMNS.index("val_acc")] == agreement
+
     def test_history_length_and_early_stop(self, rng):
         spec = flat_spec()
         x = rng.normal(0, 1, (16, 4, 4, 1))
@@ -316,7 +327,7 @@ class TestLoaderStages:
 
 def confusion(spec, params, x, y):
     """Confusion matrix of the argmax predictions, built as the ``evaluate`` command builds it."""
-    probs, _ = training.evaluate_arrays(spec, params, x, y)
+    probs, _ = training.evaluate_arrays(spec, params, x, y, 32)
     return confusion_from_pairs(y, probs.argmax(axis=1), spec.num_classes)
 
 
@@ -329,7 +340,7 @@ class TestEvaluate:
         bias[:] = np.array([5.0, 0.0])  # always predicts class 0
         x = rng.normal(0, 1, (10, 4, 4, 1))
         y = np.array([0, 1] * 5)
-        assert accuracy(confusion(spec, params, x, y)) == 0.5
+        assert confusion(spec, params, x, y).tolist() == [[5, 0], [5, 0]]
 
     def test_perfect_oracle_is_diagonal(self):
         spec = flat_spec(num_classes=2)

@@ -1,9 +1,11 @@
-"""Every module-level function and class, and every class method, has a reader.
+"""Every module-level function, class and assigned name, and every class method, has a reader.
 
 A definition counts as used when its name is read (as a name or as an
 attribute) somewhere in ``src/``, ``perfbench/`` or ``scripts/`` outside
 the definition itself: outside the whole class for a class, outside the
-method for a method.  Dunder methods are exempt, since Python calls them.
+method for a method, outside the assignment statement for a module-level
+constant or alias.  Dunder methods and names are exempt, since Python and
+its packaging tools read them.
 Tests do not count: code that only a test calls belongs in the test.
 """
 
@@ -15,6 +17,7 @@ PACKAGE = ROOT / "src" / "grainforge"
 READERS = ("src", "perfbench", "scripts")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 METHODS = (ast.FunctionDef, ast.AsyncFunctionDef)
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
 
 
 def names_read(node: ast.AST) -> set[str]:
@@ -31,6 +34,17 @@ def parts(stmt: ast.stmt) -> list[tuple[int | None, ast.AST]]:
         return [(None, stmt)]
     header = stmt.bases + stmt.keywords + stmt.decorator_list
     return [(None, node) for node in header] + list(enumerate(stmt.body))
+
+
+def assigned_names(stmt: ast.stmt) -> list[str]:
+    """The non-dunder names a module-level assignment binds, unpacked targets included."""
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [
+        sub.id
+        for target in targets
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Name) and not sub.id.startswith("__")
+    ]
 
 
 def test_every_module_level_definition_is_read_outside_itself():
@@ -50,10 +64,12 @@ def test_every_module_level_definition_is_read_outside_itself():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for i, stmt in enumerate(tree.body):
-            if not isinstance(stmt, DEFINITIONS):
-                continue
-            if not read_outside(stmt.name, lambda key: key[:2] == (path, i)):
-                unused.append(f"{path.name}: {stmt.name}")
+            names = assigned_names(stmt) if isinstance(stmt, ASSIGNMENTS) else []
+            if isinstance(stmt, DEFINITIONS):
+                names.append(stmt.name)
+            for name in names:
+                if not read_outside(name, lambda key: key[:2] == (path, i)):
+                    unused.append(f"{path.name}: {name}")
             methods = enumerate(stmt.body) if isinstance(stmt, ast.ClassDef) else ()
             for j, method in methods:
                 if not isinstance(method, METHODS) or method.name.startswith("__"):
