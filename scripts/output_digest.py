@@ -12,12 +12,15 @@ train workloads and 7 for the explain workloads, and BLAS pinned to one
 thread as the benchmark pins it.  After a train workload's round it also
 runs ``report`` on the round's history and metrics, from inside the
 temporary directory so that the report names the same relative paths on
-every run.  Every command must exit 0, print the paths the workload
-expects and pass the workload's check.  The script then
-prints one ``workload relative-path sha256`` line for every file in that
-directory, sorted by path.  A change that must not alter any output runs
-the script on the parent tree and on its own tree and diffs the two
-outputs.  The exit status is 1 if any command or check failed, else 0.
+every run.  After the ``train-rice`` report it also runs one epoch of
+``train --augment`` on that round's manifest and data, the one
+preprocessing flag no workload sets.  Every command must exit 0, print
+the paths the workload expects and pass the workload's check.  The
+script then prints one ``workload relative-path sha256`` line for every
+file in that directory, sorted by path.  A change that must not alter
+any output runs the script on the parent tree and on its own tree and
+diffs the two outputs.  The exit status is 1 if any command or check
+failed, else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ SEEDS = {"train": 11, "explain": 7}  # by the workload name's first word
 # the files a train workload's round writes, relative to its directory
 REPORT_ARGV = [
     "report", "--history", "history.csv", "--metrics", "eval/metrics.csv", "--out", "report.txt"
+]
+AUGMENT_ARGV = [
+    "train", "--manifest", "manifest.csv", "--data-root", "data", "--epochs", "1", "--augment",
+    "--out", "augment.gfw", "--history", "augment.csv",
 ]
 
 
@@ -80,11 +87,15 @@ def main() -> int:
             for command in workload.round(prepared, seed):
                 failures += report(name, command, run(cli, command))
             if name.startswith("train"):
-                command = Command("report", REPORT_ARGV, ["report.txt"])
+                extra = [Command("report", REPORT_ARGV, ["report.txt"])]
+                if name == "train-rice":
+                    argv = [*AUGMENT_ARGV, "--seed", str(seed)]
+                    extra.append(Command("train", argv, ["augment.gfw", "augment.csv"]))
                 cwd = os.getcwd()
                 os.chdir(root)  # contextlib.chdir needs Python 3.11
                 try:
-                    failures += report(name, command, run(cli, command))
+                    for command in extra:
+                        failures += report(name, command, run(cli, command))
                 finally:
                     os.chdir(cwd)
             for path in sorted(p for p in root.rglob("*") if p.is_file()):

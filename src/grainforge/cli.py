@@ -180,6 +180,7 @@ def cmd_train(args) -> int:
     cfg = resolve_config(args)
     manifest = training.read_manifest(args.manifest)
     spec = network.ARCHITECTURES[cfg.model]()
+    _check_classes(manifest, spec)
     assignment = training.split(manifest, cfg.seed)
     params, history = training.train(spec, manifest, assignment, cfg)
     spec = replace(
@@ -194,6 +195,19 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_classes(manifest: training.Manifest, spec: network.NetworkSpec) -> None:
+    """A UsageError unless the manifest's classes are the ones the model predicts."""
+    if spec.classes is not None and manifest.classes != spec.classes:
+        raise UsageError(
+            f"manifest classes {list(manifest.classes)} differ from the "
+            f"model's {list(spec.classes)}"
+        )
+    if len(manifest.classes) != spec.num_classes:
+        raise UsageError(
+            f"manifest has {len(manifest.classes)} classes but the model has {spec.num_classes}"
+        )
+
+
 def _load_model(args) -> tuple[RunConfig, network.NetworkSpec, network.Parameters]:
     """Validate the settings, read the weights, then adopt the preprocessing they record."""
     resolve_config(args)  # a bad setting exits 2 before any file is read
@@ -204,15 +218,7 @@ def _load_model(args) -> tuple[RunConfig, network.NetworkSpec, network.Parameter
 def cmd_evaluate(args) -> int:
     cfg, spec, params = _load_model(args)
     manifest = training.read_manifest(args.manifest)
-    if spec.classes is not None and manifest.classes != spec.classes:
-        raise UsageError(
-            f"manifest classes {list(manifest.classes)} differ from the "
-            f"model's {list(spec.classes)}"
-        )
-    if len(manifest.classes) != spec.num_classes:
-        raise UsageError(
-            f"manifest has {len(manifest.classes)} classes but the model has {spec.num_classes}"
-        )
+    _check_classes(manifest, spec)
     assignment = training.split(manifest, cfg.seed)
     xs, labels = training.load_dataset(manifest, assignment.indices(cfg.split), spec, cfg)
     probs, _ = training.evaluate_arrays(spec, params, xs, labels, batch_size=cfg.batch_size)
@@ -233,10 +239,9 @@ def cmd_evaluate(args) -> int:
 
 def _model_closure(spec, params, cfg):
     """Class probabilities of one raw image, through the model's own preprocessing."""
-    dtype = training.DTYPES[cfg.dtype]
 
     def model(image: imaging.Image) -> np.ndarray:
-        x = imaging.normalize(training.preprocess(image, spec, cfg)).astype(dtype)
+        x = training.preprocess(image, spec, cfg)
         probs, _ = network.forward(spec, params, x, train=False)
         if not np.isfinite(probs).all():  # finite weights can still overflow float32
             raise ValueError("class probabilities are not finite")

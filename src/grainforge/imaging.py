@@ -5,7 +5,8 @@ edge extraction, Otsu thresholding with largest-component segmentation,
 bilinear resize, [0,1] normalization, and the fixed five-way augmentation
 set.  An ``Image`` derives its size from its pixels; ``to_uint8`` is the
 one float-to-8-bit rounding.  All operations are pure: images are
-read-only once constructed and every function returns fresh buffers.
+read-only once constructed and every function returns fresh buffers,
+except ``augment``, whose variants are views of the array it is given.
 
 JPEG and PNG are deliberately not decoded here; datasets are expected to
 be converted to netpbm (P6/P5, maxval 255) with standard tooling before
@@ -48,7 +49,20 @@ class Image:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
-        """An (H, W) or (H, W, C) array as uint8, C 1 or 3 and H, W positive, made read-only."""
+        """An (H, W) or (H, W, C) array as uint8, C 1 or 3 and H, W positive, made read-only.
+
+        A uint8 array is taken as is; an array of another integer or bool
+        dtype must hold values in [0, 255], and any other dtype is rejected,
+        so no value is wrapped or truncated into a pixel.
+        """
+        if arr.ndim not in (2, 3):
+            raise ValueError(f"image array must be (H, W) or (H, W, C), got shape {arr.shape}")
+        if arr.dtype.kind not in "biu":
+            raise ValueError(f"image array must hold integers, got dtype {arr.dtype}")
+        if arr.dtype != np.uint8 and arr.size and not 0 <= arr.min() <= arr.max() <= 255:
+            raise ValueError(
+                f"image values must lie in [0, 255], got {arr.min()} to {arr.max()} ({arr.dtype})"
+            )
         if arr.ndim == 2:
             arr = arr[:, :, None]
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
@@ -386,33 +400,14 @@ def normalize(image: Image) -> np.ndarray:
     return image.pixels.astype(np.float64) / 255.0
 
 
-def rotate90(image: Image) -> Image:
-    """Quarter turn counterclockwise; requires a square image."""
-    if image.width != image.height:
+def augment(x: np.ndarray) -> list[np.ndarray]:
+    """The fixed augmentation family of a square (H, W, C) array, as views of ``x``.
+
+    Original, quarter turn counterclockwise, half turn, horizontal and
+    vertical flip.
+    """
+    if x.shape[0] != x.shape[1]:
         raise ValueError(
-            f"90 degree rotation needs a square image, got {image.width}x{image.height}"
+            f"90 degree rotation needs a square image, got {x.shape[1]}x{x.shape[0]}"
         )
-    return Image.from_array(np.rot90(image.pixels, 1, axes=(0, 1)))
-
-
-def rotate180(image: Image) -> Image:
-    return Image.from_array(np.rot90(image.pixels, 2, axes=(0, 1)))
-
-
-def flip_horizontal(image: Image) -> Image:
-    return Image.from_array(image.pixels[:, ::-1])
-
-
-def flip_vertical(image: Image) -> Image:
-    return Image.from_array(image.pixels[::-1, :])
-
-
-def augment(image: Image) -> list[Image]:
-    """The fixed augmentation family: original, rot90, rot180, both flips."""
-    return [
-        image,
-        rotate90(image),
-        rotate180(image),
-        flip_horizontal(image),
-        flip_vertical(image),
-    ]
+    return [x, np.rot90(x, 1, axes=(0, 1)), np.rot90(x, 2, axes=(0, 1)), x[:, ::-1], x[::-1]]

@@ -246,11 +246,13 @@ def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
 RECORDED_SETTINGS = ("canny", "segment", "canny_sigma", "canny_low", "canny_high")
 
 
-def preprocess(image: Image, spec: NetworkSpec, config: TrainConfig) -> Image:
-    """The model's input chain up to normalisation, as training ran it.
+def preprocess(image: Image, spec: NetworkSpec, config: TrainConfig) -> np.ndarray:
+    """The network's (H, W, C) input for one raw image, in ``config.dtype``.
 
     Runs the Canny and segmentation stages that ``config`` selects, then
-    ``fit_to_input``; training, evaluation and the explained model all call it.
+    ``fit_to_input``, ``imaging.normalize`` and the cast; training,
+    evaluation and the explained model all call it, so none of them can
+    build the input another way.
     """
     if config.canny:
         edges = imaging.canny(
@@ -260,7 +262,7 @@ def preprocess(image: Image, spec: NetworkSpec, config: TrainConfig) -> Image:
     if config.segment:
         mask = imaging.segment_grain(image)
         image = imaging.apply_segment_mask(image, mask)
-    return fit_to_input(image, spec)
+    return imaging.normalize(fit_to_input(image, spec)).astype(DTYPES[config.dtype])
 
 
 def load_dataset(
@@ -280,11 +282,10 @@ def load_dataset(
             image = imaging.read_image(root / rec.path)
         except (OSError, ValueError) as exc:
             raise TrainingError(f"failed to read image {root / rec.path}: {exc}") from exc
-        image = preprocess(image, spec, config)
-        variants = imaging.augment(image) if augment else [image]
-        for variant in variants:
-            xs.append(imaging.normalize(variant).astype(DTYPES[config.dtype]))
-            ys.append(class_index[rec.label])
+        x = preprocess(image, spec, config)
+        variants = imaging.augment(x) if augment else [x]
+        xs.extend(variants)
+        ys.extend([class_index[rec.label]] * len(variants))
     return np.stack(xs), np.array(ys, dtype=np.int64)
 
 
@@ -435,11 +436,6 @@ def train(
     config: TrainConfig,
 ) -> tuple[Parameters, np.ndarray]:
     """Load the split's examples from disk and run the epoch loop."""
-    if len(manifest.classes) != spec.num_classes:
-        raise TrainingError(
-            f"manifest has {len(manifest.classes)} classes but the network "
-            f"expects {spec.num_classes}"
-        )
     train_x, train_y = load_dataset(
         manifest, assignment.indices("train"), spec, config, augment=config.augment
     )

@@ -149,6 +149,23 @@ class TestTrain:
         assert code == 2
         assert "epochs" in stderr
 
+    def test_manifest_that_does_not_match_the_model(self, tmp_path, capsys):
+        # the listed images do not exist, so reading any of them would exit 1
+        manifest = tmp_path / "m.csv"
+        labels = ["cross", "disc", "ring", "square", "triangle"]
+        rows = [f"{label}/{i}.ppm,{label}" for label in labels for i in range(10)]
+        manifest.write_text("\n".join(["path,label", *rows]) + "\n")
+        weights, history = tmp_path / "w.gfw", tmp_path / "h.csv"
+        code, stdout, stderr = run_cli(
+            capsys,
+            "train", "--manifest", str(manifest), "--data-root", str(tmp_path / "nowhere"),
+            "--model", "disease", "--out", str(weights), "--history", str(history),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "manifest has 5 classes but the model has 4" in stderr
+        assert not weights.exists() and not history.exists()
+
     def test_artifacts_listed_on_stdout(self, trained, capsys):
         # the fixture already ran; re-run to observe stdout
         root, manifest, weights, history = trained
@@ -638,7 +655,7 @@ class TestRecordedPreprocessing:
         config = training.TrainConfig(**settings)
 
         def value(img):
-            x = imaging.normalize(training.preprocess(img, spec, config)).astype(np.float32)
+            x = training.preprocess(img, spec, config)
             return float(network.forward(spec, params, x, train=False)[0][target])
 
         flat = Image.from_array(np.tile(explain.mean_baseline(image), (50, 50, 1)))

@@ -57,6 +57,36 @@ class TestImage:
         with pytest.raises(ValueError, match="degenerate image size"):
             Image.from_array(np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "arr, message",
+        [
+            (np.full((2, 2), 300), r"\[0, 255\], got 300 to 300 \(int64\)"),
+            (np.full((2, 2, 3), -1, dtype=np.int16), r"\[0, 255\], got -1 to -1 \(int16\)"),
+            (np.full((2, 2), 256, dtype=np.uint16), r"\[0, 255\], got 256 to 256 \(uint16\)"),
+            (np.full((2, 2, 3), -1.5), "integers, got dtype float64"),
+            (np.full((2, 2), 2.7), "integers, got dtype float64"),
+            (np.full((2, 2), np.nan, dtype=np.float32), "integers, got dtype float32"),
+            (np.zeros(4, dtype=np.uint8), r"got shape \(4,\)"),
+            (np.zeros((2, 2, 3, 1), dtype=np.uint8), r"got shape \(2, 2, 3, 1\)"),
+        ],
+        ids=["300", "int16 -1", "uint16 256", "-1.5", "2.7", "nan", "1-d", "4-d"],
+    )
+    def test_values_that_are_no_pixels_rejected(self, arr, message):
+        with pytest.raises(ValueError, match=message):
+            Image.from_array(arr)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[0, 1], [128, 255]]),
+            np.array([[0, 255]], dtype=np.uint16),
+            np.array([[0, 127]], dtype=np.int8),
+            np.array([[True, False]]),
+        ],
+    )
+    def test_in_range_integers_and_bools_kept(self, arr):
+        assert Image.from_array(arr).pixels[:, :, 0].tolist() == arr.astype(int).tolist()
+
     def test_to_uint8_rounds_half_up_and_clamps(self):
         values = np.array([-3.0, 0.49, 0.5, 1.5, 2.5, 254.5, 300.0])
         out = imaging.to_uint8(values)
@@ -549,29 +579,25 @@ class TestNormalize:
 
 class TestAugment:
     def test_count_and_original_first(self, rng):
-        img = random_image(rng, 6, 6)
-        family = imaging.augment(img)
+        x = rng.random((6, 6, 3))
+        family = imaging.augment(x)
         assert len(family) == 5
-        assert family[0] is img
+        assert family[0] is x
+        assert all(np.shares_memory(variant, x) for variant in family)
 
     def test_rot90_twice_is_rot180(self, rng):
-        img = random_image(rng, 5, 5)
-        twice = imaging.rotate90(imaging.rotate90(img))
-        assert np.array_equal(twice.pixels, imaging.rotate180(img).pixels)
+        r = imaging.augment(rng.random((5, 5, 3)))
+        assert np.array_equal(imaging.augment(r[1])[1], r[2])
 
     def test_flips_are_involutions(self, rng):
-        img = random_image(rng, 6, 4)
-        assert np.array_equal(
-            imaging.flip_horizontal(imaging.flip_horizontal(img)).pixels, img.pixels
-        )
-        assert np.array_equal(
-            imaging.flip_vertical(imaging.flip_vertical(img)).pixels, img.pixels
-        )
+        x = rng.random((6, 6, 3))
+        r = imaging.augment(x)
+        assert np.array_equal(imaging.augment(r[3])[3], x)
+        assert np.array_equal(imaging.augment(r[4])[4], x)
 
     def test_rot90_index_permutation(self):
         arr = np.arange(9, dtype=np.uint8).reshape(3, 3)
-        img = Image.from_array(arr[:, :, None])
-        rotated = imaging.rotate90(img).pixels[:, :, 0]
+        rotated = imaging.augment(arr[:, :, None])[1][:, :, 0]
         # counterclockwise quarter turn: out[i, j] = in[j, N-1-i]
         expected = np.empty_like(arr)
         for i in range(3):
@@ -581,4 +607,4 @@ class TestAugment:
 
     def test_rotation_requires_square(self, rng):
         with pytest.raises(ValueError, match="square"):
-            imaging.augment(random_image(rng, 4, 6))
+            imaging.augment(rng.random((6, 4, 3)))

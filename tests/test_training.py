@@ -323,6 +323,12 @@ class TestLoaderStages:
         xs, ys = training.load_dataset(manifest, [0, 1], spec, cfg, augment=True)
         assert len(xs) == 10
         assert list(ys) == [ys[0]] * 5 + [ys[5]] * 5
+        plain, _ = training.load_dataset(manifest, [0, 1], spec, cfg)
+        for i, x in enumerate(plain):
+            # counterclockwise quarter turn: out[i, j] = in[j, N-1-i]
+            expected = [x, x.transpose(1, 0, 2)[::-1], x[::-1, ::-1], x[:, ::-1], x[::-1]]
+            for variant, want in zip(xs[5 * i : 5 * i + 5], expected, strict=True):
+                assert np.array_equal(variant, want)
 
 
 def confusion(spec, params, x, y):

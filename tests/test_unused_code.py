@@ -7,6 +7,9 @@ method for a method, outside the assignment statement for a module-level
 constant or alias.  Dunder methods and names are exempt, since Python and
 its packaging tools read them.
 Tests do not count: code that only a test calls belongs in the test.
+Every parameter of every function in ``src/grainforge``, nested ones
+included, is read in that function's body, unless its name starts with
+``_``.
 """
 
 import ast
@@ -77,3 +80,29 @@ def test_every_module_level_definition_is_read_outside_itself():
                 if not read_outside(method.name, lambda key: key == (path, i, j)):
                     unused.append(f"{path.name}: {stmt.name}.{method.name}")
     assert unused == []
+
+
+def test_every_parameter_is_read_in_its_function():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (*METHODS, ast.Lambda)):
+                continue
+            args = func.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = func.body if isinstance(func.body, list) else [func.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            name = getattr(func, "name", "<lambda>")
+            unread += [
+                f"{path.name}: {name}({param.arg})"
+                for param in params
+                if param.arg not in read and not param.arg.startswith("_")
+            ]
+    assert unread == []
