@@ -14,7 +14,9 @@ runs ``report`` on the round's history and metrics, from inside the
 temporary directory so that the report names the same relative paths on
 every run.  After the ``train-rice`` report it also runs one epoch of
 ``train --augment`` on that round's manifest and data, the one
-preprocessing flag no workload sets.  Every command must exit 0, print
+preprocessing flag no workload sets, then one epoch of ``train --segment``
+without ``--canny``, the one path where Otsu segments many-valued RGB
+images rather than edge maps.  Every command must exit 0, print
 the paths the workload expects and pass the workload's check.  The
 script then prints one ``workload relative-path sha256`` line for every
 file in that directory, sorted by path.  A change that must not alter
@@ -39,10 +41,11 @@ SEEDS = {"train": 11, "explain": 7}  # by the workload name's first word
 REPORT_ARGV = [
     "report", "--history", "history.csv", "--metrics", "eval/metrics.csv", "--out", "report.txt"
 ]
-AUGMENT_ARGV = [
-    "train", "--manifest", "manifest.csv", "--data-root", "data", "--epochs", "1", "--augment",
-    "--out", "augment.gfw", "--history", "augment.csv",
-]
+# the one-epoch runs after the train-rice report: (flag, weights file, history file)
+EXTRA_TRAINS = (
+    ("--augment", "augment.gfw", "augment.csv"),
+    ("--segment", "segment.gfw", "segment.csv"),
+)
 
 
 def run(cli, command) -> str | None:
@@ -89,8 +92,13 @@ def main() -> int:
             if name.startswith("train"):
                 extra = [Command("report", REPORT_ARGV, ["report.txt"])]
                 if name == "train-rice":
-                    argv = [*AUGMENT_ARGV, "--seed", str(seed)]
-                    extra.append(Command("train", argv, ["augment.gfw", "augment.csv"]))
+                    for flag, weights, history in EXTRA_TRAINS:
+                        argv = [
+                            "train", "--manifest", "manifest.csv", "--data-root", "data",
+                            "--epochs", "1", flag, "--out", weights, "--history", history,
+                            "--seed", str(seed),
+                        ]
+                        extra.append(Command("train", argv, [weights, history]))
                 cwd = os.getcwd()
                 os.chdir(root)  # contextlib.chdir needs Python 3.11
                 try:

@@ -241,7 +241,7 @@ def _model_closure(spec, params, cfg):
     """Class probabilities of one raw image, through the model's own preprocessing."""
 
     def model(image: imaging.Image) -> np.ndarray:
-        x = training.preprocess(image, spec, cfg)
+        x = training.preprocess(image.pixels[None], spec, cfg)[0]
         probs, _ = network.forward(spec, params, x, train=False)
         if not np.isfinite(probs).all():  # finite weights can still overflow float32
             raise ValueError("class probabilities are not finite")

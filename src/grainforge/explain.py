@@ -145,7 +145,9 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     settled neighbor waits for the next pass.
     """
     # every 4-connected region of one label, numbered in row-major first-pixel order
-    comp, count = label_components(np.ones(labels.shape, dtype=bool), 4, values=labels)
+    stack = labels[None]
+    comp, count = label_components(np.ones(stack.shape, dtype=bool), 4, values=stack)
+    comp = comp[0]
     sizes = np.bincount(comp.ravel()).tolist()
     seg_of = np.empty(count, dtype=np.int64)
     seg_of[comp.ravel()] = labels.ravel()

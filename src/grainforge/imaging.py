@@ -8,6 +8,14 @@ one float-to-8-bit rounding.  All operations are pure: images are
 read-only once constructed and every function returns fresh buffers,
 except ``augment``, whose variants are views of the array it is given.
 
+``canny``, ``segment_grain`` and ``label_components`` work on stacks: an
+(N, H, W, C) uint8 array of same-size images (an (N, H, W) mask for
+labelling) gives one result per image, each equal to that of the image
+alone, so one call pays numpy's per-call overhead for a whole stack.
+``canny`` suppresses and links only the pixels that can become edges, and
+Otsu visits only the occupied gray levels.  The other functions take one
+``Image``.
+
 JPEG and PNG are deliberately not decoded here; datasets are expected to
 be converted to netpbm (P6/P5, maxval 255) with standard tooling before
 ingestion, which keeps parsing bit-exact and dependency-free.
@@ -165,13 +173,19 @@ def to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
+def _gray(pixels: np.ndarray) -> np.ndarray:
+    """BT.601 luma of (..., H, W, C) uint8 pixels as (..., H, W) uint8, rounded by ``to_uint8``."""
+    if pixels.shape[-1] == 1:
+        return pixels[..., 0]
+    rgb = pixels.astype(np.float64)
+    return to_uint8(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
+
+
 def to_grayscale(image: Image) -> Image:
     """ITU-R BT.601 luma, rounded by ``to_uint8``; grayscale inputs pass through unchanged."""
     if image.channels == 1:
         return image
-    rgb = image.pixels.astype(np.float64)
-    luma = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    return Image.from_array(to_uint8(luma))
+    return Image.from_array(_gray(image.pixels))
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -184,14 +198,18 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+def _pad_planes(arr: np.ndarray, width: int, mode: str) -> np.ndarray:
+    """``arr`` padded by ``width`` on both sides of its last two axes only."""
+    return np.pad(arr, [(0, 0)] * (arr.ndim - 2) + [(width, width)] * 2, mode=mode)
+
+
 def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a float (H,W) array, clamp-to-border."""
+    """Separable Gaussian blur of each (H, W) plane of a float array, clamp-to-border."""
     kernel = gaussian_kernel_1d(sigma)
-    radius = len(kernel) // 2
-    padded = np.pad(arr.astype(np.float64), radius, mode="edge")
+    padded = _pad_planes(arr.astype(np.float64), len(kernel) // 2, "edge")
     # rows then columns; replicated padding makes the two passes independent
-    rows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=1) @ kernel
-    cols = np.lib.stride_tricks.sliding_window_view(rows, len(kernel), axis=0) @ kernel
+    rows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=-1) @ kernel
+    cols = np.lib.stride_tricks.sliding_window_view(rows, len(kernel), axis=-2) @ kernel
     return cols
 
 
@@ -200,96 +218,85 @@ _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
 
 
 def _correlate3(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    padded = np.pad(arr, 1, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    return np.einsum("ijkl,kl->ij", windows, kernel)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        _pad_planes(arr, 1, "edge"), (3, 3), axis=(-2, -1)
+    )
+    return np.einsum("...ijkl,kl->...ij", windows, kernel)
 
 
 def sobel_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel responses (gx, gy) with clamp-to-border padding."""
+    """3x3 Sobel responses (gx, gy) of the (H, W) planes of ``arr``, clamp-to-border."""
     return _correlate3(arr, _SOBEL_X), _correlate3(arr, _SOBEL_Y)
 
 
 # offsets of the neighbor pair to compare against, per direction bin:
 # 0 deg, 45 deg, 90 deg, 135 deg
 _NMS_OFFSETS = ((0, 1), (1, 1), (1, 0), (1, -1))
+# the gradient angles, in [0, 180) deg, at which bins 1, 2, 3 and then 0 again begin
+_DIRECTION_EDGES = (22.5, 67.5, 112.5, 157.5)
 
 
-def _quantize_direction(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
-    bins = np.zeros(angle.shape, dtype=np.int8)
-    bins[(angle >= 22.5) & (angle < 67.5)] = 1
-    bins[(angle >= 67.5) & (angle < 112.5)] = 2
-    bins[(angle >= 112.5) & (angle < 157.5)] = 3
-    return bins
+def canny(images: np.ndarray, sigma: float, low: float, high: float) -> np.ndarray:
+    """Classical Canny on each image of an (N, H, W, C) uint8 stack; (N, H, W) bool edges.
 
-
-def non_maximum_suppression(magnitude: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Zero out pixels that are not local maxima along their gradient axis."""
-    h, w = magnitude.shape
-    out = np.zeros_like(magnitude)
-    padded = np.pad(magnitude, 1, mode="constant")
-    for b, (dy, dx) in enumerate(_NMS_OFFSETS):
-        fwd = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-        bwd = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
-        keep = (bins == b) & (magnitude >= fwd) & (magnitude >= bwd)
-        out[keep] = magnitude[keep]
-    return out
-
-
-def canny(image: Image, sigma: float, low: float, high: float) -> np.ndarray:
-    """Classical Canny pipeline on the raw Sobel magnitude scale.
-
-    Returns the (height, width) bool edge mask.  Thresholds apply to the
-    un-normalized gradient magnitude of 8-bit intensities (a full
-    black-to-white step peaks near 4*255).
+    Thresholds apply to the un-normalized Sobel magnitude of 8-bit
+    intensities (a full black-to-white step peaks near 4*255).
+    Non-maximum suppression keeps a magnitude or zeroes it, so a pixel
+    below ``low`` never becomes an edge: direction bins and suppression
+    are computed at the other pixels (candidates) only.  A suppressed
+    candidate stays one for hysteresis exactly when ``low`` is 0.
     """
     if not 0 <= low < high:
         raise ValueError(f"thresholds must satisfy 0 <= low < high, got {low}, {high}")
-    gray = to_grayscale(image)
-    smoothed = blur_array(gray.pixels[:, :, 0].astype(np.float64), sigma)
+    smoothed = blur_array(_gray(images), sigma)
     gx, gy = sobel_gradients(smoothed)
     magnitude = np.hypot(gx, gy)
-    suppressed = non_maximum_suppression(magnitude, _quantize_direction(gx, gy))
+    n, h, w = magnitude.shape
+    candidates = np.flatnonzero(magnitude >= low)
+    m = magnitude.ravel()[candidates]
+    angle = np.degrees(np.arctan2(gy.ravel()[candidates], gx.ravel()[candidates])) % 180.0
+    bins = np.digitize(angle, _DIRECTION_EDGES) % len(_NMS_OFFSETS)
+    # flat index of each candidate, and flat step to its neighbors, in the zero-padded stack
+    image, y, x = np.unravel_index(candidates, (n, h, w))
+    at = (image * (h + 2) + y + 1) * (w + 2) + x + 1
+    step = np.array([dy * (w + 2) + dx for dy, dx in _NMS_OFFSETS])[bins]
+    padded = _pad_planes(magnitude, 1, "constant").ravel()
+    kept = (m >= padded[at + step]) & (m >= padded[at - step])
     # hysteresis: keep each 8-connected candidate component that holds a strong pixel
-    labels, count = label_components(suppressed >= low, connectivity=8)
+    mask = np.zeros(n * h * w, dtype=bool)
+    mask[candidates[kept | (low == 0)]] = True
+    labels, count = label_components(mask.reshape(n, h, w), connectivity=8)
     keep = np.zeros(count + 1, dtype=bool)  # the last slot, read by label -1, stays False
-    keep[labels[suppressed >= high]] = True
+    keep[labels.ravel()[candidates[kept & (m >= high)]]] = True
     return keep[labels]
 
 
-def edge_map_to_image(edges: np.ndarray) -> Image:
-    """Render a bool edge mask as a grayscale image (edges white), PGM-ready."""
-    return Image.from_array(edges.astype(np.uint8) * 255)
+def otsu_threshold(gray: np.ndarray) -> int:
+    """Threshold of the uint8 gray levels ``gray`` maximizing between-class variance.
 
-
-def otsu_threshold(image: Image) -> int:
-    """Threshold maximizing between-class variance; smallest t wins ties.
-
-    The variance ordering is evaluated in exact integer arithmetic
-    ((s0*w1 - s1*w0)^2 / (w0*w1) compared by cross-multiplication), so the
-    result always equals the exhaustive-search optimum.  A single-valued
-    image returns that value.
+    The smallest t wins ties.  The variance ordering is evaluated in exact
+    integer arithmetic ((s0*w1 - s1*w0)^2 / (w0*w1) compared by
+    cross-multiplication), so the result always equals the
+    exhaustive-search optimum.  Only occupied levels are visited: between
+    two of them w0 and s0 do not change, so no other t can win.  A
+    single-valued array returns that value.
     """
-    gray = to_grayscale(image)
-    hist = [int(c) for c in np.bincount(gray.pixels.ravel(), minlength=256)]
-    total = sum(hist)
-    total_sum = sum(v * c for v, c in enumerate(hist))
-
-    nonzero = [v for v, c in enumerate(hist) if c]
-    if len(nonzero) == 1:
-        return nonzero[0]
+    hist = np.bincount(gray.ravel(), minlength=256)
+    levels = np.flatnonzero(hist).tolist()
+    counts = hist[levels].tolist()
+    if len(levels) == 1:
+        return levels[0]
+    total = sum(counts)
+    total_sum = sum(v * c for v, c in zip(levels, counts))
 
     best_t = 0
     best_num, best_den = -1, 1
     w0 = 0
     s0 = 0
-    for t in range(256):
-        w0 += hist[t]
-        s0 += t * hist[t]
+    for t, c in zip(levels[:-1], counts):  # the last level leaves w1 == 0
+        w0 += c
+        s0 += t * c
         w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
         s1 = total_sum - s0
         num = (s0 * w1 - s1 * w0) ** 2
         den = w0 * w1
@@ -299,77 +306,86 @@ def otsu_threshold(image: Image) -> int:
 
 
 def overlap(arr: np.ndarray, dy: int, dx: int) -> tuple[np.ndarray, np.ndarray]:
-    """``arr`` and ``arr`` shifted by (dy, dx), both cut to where they overlap."""
-    h, w = arr.shape
-    return arr[: h - dy, max(-dx, 0) : w - max(dx, 0)], arr[dy:, max(dx, 0) : w + min(dx, 0)]
+    """``arr`` and ``arr`` shifted by (dy, dx) in its last two axes, cut to where they overlap."""
+    h, w = arr.shape[-2:]
+    return (
+        arr[..., : h - dy, max(-dx, 0) : w - max(dx, 0)],
+        arr[..., dy:, max(dx, 0) : w + min(dx, 0)],
+    )
 
 
 def label_components(
     mask: np.ndarray, connectivity: int = 8, values: np.ndarray | None = None
 ) -> tuple[np.ndarray, int]:
-    """Label connected True regions of a boolean mask.
+    """Label the connected True regions of each (H, W) plane of an (N, H, W) bool mask.
 
-    Two mask pixels are joined when they are 4- or 8-neighbours and, if
-    ``values`` is given, hold equal values there.  The joined pairs are
-    listed once with array slices.  Union-find then hooks the larger root
-    of every pair whose ends differ onto the smaller one and pointer-jumps
-    (parent = parent[parent]) until each pair shares a root, so a
-    component's root is its smallest flat index.  Ranking the roots gives
-    (labels, count): labels are 0..count-1 in row-major order of each
-    component's first pixel, -1 outside the mask.
+    Two mask pixels of one plane are joined when they are 4- or
+    8-neighbours and, if ``values`` (shaped as ``mask``) is given, hold
+    equal values there.  The joined pairs are listed once with array
+    slices.  Union-find runs over the mask's pixels only, numbered in flat
+    order: it hooks the larger root of every pair whose ends differ onto
+    the smaller one and pointer-jumps (parent = parent[parent]) until each
+    pair shares a root, so a component's root is its first pixel.  Ranking
+    the roots gives (labels, count): labels are 0..count-1 in plane order,
+    then in row-major order of each component's first pixel, so each
+    plane's labels form one contiguous block; -1 outside the mask.
     """
     if connectivity not in (4, 8):
         raise ValueError(f"connectivity must be 4 or 8, got {connectivity}")
-    h, w = mask.shape
-    flat = np.arange(h * w)
-    index = flat.reshape(h, w)
-    pairs = []
+    inside = mask.ravel()
+    # each mask pixel's position among the mask's pixels
+    position = (np.cumsum(inside) - 1).reshape(mask.shape)
+    a, b = [], []
     # right and down, plus both lower diagonals for 8-connectivity
     for dy, dx in ((0, 1), (1, 0), (1, 1), (1, -1))[: connectivity // 2]:
         joined = np.logical_and(*overlap(mask, dy, dx))
         if values is not None:
             joined &= np.equal(*overlap(values, dy, dx))
-        pairs.append(np.stack(overlap(index, dy, dx))[:, joined])
-    a, b = np.concatenate(pairs, axis=1)
-    parent = flat.copy()
+        first, second = overlap(position, dy, dx)
+        a.append(first[joined])
+        b.append(second[joined])
+    a, b = np.concatenate(a), np.concatenate(b)
+    own = np.arange(np.count_nonzero(inside))
+    parent = own.copy()
     while (split := parent[a] != parent[b]).any():
         a, b = a[split], b[split]
         ra, rb = parent[a], parent[b]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
         while not np.array_equal(parent[parent], parent):
             parent = parent[parent]
-    inside = mask.ravel()
-    is_root = inside & (parent == flat)
+    is_root = parent == own
     rank = np.cumsum(is_root, dtype=np.int32) - 1
-    labels = np.where(inside, rank[parent], -1).reshape(h, w)
+    labels = np.full(mask.shape, -1, dtype=np.int32)
+    labels[mask] = rank[parent]
     return labels, int(is_root.sum())
 
 
-def segment_grain(image: Image) -> np.ndarray:
-    """Foreground mask of the largest bright region, (height, width) bool.
+def segment_grain(images: np.ndarray) -> np.ndarray:
+    """Foreground masks of the largest bright region of each image, (N, H, W) bool.
 
-    Otsu splits the grayscale histogram; the brighter side is foreground
-    (grains photograph light on dark backgrounds) and only its largest
-    8-connected component is kept.  A constant nonzero image is entirely
-    foreground; a pure black image has none and gives an all-False mask.
+    ``images`` is an (N, H, W, C) uint8 stack.  Otsu splits each image's
+    grayscale histogram; the brighter side is foreground (grains
+    photograph light on dark backgrounds) and only its largest 8-connected
+    component is kept, the first in row-major order on a tie.  A constant
+    nonzero image is entirely foreground; a pure black image has none and
+    gives an all-False mask.
     """
-    gray = to_grayscale(image)
-    t = otsu_threshold(gray)
-    fg = gray.pixels[:, :, 0] > t
-    if not fg.any() and t > 0:
-        fg = gray.pixels[:, :, 0] >= t  # single-valued bright frame
-    if not fg.any():
-        return fg
+    gray = _gray(images)
+    t = np.array([otsu_threshold(g) for g in gray], dtype=np.int64).reshape(-1, 1, 1)
+    fg = gray > t
+    bright = ~fg.any(axis=(1, 2)) & (t[:, 0, 0] > 0)
+    fg[bright] = gray[bright] >= t[bright]  # single-valued bright frames
     labels, count = label_components(fg, connectivity=8)
-    sizes = np.bincount(labels[labels >= 0].ravel(), minlength=count)
-    return labels == int(sizes.argmax())
-
-
-def apply_segment_mask(image: Image, mask: np.ndarray) -> Image:
-    """Zero every pixel outside the bool foreground mask, keeping the rest untouched."""
-    out = image.pixels.copy()
-    out[~mask] = 0
-    return Image.from_array(out)
+    ids = labels[fg]
+    sizes = np.bincount(ids, minlength=count)
+    image_of = np.empty(count, dtype=np.int64)
+    image_of[ids] = np.nonzero(fg)[0]
+    # by image, then by size descending; the sort is stable, so the first label wins a tie
+    order = np.lexsort((-sizes, image_of))
+    largest = order[np.flatnonzero(np.diff(image_of[order], prepend=-1))]
+    keep = np.zeros(count + 1, dtype=bool)  # the last slot, read by label -1, stays False
+    keep[largest] = True
+    return keep[labels]
 
 
 def resize(image: Image, target_w: int, target_h: int) -> Image:

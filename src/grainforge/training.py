@@ -246,23 +246,51 @@ def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
 RECORDED_SETTINGS = ("canny", "segment", "canny_sigma", "canny_low", "canny_high")
 
 
-def preprocess(image: Image, spec: NetworkSpec, config: TrainConfig) -> np.ndarray:
-    """The network's (H, W, C) input for one raw image, in ``config.dtype``.
+# most pixels (height x width, summed over images) in one stack that ``load_dataset``
+# preprocesses: 52 images of 50 px, or 2 of 224 px, keep each float64 temporary near 1 MB
+CHUNK_PIXELS = 1 << 17
 
-    Runs the Canny and segmentation stages that ``config`` selects, then
-    ``fit_to_input``, ``imaging.normalize`` and the cast; training,
-    evaluation and the explained model all call it, so none of them can
-    build the input another way.
+
+def preprocess(images: np.ndarray, spec: NetworkSpec, config: TrainConfig) -> np.ndarray:
+    """The network's (N, H, W, C) inputs for an (N, h, w, c) uint8 stack of raw images.
+
+    Runs the Canny and segmentation stages that ``config`` selects on the
+    whole stack, then ``fit_to_input`` and ``imaging.normalize`` on each
+    image, and casts to ``config.dtype``.  Training, evaluation and the
+    explained model all call it, so none of them can build the input
+    another way; one image is a stack of one.
     """
     if config.canny:
-        edges = imaging.canny(
-            image, config.canny_sigma, config.canny_low, config.canny_high
-        )
-        image = imaging.edge_map_to_image(edges)
+        edges = imaging.canny(images, config.canny_sigma, config.canny_low, config.canny_high)
+        images = edges[..., None].astype(np.uint8) * 255  # white edges on black
     if config.segment:
-        mask = imaging.segment_grain(image)
-        image = imaging.apply_segment_mask(image, mask)
-    return imaging.normalize(fit_to_input(image, spec)).astype(DTYPES[config.dtype])
+        images = images * imaging.segment_grain(images)[..., None]  # zero the background
+    out = np.empty((len(images), *spec.input_shape), dtype=DTYPES[config.dtype])
+    for x, pixels in zip(out, images):
+        x[...] = imaging.normalize(fit_to_input(Image.from_array(pixels), spec))
+    return out
+
+
+def _image_stacks(paths):
+    """The images at ``paths``, read into stacks of consecutive same-shape images.
+
+    A stack ends before an image of another shape, or before an image
+    that would take it past ``CHUNK_PIXELS`` pixels; it holds one image
+    at least.
+    """
+    stack = []
+    for path in paths:
+        try:
+            pixels = imaging.read_image(path).pixels
+        except (OSError, ValueError) as exc:
+            raise TrainingError(f"failed to read image {path}: {exc}") from exc
+        h, w, _ = pixels.shape
+        if stack and (pixels.shape != stack[0].shape or (len(stack) + 1) * h * w > CHUNK_PIXELS):
+            yield np.stack(stack)
+            stack = []
+        stack.append(pixels)
+    if stack:
+        yield np.stack(stack)
 
 
 def load_dataset(
@@ -272,21 +300,28 @@ def load_dataset(
     config: TrainConfig,
     augment: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the selected records into (examples, label indices) arrays."""
+    """Stack the selected records into (examples, label indices) arrays.
+
+    The images are read and preprocessed in stacks of consecutive
+    same-size records, each of at most ``CHUNK_PIXELS`` pixels, one
+    ``preprocess`` call per stack; every example is what ``preprocess``
+    makes of its image alone.  With ``augment``, each example is followed
+    by its other ``imaging.augment`` variants.
+    """
     root = Path(config.data_root)
     class_index = {label: k for k, label in enumerate(manifest.classes)}
-    xs, ys = [], []
-    for i in indices:
-        rec = manifest.records[i]
-        try:
-            image = imaging.read_image(root / rec.path)
-        except (OSError, ValueError) as exc:
-            raise TrainingError(f"failed to read image {root / rec.path}: {exc}") from exc
-        x = preprocess(image, spec, config)
-        variants = imaging.augment(x) if augment else [x]
-        xs.extend(variants)
-        ys.extend([class_index[rec.label]] * len(variants))
-    return np.stack(xs), np.array(ys, dtype=np.int64)
+    records = [manifest.records[i] for i in indices]
+    xs = np.empty((len(records), *spec.input_shape), dtype=DTYPES[config.dtype])
+    start = 0
+    for stack in _image_stacks(root / rec.path for rec in records):
+        xs[start : start + len(stack)] = preprocess(stack, spec, config)
+        start += len(stack)
+    ys = np.array([class_index[rec.label] for rec in records], dtype=np.int64)
+    if augment:
+        variants = [imaging.augment(x) for x in xs]
+        xs = np.stack([v for family in variants for v in family])
+        ys = np.repeat(ys, [len(family) for family in variants])
+    return xs, ys
 
 
 def onehot(labels: np.ndarray, num_classes: int, dtype) -> np.ndarray:
@@ -435,7 +470,16 @@ def train(
     assignment: SplitAssignment,
     config: TrainConfig,
 ) -> tuple[Parameters, np.ndarray]:
-    """Load the split's examples from disk and run the epoch loop."""
+    """Load the split's examples from disk and run the epoch loop.
+
+    A manifest whose class count differs from the network's raises
+    ValueError before any image is read.
+    """
+    if len(manifest.classes) != spec.num_classes:
+        raise ValueError(
+            f"manifest has {len(manifest.classes)} classes but the network has "
+            f"{spec.num_classes}"
+        )
     train_x, train_y = load_dataset(
         manifest, assignment.indices("train"), spec, config, augment=config.augment
     )

@@ -262,10 +262,10 @@ def test_criterion_8_imaging_oracles(rng):
     mismatches = 0
     for _ in range(100):
         img = random_image(rng, 9, 7, 1)
-        if imaging.otsu_threshold(img) != exhaustive_otsu(img.pixels[:, :, 0]):
+        if imaging.otsu_threshold(img.pixels) != exhaustive_otsu(img.pixels[:, :, 0]):
             mismatches += 1
 
-    edges = imaging.canny(square_fixture(), sigma=1.0, low=20, high=60)
+    edges = imaging.canny(square_fixture().pixels[None], sigma=1.0, low=20, high=60)[0]
     perimeter = square_perimeter()
     edge_points = set(zip(*np.nonzero(edges)))
     localized = all(

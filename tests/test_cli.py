@@ -563,8 +563,8 @@ class TestExplain:
 
 def canny_by_hand(image):
     """Canny at the default settings, as a 3-channel image."""
-    edges = imaging.edge_map_to_image(imaging.canny(image, 1.0, 50.0, 100.0))
-    return Image.from_array(np.repeat(edges.pixels, 3, axis=2))
+    edges = imaging.canny(image.pixels[None], 1.0, 50.0, 100.0)[0]
+    return Image.from_array(np.repeat(edges[:, :, None].astype(np.uint8) * 255, 3, axis=2))
 
 
 class TestRecordedPreprocessing:
@@ -655,7 +655,7 @@ class TestRecordedPreprocessing:
         config = training.TrainConfig(**settings)
 
         def value(img):
-            x = training.preprocess(img, spec, config)
+            x = training.preprocess(img.pixels[None], spec, config)[0]
             return float(network.forward(spec, params, x, train=False)[0][target])
 
         flat = Image.from_array(np.tile(explain.mean_baseline(image), (50, 50, 1)))

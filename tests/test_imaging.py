@@ -259,15 +259,58 @@ def square_perimeter() -> set[tuple[int, int]]:
     return ring
 
 
+# offsets of the neighbor pair to compare against, per direction bin:
+# 0 deg, 45 deg, 90 deg, 135 deg
+NMS_OFFSETS = ((0, 1), (1, 1), (1, 0), (1, -1))
+
+
+def quantize_direction(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    angle = np.degrees(np.arctan2(gy, gx)) % 180.0
+    bins = np.zeros(angle.shape, dtype=np.int8)
+    bins[(angle >= 22.5) & (angle < 67.5)] = 1
+    bins[(angle >= 67.5) & (angle < 112.5)] = 2
+    bins[(angle >= 112.5) & (angle < 157.5)] = 3
+    return bins
+
+
+def non_maximum_suppression(magnitude: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Zero out pixels that are not local maxima along their gradient axis, at every pixel."""
+    h, w = magnitude.shape
+    out = np.zeros_like(magnitude)
+    padded = np.pad(magnitude, 1, mode="constant")
+    for b, (dy, dx) in enumerate(NMS_OFFSETS):
+        fwd = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        bwd = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
+        keep = (bins == b) & (magnitude >= fwd) & (magnitude >= bwd)
+        out[keep] = magnitude[keep]
+    return out
+
+
 def suppressed_magnitude(image: Image, sigma: float) -> np.ndarray:
-    """Canny's gradient magnitude after non-maximum suppression."""
+    """Canny's gradient magnitude after dense non-maximum suppression, the oracle for ``canny``."""
     smoothed = imaging.blur_array(
         imaging.to_grayscale(image).pixels[:, :, 0].astype(float), sigma
     )
     gx, gy = imaging.sobel_gradients(smoothed)
-    return imaging.non_maximum_suppression(
-        np.hypot(gx, gy), imaging._quantize_direction(gx, gy)
+    return non_maximum_suppression(np.hypot(gx, gy), quantize_direction(gx, gy))
+
+
+def canny(image: Image, sigma: float, low: float, high: float) -> np.ndarray:
+    """``imaging.canny`` of one image, as a stack of one."""
+    return imaging.canny(image.pixels[None], sigma, low, high)[0]
+
+
+def segment_grain(image: Image) -> np.ndarray:
+    """``imaging.segment_grain`` of one image, as a stack of one."""
+    return imaging.segment_grain(image.pixels[None])[0]
+
+
+def label_components(mask: np.ndarray, connectivity: int, values=None) -> tuple[np.ndarray, int]:
+    """``imaging.label_components`` of one (H, W) mask, as a stack of one."""
+    labels, count = imaging.label_components(
+        mask[None], connectivity, values=None if values is None else values[None]
     )
+    return labels[0], count
 
 
 def seeded_flood(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
@@ -289,11 +332,11 @@ def seeded_flood(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
 class TestCanny:
     def test_uniform_image_no_edges(self):
         img = Image.from_array(np.full((16, 16, 1), 130, dtype=np.uint8))
-        edges = imaging.canny(img, 1.0, 20, 60)
+        edges = canny(img, 1.0, 20, 60)
         assert not edges.any()
 
     def test_square_fixture_localization(self):
-        edges = imaging.canny(square_fixture(), sigma=1.0, low=20, high=60)
+        edges = canny(square_fixture(), sigma=1.0, low=20, high=60)
         perimeter = square_perimeter()
         edge_points = set(zip(*np.nonzero(edges)))
         assert edge_points, "square must produce edges"
@@ -312,25 +355,25 @@ class TestCanny:
 
     def test_raising_high_never_adds_edges(self, rng):
         img = random_image(rng, 24, 24, 1)
-        lo_mask = imaging.canny(img, 1.0, 10, 40)
-        hi_mask = imaging.canny(img, 1.0, 10, 80)
+        lo_mask = canny(img, 1.0, 10, 40)
+        hi_mask = canny(img, 1.0, 10, 80)
         assert not (hi_mask & ~lo_mask).any()
 
     def test_threshold_order_enforced(self):
         with pytest.raises(ValueError, match="low < high"):
-            imaging.canny(square_fixture(), 1.0, 60, 60)
+            imaging.canny(square_fixture().pixels[None], 1.0, 60, 60)
 
     def test_edge_map_round_trips_as_pgm(self, tmp_path):
-        edges = imaging.canny(square_fixture(), 1.0, 20, 60)
+        edges = canny(square_fixture(), 1.0, 20, 60)
         path = tmp_path / "edges.pgm"
-        imaging.write_image(imaging.edge_map_to_image(edges), path)
+        imaging.write_image(Image.from_array(edges.astype(np.uint8) * 255), path)
         back = imaging.read_image(path)
         assert np.array_equal(back.pixels[:, :, 0] == 255, edges)
 
     def test_no_edge_below_low(self, rng):
         img = random_image(rng, 20, 20, 1)
         low = 30.0
-        edges = imaging.canny(img, 1.0, low, 90.0)
+        edges = canny(img, 1.0, low, 90.0)
         gray = imaging.to_grayscale(img)
         smoothed = imaging.blur_array(gray.pixels[:, :, 0].astype(float), 1.0)
         gx, gy = imaging.sobel_gradients(smoothed)
@@ -340,7 +383,7 @@ class TestCanny:
     def test_every_edge_component_touches_a_strong_pixel(self, rng):
         img = random_image(rng, 24, 24, 1)
         low, high = 20.0, 70.0
-        edges = imaging.canny(img, 1.0, low, high)
+        edges = canny(img, 1.0, low, high)
         if not edges.any():
             pytest.skip("fixture produced no edges")
         strong = suppressed_magnitude(img, 1.0) >= high
@@ -352,7 +395,7 @@ class TestCanny:
         images += [random_image(rng, 5 + 3 * i, 30 - 2 * i, 1 + 2 * (i % 2)) for i in range(10)]
         for image in images:
             for sigma, low, high in ((1.0, 50.0, 100.0), (1.5, 10.0, 40.0), (0.7, 0.0, 250.0)):
-                edges = imaging.canny(image, sigma, low, high)
+                edges = canny(image, sigma, low, high)
                 suppressed = suppressed_magnitude(image, sigma)
                 expected = seeded_flood(suppressed >= high, suppressed >= low)
                 assert edges.dtype == bool
@@ -363,22 +406,22 @@ class TestOtsu:
     def test_bimodal_halves(self):
         arr = np.concatenate([np.full(50, 50), np.full(50, 200)]).astype(np.uint8)
         img = Image.from_array(arr.reshape(10, 10, 1))
-        t = imaging.otsu_threshold(img)
+        t = imaging.otsu_threshold(img.pixels)
         assert 50 <= t <= 199
         assert t == exhaustive_otsu(img.pixels[:, :, 0])
 
     def test_all_zero(self):
         img = Image.from_array(np.zeros((4, 4, 1), dtype=np.uint8))
-        assert imaging.otsu_threshold(img) == 0
+        assert imaging.otsu_threshold(img.pixels) == 0
 
     def test_single_value_convention(self):
         img = Image.from_array(np.full((3, 3, 1), 173, dtype=np.uint8))
-        assert imaging.otsu_threshold(img) == 173
+        assert imaging.otsu_threshold(img.pixels) == 173
 
     def test_matches_exhaustive_search(self, rng):
         for _ in range(25):
             img = random_image(rng, 9, 7, 1)
-            assert imaging.otsu_threshold(img) == exhaustive_otsu(img.pixels[:, :, 0])
+            assert imaging.otsu_threshold(img.pixels) == exhaustive_otsu(img.pixels[:, :, 0])
 
     def test_matches_exhaustive_on_few_levels(self, rng):
         # few distinct values exercise tie-breaking
@@ -386,7 +429,7 @@ class TestOtsu:
             levels = rng.integers(0, 256, 3)
             arr = levels[rng.integers(0, 3, (6, 6))].astype(np.uint8)
             img = Image.from_array(arr[:, :, None])
-            assert imaging.otsu_threshold(img) == exhaustive_otsu(arr)
+            assert imaging.otsu_threshold(img.pixels) == exhaustive_otsu(arr)
 
 
 def serpentine(h: int, w: int) -> np.ndarray:
@@ -426,7 +469,7 @@ class TestLabelComponents:
     @staticmethod
     def _assert_matches_oracle(mask, values=None):
         for connectivity in (4, 8):
-            labels, count = imaging.label_components(mask, connectivity, values=values)
+            labels, count = label_components(mask, connectivity, values=values)
             expected, expected_count = oracle_labels(mask, connectivity, values)
             assert labels.shape == mask.shape
             assert count == expected_count
@@ -452,14 +495,14 @@ class TestLabelComponents:
         ids=["empty", "full", "row", "column", "diagonal", "serpentine", "spiral", "spiral-gap"],
     )
     def test_shapes(self, mask, count4, count8):
-        assert imaging.label_components(mask, 4)[1] == count4
-        assert imaging.label_components(mask, 8)[1] == count8
+        assert label_components(mask, 4)[1] == count4
+        assert label_components(mask, 8)[1] == count8
         self._assert_matches_oracle(mask)
 
     def test_ids_follow_first_pixel_in_row_major_order(self):
         mask = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [0, 0, 1, 0]], dtype=bool)
-        labels4, count4 = imaging.label_components(mask, 4)
-        labels8, count8 = imaging.label_components(mask, 8)
+        labels4, count4 = label_components(mask, 4)
+        labels8, count8 = label_components(mask, 8)
         assert count4 == 4 and count8 == 2
         assert labels4.tolist() == [[-1, 0, -1, 1], [2, -1, -1, 1], [-1, -1, 3, -1]]
         assert labels8.tolist() == [[-1, 0, -1, 1], [0, -1, -1, 1], [-1, -1, 1, -1]]
@@ -474,7 +517,7 @@ class TestLabelComponents:
     @pytest.mark.parametrize("connectivity", [0, 2, 6])
     def test_other_connectivity_rejected(self, connectivity):
         with pytest.raises(ValueError, match="connectivity must be 4 or 8"):
-            imaging.label_components(np.ones((3, 3), dtype=bool), connectivity)
+            imaging.label_components(np.ones((1, 3, 3), dtype=bool), connectivity)
 
 
 class TestSegmentGrain:
@@ -483,7 +526,7 @@ class TestSegmentGrain:
         yy, xx = np.mgrid[0:32, 0:32]
         disc = (yy - 16) ** 2 + (xx - 16) ** 2 <= 8**2
         arr[disc] = 220
-        mask = imaging.segment_grain(Image.from_array(arr[:, :, None]))
+        mask = segment_grain(Image.from_array(arr[:, :, None]))
         # within a 1-pixel band of the analytic boundary
         dist = np.sqrt((yy - 16) ** 2 + (xx - 16) ** 2)
         assert np.all(mask[dist <= 7])
@@ -493,7 +536,7 @@ class TestSegmentGrain:
         arr = np.zeros((20, 20), dtype=np.uint8)
         arr[2:12, 2:12] = 255  # 100 px
         arr[14:19, 14:20] = 255  # 30 px
-        mask = imaging.segment_grain(Image.from_array(arr[:, :, None]))
+        mask = segment_grain(Image.from_array(arr[:, :, None]))
         comps = flood_components(mask)
         assert len(comps) == 1
         assert comps[0] == {(y, x) for y in range(2, 12) for x in range(2, 12)}
@@ -501,29 +544,71 @@ class TestSegmentGrain:
 
     def test_full_white(self):
         img = Image.from_array(np.full((5, 5, 1), 255, dtype=np.uint8))
-        mask = imaging.segment_grain(img)
+        mask = segment_grain(img)
         assert mask.all() and mask.sum() == 25
 
     def test_constant_bright_is_full_frame(self):
         img = Image.from_array(np.full((5, 5, 1), 9, dtype=np.uint8))
-        assert imaging.segment_grain(img).all()
+        assert segment_grain(img).all()
 
-    def test_no_foreground_raises(self):
-        # an all-black image has no foreground: the mask is empty and no error is raised
+    def test_no_foreground_gives_an_empty_mask(self):
         for channels in (1, 3):
             img = Image.from_array(np.zeros((5, 5, channels), dtype=np.uint8))
-            mask = imaging.segment_grain(img)
+            mask = segment_grain(img)
             assert mask.shape == (5, 5) and mask.dtype == bool and not mask.any()
-            assert np.array_equal(imaging.apply_segment_mask(img, mask).pixels, img.pixels)
 
-    def test_apply_mask_zeroes_background(self, rng):
-        arr = np.zeros((10, 10), dtype=np.uint8)
-        arr[2:5, 2:5] = 200
-        img = Image.from_array(arr[:, :, None])
-        mask = imaging.segment_grain(img)
-        out = imaging.apply_segment_mask(img, mask)
-        assert np.array_equal(out.pixels[mask], img.pixels[mask])
-        assert np.all(out.pixels[~mask] == 0)
+
+
+class TestStacks:
+    """``canny``, ``segment_grain`` and ``label_components`` treat each image of a stack alone."""
+
+    @staticmethod
+    def frames(rng) -> np.ndarray:
+        """Shapes, noise, two equal blobs, all-black and constant frames, interleaved."""
+        shapes = [render_shape(kind, 24, Rng(9).child(kind)).pixels for kind in SHAPE_CLASSES]
+        twins = np.zeros((24, 24, 3), dtype=np.uint8)
+        twins[2:8, 2:8] = twins[14:20, 14:20] = 180
+        black = np.zeros((24, 24, 3), dtype=np.uint8)
+        flat = np.full((24, 24, 3), 90, dtype=np.uint8)
+        noise = [rng.integers(0, 256, (24, 24, 3), dtype=np.uint8) for _ in range(2)]
+        return np.stack([black, *shapes[:3], flat, twins, black, noise[0], *shapes[3:], noise[1]])
+
+    def test_canny_of_a_stack_is_canny_of_each_image(self, rng):
+        stack = self.frames(rng)
+        for sigma, low, high in ((1.0, 50.0, 100.0), (1.5, 10.0, 40.0), (0.7, 0.0, 250.0)):
+            edges = imaging.canny(stack, sigma, low, high)
+            assert edges.shape == stack.shape[:3] and edges.dtype == bool
+            for frame, got in zip(stack, edges, strict=True):
+                assert np.array_equal(got, canny(Image.from_array(frame), sigma, low, high))
+            assert not edges[0].any() and not edges[4].any()
+
+    def test_segment_grain_of_a_stack_is_segment_grain_of_each_image(self, rng):
+        stack = self.frames(rng)
+        masks = imaging.segment_grain(stack)
+        assert masks.shape == stack.shape[:3] and masks.dtype == bool
+        for frame, got in zip(stack, masks, strict=True):
+            assert np.array_equal(got, segment_grain(Image.from_array(frame)))
+        assert not masks[0].any() and masks[4].all()
+        assert masks[5].sum() == 36 and masks[5][2:8, 2:8].all()  # the first of two equal blobs
+
+    def test_labels_of_a_stack_are_numbered_plane_by_plane(self, rng):
+        for _ in range(50):
+            n, h, w = (int(v) for v in rng.integers(1, 9, 3))
+            masks = rng.random((n, h, w)) < rng.uniform(0.1, 0.9)
+            masks[rng.random(n) < 0.3] = False  # empty planes
+            values = rng.integers(0, 3, (n, h, w))
+            for connectivity in (4, 8):
+                for vals in (None, values):
+                    labels, count = imaging.label_components(masks, connectivity, values=vals)
+                    assert labels.shape == masks.shape
+                    offset = 0
+                    for k in range(n):
+                        expected, plane_count = oracle_labels(
+                            masks[k], connectivity, None if vals is None else vals[k]
+                        )
+                        assert np.array_equal(labels[k], np.where(masks[k], expected + offset, -1))
+                        offset += plane_count
+                    assert count == offset
 
 
 class TestResize:

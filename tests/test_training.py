@@ -5,10 +5,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from grainforge import network, training
+from grainforge import imaging, network, training
 from grainforge.metrics import confusion_from_pairs
 from grainforge.network import LayerSpec, NetworkSpec
 from grainforge.rng import Rng
+from grainforge.synthetic import SHAPE_CLASSES, render_shape
 from grainforge.training import (
     Manifest,
     ManifestRecord,
@@ -286,6 +287,12 @@ class TestTrainLoop:
         assert len(history) == 2
         assert scalar_count(params) == param_count(spec)
 
+    def test_class_count_mismatch_is_named_before_any_image_is_read(self, tmp_path):
+        manifest = synthetic_manifest({label: 10 for label in "abcde"})  # no file exists
+        cfg = TrainConfig(data_root=tmp_path, epochs=1)
+        with pytest.raises(ValueError, match="manifest has 5 classes but the network has 4"):
+            training.train(network.build_disease_cnn(), manifest, split(manifest, 0), cfg)
+
     def test_unreadable_image_identifies_path(self, tmp_path):
         manifest = manifest_from_records([ManifestRecord("ghost.ppm", "a")])
         spec = flat_spec()
@@ -315,6 +322,43 @@ class TestLoaderStages:
         )[0]
         # some background was zeroed, the rest kept
         assert (xs == 0).sum() > (plain == 0).sum()
+
+    def test_segment_stage_keeps_the_grain_and_zeroes_the_rest(self):
+        arr = np.full((1, 10, 10, 1), 30, dtype=np.uint8)
+        arr[0, 2:5, 2:5] = 200
+        arr[0, 7:9, 7:9] = 220  # a smaller bright blob, dropped with the background
+        spec = flat_spec(side=10)
+        xs = training.preprocess(arr, spec, TrainConfig(segment=True, dtype="f64"))
+        kept = np.zeros_like(arr)
+        kept[0, 2:5, 2:5] = 200
+        assert np.array_equal(xs, kept / 255.0)
+
+    def test_stacks_hold_same_size_runs_up_to_the_pixel_limit(self, tmp_path, monkeypatch):
+        full = training.CHUNK_PIXELS // (50 * 50)  # 50 px images in a full stack
+        sizes = [50] * (full + 2) + [40] * 3 + [50] * 2
+        records = []
+        for i, size in enumerate(sizes):
+            kind = SHAPE_CLASSES[i % len(SHAPE_CLASSES)]
+            imaging.write_image(render_shape(kind, size, Rng(i)), tmp_path / f"{i}.ppm")
+            records.append(ManifestRecord(f"{i}.ppm", kind))
+        manifest = manifest_from_records(records)
+        spec = network.build_rice_cnn()
+        cfg = TrainConfig(data_root=tmp_path, canny=True, segment=True, dtype="f32")
+        preprocess, stacks = training.preprocess, []
+
+        def spy(images, *args):
+            stacks.append(images.shape[:3])
+            return preprocess(images, *args)
+
+        monkeypatch.setattr(training, "preprocess", spy)
+        xs, ys = training.load_dataset(manifest, range(len(sizes)), spec, cfg)
+        assert stacks == [(full, 50, 50), (2, 50, 50), (3, 40, 40), (2, 50, 50)]
+        one_by_one = [
+            preprocess(imaging.read_image(tmp_path / rec.path).pixels[None], spec, cfg)[0]
+            for rec in records
+        ]
+        assert xs.dtype == np.float32 and xs.tobytes() == np.stack(one_by_one).tobytes()
+        assert ys.tolist() == [manifest.classes.index(rec.label) for rec in records]
 
     def test_augment_expands_fivefold(self, tiny_shape_dataset):
         root, manifest, _ = tiny_shape_dataset
