@@ -16,7 +16,11 @@ every run.  After the ``train-rice`` report it also runs one epoch of
 ``train --augment`` on that round's manifest and data, the one
 preprocessing flag no workload sets, then one epoch of ``train --segment``
 without ``--canny``, the one path where Otsu segments many-valued RGB
-images rather than edge maps.  Every command must exit 0, print
+images rather than edge maps.  Last it runs ``explain`` with LIME and with
+KernelSHAP, on the round's weights, on two shapes images rendered from
+the seed whose size differs from the model's 50 px input: a 40 px P5 image
+(so preprocessing resizes up and repeats the gray plane) and a 64 px P6
+image (resized down).  Every command must exit 0, print
 the paths the workload expects and pass the workload's check.  The
 script then prints one ``workload relative-path sha256`` line for every
 file in that directory, sorted by path.  A change that must not alter
@@ -46,6 +50,9 @@ EXTRA_TRAINS = (
     ("--augment", "augment.gfw", "augment.csv"),
     ("--segment", "segment.gfw", "segment.csv"),
 )
+# the explain runs after them: (image file, shape class, size in px, gray)
+EXTRA_EXPLAINS = (("gray40.pgm", "disc", 40, True), ("rgb64.ppm", "cross", 64, False))
+EXPLAIN_SAMPLES = "200"
 
 
 def run(cli, command) -> str | None:
@@ -70,6 +77,21 @@ def report(workload: str, command, failure: str | None) -> int:
         return 0
     print(f"{workload}: {command.argv[0]} failed: {failure}", file=sys.stderr)
     return 1
+
+
+def write_explain_images(root: Path, seed: int) -> None:
+    """Write the ``EXTRA_EXPLAINS`` images under ``root``, rendered from ``seed``."""
+    from grainforge import imaging, synthetic
+    from grainforge.rng import Rng
+
+    for name, kind, size, gray in EXTRA_EXPLAINS:
+        rendered = synthetic.render_shape(kind, size, Rng(seed).child(name))
+        # the codec round trip and the Image wrap work whether render_shape and write_image
+        # use arrays or Images, so trees from before and after images became arrays compare
+        pixels = imaging.decode_netpbm(imaging.encode_netpbm(rendered)).pixels
+        if gray:
+            pixels = pixels[:, :, 1]  # the green plane, as a P5 image
+        imaging.write_image(imaging.Image.from_array(pixels), root / name)
 
 
 def main() -> int:
@@ -99,6 +121,17 @@ def main() -> int:
                             "--seed", str(seed),
                         ]
                         extra.append(Command("train", argv, [weights, history]))
+                    write_explain_images(root, seed)
+                    for image, *_ in EXTRA_EXPLAINS:
+                        stem = image.rsplit(".", 1)[0]
+                        for method in ("lime", "shap"):
+                            argv = [
+                                "explain", "--weights", "rice.gfw", "--image", image,
+                                "--method", method, "--samples", EXPLAIN_SAMPLES,
+                                "--seed", str(seed), "--out-dir", "explain",
+                            ]
+                            outputs = [f"explain/{stem}.{method}.{ext}" for ext in ("csv", "ppm")]
+                            extra.append(Command("explain", argv, outputs))
                 cwd = os.getcwd()
                 os.chdir(root)  # contextlib.chdir needs Python 3.11
                 try:

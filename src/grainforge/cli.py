@@ -238,10 +238,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _model_closure(spec, params, cfg):
-    """Class probabilities of one raw image, through the model's own preprocessing."""
+    """Class probabilities of one raw (H, W, C) image, through the model's own preprocessing."""
 
-    def model(image: imaging.Image) -> np.ndarray:
-        x = training.preprocess(image.pixels[None], spec, cfg)[0]
+    def model(pixels: np.ndarray) -> np.ndarray:
+        x = training.preprocess(pixels[None], spec, cfg)[0]
         probs, _ = network.forward(spec, params, x, train=False)
         if not np.isfinite(probs).all():  # finite weights can still overflow float32
             raise ValueError("class probabilities are not finite")
@@ -253,7 +253,7 @@ def _model_closure(spec, params, cfg):
 def cmd_explain(args) -> int:
     cfg, spec, params = _load_model(args)
     image_path = Path(args.image)
-    image = imaging.read_image(image_path)
+    image = imaging.read_image(image_path).pixels
     model = _model_closure(spec, params, cfg)
 
     target = cfg.target_class
@@ -267,13 +267,13 @@ def cmd_explain(args) -> int:
     segments = cfg.segments
     if segments is None:
         segments = 40 if max(spec.input_shape[:2]) <= 64 else 100
-    pixels = image.width * image.height
-    if segments > pixels:
-        raise UsageError(f"segments {segments} exceeds the {pixels} pixels of {image_path}")
+    h, w, channels = image.shape
+    if segments > h * w:
+        raise UsageError(f"segments {segments} exceeds the {h * w} pixels of {image_path}")
     superpixels = explain_mod.slic_superpixels(
         image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
     )
-    baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * image.channels
+    baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * channels
     value = explain_mod.coalition_value(model, image, superpixels, target, baseline)
     rng = Rng(cfg.seed)
 

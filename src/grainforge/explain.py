@@ -1,13 +1,13 @@
 """Superpixel attribution: SLIC segmentation, LIME surrogates, Shapley values.
 
-Attributions are computed per superpixel for one designated class.  Both
-explainers estimate one coalition game, built by ``coalition_value``: a
-mask over the M segments keeps the included regions' pixels and paints the
-rest with a baseline color, and the value is the model's probability of
-the class on that image.  LIME rejects a kernel width at which the masks
-that drop a segment weigh nothing beside the full mask; KernelSHAP samples
-coalition sizes by the closed-form kernel mass (M - 1) / (s (M - s)),
-which, unlike C(M, s), fits a float at any M.
+Attributions are computed per superpixel of an (H, W, C) uint8 image for one
+designated class.  Both explainers estimate one coalition game, built by
+``coalition_value``: a mask over the M segments keeps the included regions'
+pixels and paints the rest with a baseline color, and the value is the
+model's probability of the class on that image.  LIME rejects a kernel width
+at which the masks that drop a segment weigh nothing beside the full mask;
+KernelSHAP samples coalition sizes by the closed-form kernel mass
+(M - 1) / (s (M - s)), which, unlike C(M, s), fits a float at any M.
 
 The KernelSHAP solver enforces local accuracy exactly: the last
 coefficient is eliminated through the constraint sum(phi) = v(full) -
@@ -26,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .imaging import Image, label_components, overlap, to_uint8
+from .imaging import label_components, overlap, to_uint8
 from .rng import Rng
 
-Model = Callable[[Image], np.ndarray]
+Model = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +53,14 @@ def _grid_centers(width: int, height: int, target: int) -> tuple[np.ndarray, flo
     return centers, spacing
 
 
-def _color_features(image: Image) -> np.ndarray:
+def _color_features(image: np.ndarray) -> np.ndarray:
     # scaled-RGB stand-in for Lab: each channel mapped to [0, 100]
-    return image.pixels.astype(np.float64) * (100.0 / 255.0)
+    return np.asarray(image, dtype=np.float64) * (100.0 / 255.0)
 
 
-def slic_superpixels(image: Image, target: int, compactness: float, iters: int) -> SuperpixelMap:
+def slic_superpixels(
+    image: np.ndarray, target: int, compactness: float, iters: int
+) -> SuperpixelMap:
     """Windowed k-means over (color, position) with connectivity cleanup.
 
     This is SLIC as published (Achanta et al., TPAMI 2012).  Centers start
@@ -80,7 +82,8 @@ def slic_superpixels(image: Image, target: int, compactness: float, iters: int) 
     component are folded into the biggest adjacent segment, then ids are
     compacted to 0..count-1.
     """
-    h, w = image.height, image.width
+    color = _color_features(image)
+    h, w = color.shape[:2]
     if target < 1:
         raise ValueError(f"superpixel target must be >= 1, got {target}")
     if target > h * w:
@@ -88,7 +91,6 @@ def slic_superpixels(image: Image, target: int, compactness: float, iters: int) 
     if iters < 1:
         raise ValueError(f"iteration count must be >= 1, got {iters}")
 
-    color = _color_features(image)
     centers_pos, spacing = _grid_centers(w, h, target)
     idx = np.clip(np.rint(centers_pos), 0, [h - 1, w - 1]).astype(int)
     # one row per center and per pixel: y, x, then the color channels
@@ -192,29 +194,29 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def mean_baseline(image: Image) -> tuple[int, ...]:
-    means = image.pixels.reshape(-1, image.channels).mean(axis=0)
+def mean_baseline(image: np.ndarray) -> tuple[int, ...]:
+    means = np.mean(image, axis=(0, 1))
     return tuple(int(v) for v in to_uint8(means))
 
 
 def perturb(
-    image: Image, superpixels: SuperpixelMap, mask: np.ndarray, baseline: tuple[int, ...]
-) -> Image:
-    """Replace the pixels of every excluded segment with the baseline color."""
+    image: np.ndarray, superpixels: SuperpixelMap, mask: np.ndarray, baseline: tuple[int, ...]
+) -> np.ndarray:
+    """A copy of ``image`` whose excluded segments are painted the baseline color."""
     mask = np.asarray(mask)
     if mask.shape != (superpixels.count,):
         raise ValueError(
             f"mask length {mask.shape} does not match {superpixels.count} segments"
         )
     excluded = ~mask.astype(bool)
-    out = image.pixels.copy()
+    out = np.array(image)
     out[excluded[superpixels.labels]] = np.array(baseline, dtype=np.uint8)
-    return Image.from_array(out)
+    return out
 
 
 def coalition_value(
     model: Model,
-    image: Image,
+    image: np.ndarray,
     superpixels: SuperpixelMap,
     class_index: int,
     baseline: tuple[int, ...],
@@ -396,10 +398,10 @@ def _constrained_solve(
 # ---------------------------------------------------------------------------
 
 
-def _ensure_rgb(image: Image) -> np.ndarray:
-    if image.channels == 3:
-        return image.pixels.copy()
-    return np.repeat(image.pixels, 3, axis=2)
+def _ensure_rgb(image: np.ndarray) -> np.ndarray:
+    if image.shape[2] == 3:
+        return image.copy()
+    return np.repeat(image, 3, axis=2)
 
 
 def _highlight_boundary(superpixels: SuperpixelMap, highlight: np.ndarray) -> np.ndarray:
@@ -415,8 +417,8 @@ def _highlight_boundary(superpixels: SuperpixelMap, highlight: np.ndarray) -> np
 
 
 def render_lime_heatmap(
-    image: Image, superpixels: SuperpixelMap, weights: np.ndarray, top_k: int
-) -> Image:
+    image: np.ndarray, superpixels: SuperpixelMap, weights: np.ndarray, top_k: int
+) -> np.ndarray:
     """Original image with a 1-pixel yellow outline on the ``top_k`` most positive segments.
 
     Segments are ranked by a stable sort of their weights, so a tie keeps
@@ -427,10 +429,12 @@ def render_lime_heatmap(
     highlight[top[weights[top] > 0]] = True
     rgb = _ensure_rgb(image)
     rgb[_highlight_boundary(superpixels, highlight)] = (255, 255, 0)
-    return Image.from_array(rgb)
+    return rgb
 
 
-def render_shap_heatmap(image: Image, superpixels: SuperpixelMap, weights: np.ndarray) -> Image:
+def render_shap_heatmap(
+    image: np.ndarray, superpixels: SuperpixelMap, weights: np.ndarray
+) -> np.ndarray:
     """Red-positive / blue-negative overlay scaled by |weight| / max |weight|.
 
     The per-pixel blend factor is 0.5 at the strongest segment, fading to
@@ -448,7 +452,7 @@ def render_shap_heatmap(image: Image, superpixels: SuperpixelMap, weights: np.nd
         )
         alpha = 0.5 * strength[:, :, None]
         rgb = (1 - alpha) * rgb + alpha * color
-    return Image.from_array(to_uint8(rgb))
+    return to_uint8(rgb)
 
 
 def write_attribution_csv(path, weights: np.ndarray, class_index: int, method: str) -> None:

@@ -3,18 +3,21 @@
 Covers binary PPM/PGM parsing, grayscale conversion, Gaussian blur, Canny
 edge extraction, Otsu thresholding with largest-component segmentation,
 bilinear resize, [0,1] normalization, and the fixed five-way augmentation
-set.  An ``Image`` derives its size from its pixels; ``to_uint8`` is the
-one float-to-8-bit rounding.  All operations are pure: images are
-read-only once constructed and every function returns fresh buffers,
-except ``augment``, whose variants are views of the array it is given.
+set.  Below the file boundary an image is an (H, W, C) uint8 array:
+``decode_netpbm`` is the one place that builds an ``Image``, and
+``encode_netpbm`` applies the same checks before anything is written.  An
+``Image`` passes as an array through ``__array__``.  ``to_uint8`` is the
+one float-to-8-bit rounding.  No function writes into its input;
+``augment``'s variants are views of the array it is given, and ``resize``
+returns its input when the size already matches.
 
-``canny``, ``segment_grain`` and ``label_components`` work on stacks: an
-(N, H, W, C) uint8 array of same-size images (an (N, H, W) mask for
-labelling) gives one result per image, each equal to that of the image
-alone, so one call pays numpy's per-call overhead for a whole stack.
-``canny`` suppresses and links only the pixels that can become edges, and
-Otsu visits only the occupied gray levels.  The other functions take one
-``Image``.
+``luma``, ``resize``, ``normalize``, ``canny``, ``segment_grain`` and
+``label_components`` work on stacks: an (N, H, W, C) uint8 array of
+same-size images (an (N, H, W) mask for labelling) gives one result per
+image, each equal to that of the image alone, so one call pays numpy's
+per-call overhead for a whole stack.  ``canny`` suppresses and links only
+the pixels that can become edges, and Otsu visits only the occupied gray
+levels.
 
 JPEG and PNG are deliberately not decoded here; datasets are expected to
 be converted to netpbm (P6/P5, maxval 255) with standard tooling before
@@ -51,17 +54,17 @@ class Image:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    @property
-    def channels(self) -> int:
-        return self.pixels.shape[2]
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.pixels, dtype=dtype, copy=copy)
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Image":
-        """An (H, W) or (H, W, C) array as uint8, C 1 or 3 and H, W positive, made read-only.
+        """An (H, W) or (H, W, C) array as read-only uint8, C 1 or 3 and H, W positive.
 
-        A uint8 array is taken as is; an array of another integer or bool
+        A uint8 array needs no value check; an array of another integer or bool
         dtype must hold values in [0, 255], and any other dtype is rejected,
-        so no value is wrapped or truncated into a pixel.
+        so no value is wrapped or truncated into a pixel.  Only the view that
+        ``pixels`` holds is made read-only, never the caller's array.
         """
         if arr.ndim not in (2, 3):
             raise ValueError(f"image array must be (H, W) or (H, W, C), got shape {arr.shape}")
@@ -73,7 +76,7 @@ class Image:
             )
         if arr.ndim == 2:
             arr = arr[:, :, None]
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
+        arr = np.ascontiguousarray(arr, dtype=np.uint8).view()
         h, w, c = arr.shape
         if c not in (1, 3):
             raise ValueError(f"channels must be 1 or 3, got {c}")
@@ -147,8 +150,10 @@ def decode_netpbm(data: bytes) -> Image:
     return Image.from_array(arr.reshape(height, width, channels))
 
 
-def encode_netpbm(image: Image) -> bytes:
-    magic = b"P6" if image.channels == 3 else b"P5"
+def encode_netpbm(pixels: np.ndarray) -> bytes:
+    """P6 or P5 bytes of an (H, W) or (H, W, C) array that ``Image.from_array`` accepts."""
+    image = Image.from_array(np.asarray(pixels))
+    magic = b"P6" if image.pixels.shape[2] == 3 else b"P5"
     header = b"%s\n%d %d\n255\n" % (magic, image.width, image.height)
     return header + image.pixels.tobytes()
 
@@ -158,9 +163,11 @@ def read_image(path) -> Image:
         return decode_netpbm(fh.read())
 
 
-def write_image(image: Image, path) -> None:
+def write_image(pixels: np.ndarray, path) -> None:
+    """Write ``pixels`` as netpbm; an array ``encode_netpbm`` rejects leaves no file."""
+    data = encode_netpbm(pixels)
     with open(path, "wb") as fh:
-        fh.write(encode_netpbm(image))
+        fh.write(data)
 
 
 # ---------------------------------------------------------------------------
@@ -173,19 +180,12 @@ def to_uint8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), 0, 255).astype(np.uint8)
 
 
-def _gray(pixels: np.ndarray) -> np.ndarray:
+def luma(pixels: np.ndarray) -> np.ndarray:
     """BT.601 luma of (..., H, W, C) uint8 pixels as (..., H, W) uint8, rounded by ``to_uint8``."""
     if pixels.shape[-1] == 1:
         return pixels[..., 0]
     rgb = pixels.astype(np.float64)
     return to_uint8(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
-
-
-def to_grayscale(image: Image) -> Image:
-    """ITU-R BT.601 luma, rounded by ``to_uint8``; grayscale inputs pass through unchanged."""
-    if image.channels == 1:
-        return image
-    return Image.from_array(_gray(image.pixels))
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -248,7 +248,7 @@ def canny(images: np.ndarray, sigma: float, low: float, high: float) -> np.ndarr
     """
     if not 0 <= low < high:
         raise ValueError(f"thresholds must satisfy 0 <= low < high, got {low}, {high}")
-    smoothed = blur_array(_gray(images), sigma)
+    smoothed = blur_array(luma(images), sigma)
     gx, gy = sobel_gradients(smoothed)
     magnitude = np.hypot(gx, gy)
     n, h, w = magnitude.shape
@@ -370,7 +370,7 @@ def segment_grain(images: np.ndarray) -> np.ndarray:
     nonzero image is entirely foreground; a pure black image has none and
     gives an all-False mask.
     """
-    gray = _gray(images)
+    gray = luma(images)
     t = np.array([otsu_threshold(g) for g in gray], dtype=np.int64).reshape(-1, 1, 1)
     fg = gray > t
     bright = ~fg.any(axis=(1, 2)) & (t[:, 0, 0] > 0)
@@ -388,32 +388,33 @@ def segment_grain(images: np.ndarray) -> np.ndarray:
     return keep[labels]
 
 
-def resize(image: Image, target_w: int, target_h: int) -> Image:
-    """Bilinear resampling on a center-aligned grid."""
+def resize(images: np.ndarray, target_w: int, target_h: int) -> np.ndarray:
+    """Bilinear resampling of (..., H, W, C) uint8 pixels on a center-aligned grid."""
     if target_w < 1 or target_h < 1:
         raise ValueError(f"target size must be positive, got {target_w}x{target_h}")
-    if target_w == image.width and target_h == image.height:
-        return image
-    src = image.pixels.astype(np.float64)
-    sy = (np.arange(target_h) + 0.5) * image.height / target_h - 0.5
-    sx = (np.arange(target_w) + 0.5) * image.width / target_w - 0.5
-    sy = np.clip(sy, 0, image.height - 1)
-    sx = np.clip(sx, 0, image.width - 1)
+    images = np.asarray(images)
+    height, width = images.shape[-3:-1]
+    if target_w == width and target_h == height:
+        return images
+    src = images.astype(np.float64)
+    sy = np.clip((np.arange(target_h) + 0.5) * height / target_h - 0.5, 0, height - 1)
+    sx = np.clip((np.arange(target_w) + 0.5) * width / target_w - 0.5, 0, width - 1)
     y0 = np.floor(sy).astype(int)
     x0 = np.floor(sx).astype(int)
-    y1 = np.minimum(y0 + 1, image.height - 1)
-    x1 = np.minimum(x0 + 1, image.width - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    x1 = np.minimum(x0 + 1, width - 1)
     wy = (sy - y0)[:, None, None]
     wx = (sx - x0)[None, :, None]
-    top = src[y0][:, x0] * (1 - wx) + src[y0][:, x1] * wx
-    bottom = src[y1][:, x0] * (1 - wx) + src[y1][:, x1] * wx
+    top, bottom = src[..., y0, :, :], src[..., y1, :, :]
+    top = top[..., x0, :] * (1 - wx) + top[..., x1, :] * wx
+    bottom = bottom[..., x0, :] * (1 - wx) + bottom[..., x1, :] * wx
     blended = top * (1 - wy) + bottom * wy
-    return Image.from_array(to_uint8(blended))
+    return to_uint8(blended)
 
 
-def normalize(image: Image) -> np.ndarray:
-    """Pixel values scaled to [0,1] as a float64 (H,W,C) tensor."""
-    return image.pixels.astype(np.float64) / 255.0
+def normalize(images: np.ndarray) -> np.ndarray:
+    """(..., H, W, C) uint8 pixels scaled to [0, 1] as float64."""
+    return np.asarray(images, dtype=np.float64) / 255.0
 
 
 def augment(x: np.ndarray) -> list[np.ndarray]:

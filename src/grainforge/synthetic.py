@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import Image, to_uint8, write_image
+from .imaging import to_uint8, write_image
 from .rng import Rng
 from .training import Manifest, ManifestRecord, SplitAssignment, manifest_from_records
 
@@ -44,7 +44,7 @@ def _shape_mask(kind: str, size: int, rng: Rng) -> np.ndarray:
     raise ValueError(f"unknown shape kind {kind!r}")
 
 
-def render_shape(kind: str, size: int, rng: Rng) -> Image:
+def render_shape(kind: str, size: int, rng: Rng) -> np.ndarray:
     mask = _shape_mask(kind, size, rng)
     background = rng.uniform(0, 70, 3)
     foreground = rng.uniform(150, 255, 3)
@@ -52,7 +52,7 @@ def render_shape(kind: str, size: int, rng: Rng) -> Image:
     canvas[:] = background
     canvas[mask] = foreground
     canvas += rng.uniform(-12, 12, canvas.shape)
-    return Image.from_array(to_uint8(canvas))
+    return to_uint8(canvas)
 
 
 def generate_shape_dataset(

@@ -5,8 +5,10 @@ root.  Splitting is stratified per class with largest-remainder rounding,
 so the 80/10/10 ratios hold within one record for every class.  The epoch
 loop shuffles with seeded streams, keeps the parameters from the epoch
 that ``best_epoch`` picks (the first minimum of the validation loss, never
-a NaN), and records per-epoch curves; identical
-(seed, config, dataset) triples reproduce histories and weights exactly.
+a NaN), and records per-epoch curves; identical (seed, config, dataset)
+triples reproduce histories and weights exactly.  Images arrive as
+(N, h, w, c) uint8 stacks, and ``preprocess`` turns a whole stack into
+network inputs in one call.
 
 A training history is an (E, 4) float64 array, one row per epoch, whose
 columns are ``HISTORY_COLUMNS``: train loss, train accuracy, validation
@@ -24,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import imaging
-from .imaging import Image
 from .network import (
     NetworkSpec,
     Parameters,
@@ -231,52 +232,43 @@ class TrainConfig:
             )
 
 
-def fit_to_input(image: Image, spec: NetworkSpec) -> Image:
-    """Resize to the network's input size and match its channel count."""
-    h, w, c = spec.input_shape
-    image = imaging.resize(image, w, h)
-    if image.channels == c:
-        return image
-    if c == 1:
-        return imaging.to_grayscale(image)
-    return Image.from_array(np.repeat(image.pixels, 3, axis=2))
-
-
 # the settings that ``preprocess`` reads; a trained model's weights file records them
 RECORDED_SETTINGS = ("canny", "segment", "canny_sigma", "canny_low", "canny_high")
 
 
-# most pixels (height x width, summed over images) in one stack that ``load_dataset``
-# preprocesses: 52 images of 50 px, or 2 of 224 px, keep each float64 temporary near 1 MB
+# most pixels in one stack that ``load_dataset`` preprocesses, each image counted at the larger
+# of its own and the input size: 52 images of 50 px, or 2 at 224 px, keep temporaries near 1 MB
 CHUNK_PIXELS = 1 << 17
 
 
 def preprocess(images: np.ndarray, spec: NetworkSpec, config: TrainConfig) -> np.ndarray:
     """The network's (N, H, W, C) inputs for an (N, h, w, c) uint8 stack of raw images.
 
-    Runs the Canny and segmentation stages that ``config`` selects on the
-    whole stack, then ``fit_to_input`` and ``imaging.normalize`` on each
-    image, and casts to ``config.dtype``.  Training, evaluation and the
-    explained model all call it, so none of them can build the input
-    another way; one image is a stack of one.
+    Runs the Canny and segmentation stages that ``config`` selects, resizes
+    to the network's input size, matches its channel count (BT.601 luma for
+    one channel, the gray plane repeated for three) and normalizes, each on
+    the whole stack, then casts to ``config.dtype``.  Training, evaluation
+    and the explained model all call it, so none of them can build the
+    input another way; one image is a stack of one.
     """
     if config.canny:
         edges = imaging.canny(images, config.canny_sigma, config.canny_low, config.canny_high)
         images = edges[..., None].astype(np.uint8) * 255  # white edges on black
     if config.segment:
         images = images * imaging.segment_grain(images)[..., None]  # zero the background
-    out = np.empty((len(images), *spec.input_shape), dtype=DTYPES[config.dtype])
-    for x, pixels in zip(out, images):
-        x[...] = imaging.normalize(fit_to_input(Image.from_array(pixels), spec))
-    return out
+    h, w, c = spec.input_shape
+    images = imaging.resize(images, w, h)
+    if images.shape[-1] != c:
+        images = imaging.luma(images)[..., None] if c == 1 else np.repeat(images, c, axis=-1)
+    return imaging.normalize(images).astype(DTYPES[config.dtype], copy=False)
 
 
-def _image_stacks(paths):
+def _image_stacks(paths, input_pixels: int):
     """The images at ``paths``, read into stacks of consecutive same-shape images.
 
-    A stack ends before an image of another shape, or before an image
-    that would take it past ``CHUNK_PIXELS`` pixels; it holds one image
-    at least.
+    A stack ends before an image of another shape, or before an image that
+    would take it past ``CHUNK_PIXELS`` pixels, each counted at the larger of
+    its own size and ``input_pixels``; it holds one image at least.
     """
     stack = []
     for path in paths:
@@ -285,7 +277,8 @@ def _image_stacks(paths):
         except (OSError, ValueError) as exc:
             raise TrainingError(f"failed to read image {path}: {exc}") from exc
         h, w, _ = pixels.shape
-        if stack and (pixels.shape != stack[0].shape or (len(stack) + 1) * h * w > CHUNK_PIXELS):
+        size = max(h * w, input_pixels)
+        if stack and (pixels.shape != stack[0].shape or (len(stack) + 1) * size > CHUNK_PIXELS):
             yield np.stack(stack)
             stack = []
         stack.append(pixels)
@@ -303,8 +296,8 @@ def load_dataset(
     """Stack the selected records into (examples, label indices) arrays.
 
     The images are read and preprocessed in stacks of consecutive
-    same-size records, each of at most ``CHUNK_PIXELS`` pixels, one
-    ``preprocess`` call per stack; every example is what ``preprocess``
+    same-size records, each of at most ``CHUNK_PIXELS`` pixels before or
+    after resizing, one ``preprocess`` call per stack; every example is what ``preprocess``
     makes of its image alone.  With ``augment``, each example is followed
     by its other ``imaging.augment`` variants.
     """
@@ -312,8 +305,9 @@ def load_dataset(
     class_index = {label: k for k, label in enumerate(manifest.classes)}
     records = [manifest.records[i] for i in indices]
     xs = np.empty((len(records), *spec.input_shape), dtype=DTYPES[config.dtype])
+    h, w, _ = spec.input_shape
     start = 0
-    for stack in _image_stacks(root / rec.path for rec in records):
+    for stack in _image_stacks((root / rec.path for rec in records), h * w):
         xs[start : start + len(stack)] = preprocess(stack, spec, config)
         start += len(stack)
     ys = np.array([class_index[rec.label] for rec in records], dtype=np.int64)

@@ -4,7 +4,6 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from grainforge.imaging import Image
 from grainforge.rng import Rng
 
 
@@ -37,9 +36,8 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def random_image(rng: Rng, width: int, height: int, channels: int = 3) -> Image:
-    pixels = rng.integers(0, 256, (height, width, channels)).astype(np.uint8)
-    return Image.from_array(pixels)
+def random_image(rng: Rng, width: int, height: int, channels: int = 3) -> np.ndarray:
+    return rng.integers(0, 256, (height, width, channels)).astype(np.uint8)
 
 
 def flood_components(

@@ -156,10 +156,9 @@ def test_criterion_5_lime_fidelity():
     m = 6
     labels = np.repeat(np.arange(m, dtype=np.int32), 2)[None, :].repeat(6, axis=0)
     spmap = explain.SuperpixelMap(labels=labels, count=m)
-    pixels = np.zeros((6, 2 * m, 3), dtype=np.uint8)
+    image = np.zeros((6, 2 * m, 3), dtype=np.uint8)
     for s in range(m):
-        pixels[:, 2 * s : 2 * s + 2] = (30 + 20 * s, 90, 180 - 12 * s)
-    image = imaging.Image.from_array(pixels)
+        image[:, 2 * s : 2 * s + 2] = (30 + 20 * s, 90, 180 - 12 * s)
     baseline = (0, 0, 0)
     base = np.array(baseline, dtype=np.uint8)
     worst = 0.0
@@ -169,7 +168,7 @@ def test_criterion_5_lime_fidelity():
         def model(img, c=c):
             z = np.array(
                 [
-                    float(not np.all(img.pixels[spmap.labels == s] == base))
+                    float(not np.all(img[spmap.labels == s] == base))
                     for s in range(m)
                 ]
             )
@@ -262,10 +261,10 @@ def test_criterion_8_imaging_oracles(rng):
     mismatches = 0
     for _ in range(100):
         img = random_image(rng, 9, 7, 1)
-        if imaging.otsu_threshold(img.pixels) != exhaustive_otsu(img.pixels[:, :, 0]):
+        if imaging.otsu_threshold(img) != exhaustive_otsu(img[:, :, 0]):
             mismatches += 1
 
-    edges = imaging.canny(square_fixture().pixels[None], sigma=1.0, low=20, high=60)[0]
+    edges = imaging.canny(square_fixture()[None], sigma=1.0, low=20, high=60)[0]
     perimeter = square_perimeter()
     edge_points = set(zip(*np.nonzero(edges)))
     localized = all(
@@ -281,7 +280,7 @@ def test_criterion_8_imaging_oracles(rng):
     round_trips = all(
         np.array_equal(
             imaging.decode_netpbm(imaging.encode_netpbm(img := random_image(rng, 6, 5, ch))).pixels,
-            img.pixels,
+            img,
         )
         for ch in (1, 3)
         for _ in range(20)
@@ -331,7 +330,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path, rng):
 
     group_ok = True
     for _ in range(10):
-        x = random_image(rng, 7, 7).pixels
+        x = random_image(rng, 7, 7)
         r = imaging.augment(x)
         group_ok &= np.array_equal(imaging.augment(r[1])[1], r[2])
         group_ok &= np.array_equal(imaging.augment(r[3])[3], x)

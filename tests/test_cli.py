@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from grainforge import explain, imaging, network, synthetic, training
 from grainforge.cli import RunConfig, UsageError, build_parser, main, resolve_config
-from grainforge.imaging import Image
 from grainforge.rng import Rng
 
 from conftest import random_image, time_limit
@@ -351,7 +350,7 @@ class TestEvaluate:
             (root / label).mkdir(parents=True)
             for i in range(10):
                 arr = np.full((4, 4, 3), value, dtype=np.uint8)
-                imaging.write_image(Image.from_array(arr), root / label / f"{i}.ppm")
+                imaging.write_image(arr, root / label / f"{i}.ppm")
         manifest = tmp_path / "m.csv"
         run_cli(capsys, "ingest", str(root), "--out", str(manifest))
 
@@ -404,7 +403,7 @@ class TestExplain:
         ppm_path = out_dir / "disc_0000.lime.ppm"
         assert stdout.strip().splitlines() == [str(csv_path), str(ppm_path)]
         heatmap = imaging.read_image(ppm_path)
-        assert heatmap.width == 50 and heatmap.channels == 3
+        assert heatmap.width == 50 and heatmap.pixels.shape[2] == 3
         lines = csv_path.read_text().splitlines()
         assert lines[-1] == "method,lime"
 
@@ -496,12 +495,12 @@ class TestExplain:
 
         # recompute v(full) - v(empty) through the documented pipeline
         spec, params = network.load_weights(weights)
-        image = imaging.read_image(image_path)
+        image = imaging.read_image(image_path).pixels
         baseline = np.array(
-            np.clip(np.floor(image.pixels.reshape(-1, 3).mean(axis=0) + 0.5), 0, 255),
+            np.clip(np.floor(image.reshape(-1, 3).mean(axis=0) + 0.5), 0, 255),
             dtype=np.uint8,
         )
-        flat = Image.from_array(np.tile(baseline, (image.height, image.width, 1)))
+        flat = np.tile(baseline, (*image.shape[:2], 1))
 
         def predict(img):
             resized = imaging.resize(img, 50, 50)
@@ -563,8 +562,8 @@ class TestExplain:
 
 def canny_by_hand(image):
     """Canny at the default settings, as a 3-channel image."""
-    edges = imaging.canny(image.pixels[None], 1.0, 50.0, 100.0)[0]
-    return Image.from_array(np.repeat(edges[:, :, None].astype(np.uint8) * 255, 3, axis=2))
+    edges = imaging.canny(image[None], 1.0, 50.0, 100.0)[0]
+    return np.repeat(edges[:, :, None].astype(np.uint8) * 255, 3, axis=2)
 
 
 class TestRecordedPreprocessing:
@@ -602,7 +601,7 @@ class TestRecordedPreprocessing:
         """The explain CSV above, through a model that applies ``model_input`` itself."""
         root, _, weights, _ = trained
         spec, params = network.load_weights(weights)
-        image = imaging.read_image(root / "disc" / "disc_0000.ppm")
+        image = imaging.read_image(root / "disc" / "disc_0000.ppm").pixels
 
         def model(img):
             x = imaging.normalize(imaging.resize(model_input(img), 50, 50)).astype(np.float32)
@@ -655,10 +654,10 @@ class TestRecordedPreprocessing:
         config = training.TrainConfig(**settings)
 
         def value(img):
-            x = training.preprocess(img.pixels[None], spec, config)[0]
+            x = training.preprocess(img[None], spec, config)[0]
             return float(network.forward(spec, params, x, train=False)[0][target])
 
-        flat = Image.from_array(np.tile(explain.mean_baseline(image), (50, 50, 1)))
+        flat = np.tile(explain.mean_baseline(image), (50, 50, 1)).astype(np.uint8)
         assert sum(phi) == pytest.approx(value(image) - value(flat), abs=1e-6)
 
     def test_evaluate_without_flags_runs_the_recorded_canny(

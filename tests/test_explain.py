@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from grainforge import explain, network
 from grainforge.explain import SuperpixelMap
-from grainforge.imaging import Image, normalize
 from grainforge.rng import Rng
 from grainforge.synthetic import SHAPE_CLASSES, render_shape
-from grainforge.training import fit_to_input
+from grainforge.training import TrainConfig, preprocess
 
 from conftest import flood_components, random_image
 
@@ -25,19 +24,18 @@ def banded_setup(m: int, h: int = 8, w_per_band: int = 2):
     pixels = np.zeros((h, w, 3), dtype=np.uint8)
     for s in range(m):
         pixels[:, s * w_per_band : (s + 1) * w_per_band] = (20 + 15 * s, 80, 200 - 10 * s)
-    image = Image.from_array(pixels)
     spmap = SuperpixelMap(labels=labels, count=m)
-    return image, spmap
+    return pixels, spmap
 
 
-def mask_reading_model(image: Image, spmap: SuperpixelMap, fn):
+def mask_reading_model(image: np.ndarray, spmap: SuperpixelMap, fn):
     """Model that recovers the inclusion mask by comparing to the original."""
     base = np.array(BASELINE, dtype=np.uint8)
 
-    def model(perturbed: Image) -> np.ndarray:
+    def model(perturbed: np.ndarray) -> np.ndarray:
         z = np.zeros(spmap.count)
         for s in range(spmap.count):
-            region = perturbed.pixels[spmap.labels == s]
+            region = perturbed[spmap.labels == s]
             z[s] = float(not np.all(region == base))
         return np.atleast_1d(np.asarray(fn(z), dtype=np.float64))
 
@@ -45,7 +43,7 @@ def mask_reading_model(image: Image, spmap: SuperpixelMap, fn):
 
 
 def slic_global_reference(
-    image: Image, target: int, compactness: float = 10.0, iters: int = 10
+    image: np.ndarray, target: int, compactness: float = 10.0, iters: int = 10
 ) -> np.ndarray:
     """The global k-means search that the windowed SLIC replaced, kept as the reference.
 
@@ -53,7 +51,7 @@ def slic_global_reference(
     pixel x center distance matrices and moves each center to the mean of
     its members with one boolean mask per center.
     """
-    h, w = image.height, image.width
+    h, w = image.shape[:2]
     color = explain._color_features(image).reshape(h * w, -1)
     yy, xx = np.mgrid[0:h, 0:w]
     pos = np.stack([yy.ravel(), xx.ravel()], axis=1).astype(np.float64)
@@ -80,7 +78,7 @@ def slic_global_reference(
 
 
 def slic_window_loop_reference(
-    image: Image, target: int, compactness: float = 10.0, iters: int = 10
+    image: np.ndarray, target: int, compactness: float = 10.0, iters: int = 10
 ) -> np.ndarray:
     """Pixel-by-pixel loop form of the windowed SLIC search, kept as the oracle.
 
@@ -88,7 +86,7 @@ def slic_window_loop_reference(
     moves to a strictly closer center, taken in id order.  Sums run in
     row-major pixel order, as the vectorized update accumulates them.
     """
-    h, w = image.height, image.width
+    h, w = image.shape[:2]
     color = explain._color_features(image)
     centers_pos, spacing = explain._grid_centers(w, h, target)
     idx = np.clip(np.rint(centers_pos), 0, [h - 1, w - 1]).astype(int)
@@ -144,7 +142,7 @@ def segment_extent(labels: np.ndarray) -> int:
     return int(extent)
 
 
-def benchmark_image(size: int, seed: int, index: int) -> Image:
+def benchmark_image(size: int, seed: int, index: int) -> np.ndarray:
     """The ``index``-th image that the explain benchmark renders from ``seed``."""
     kind = SHAPE_CLASSES[index % len(SHAPE_CLASSES)]
     return render_shape(kind, size, Rng(seed).child(f"image-{index}"))
@@ -158,7 +156,7 @@ class TestSlic:
         assert np.all(spmap.labels == 0)
 
     def test_uniform_image_gives_equal_quadrants(self):
-        img = Image.from_array(np.full((32, 32, 3), 90, dtype=np.uint8))
+        img = np.full((32, 32, 3), 90, dtype=np.uint8)
         spmap = explain.slic_superpixels(img, 4, compactness=10.0, iters=10)
         assert spmap.count == 4
         quads = {
@@ -190,7 +188,7 @@ class TestSlic:
 
     def test_distance_tie_goes_to_lower_center_id(self):
         # centers start at x = 0.25 and 1.75, so the middle pixel is 0.75 from both
-        img = Image.from_array(np.full((1, 3, 3), 90, dtype=np.uint8))
+        img = np.full((1, 3, 3), 90, dtype=np.uint8)
         spmap = explain.slic_superpixels(img, 2, compactness=10.0, iters=10)
         assert np.array_equal(spmap.labels, [[0, 0, 1]])
 
@@ -232,7 +230,7 @@ class TestSlic:
     ):
         # few levels make flat images: distance ties and centers left with no pixels
         values = Rng(seed).integers(0, levels, (height, width, channels))
-        image = Image.from_array((values * (255 // max(levels - 1, 1))).astype(np.uint8))
+        image = (values * (255 // max(levels - 1, 1))).astype(np.uint8)
         target = 1 + math.floor(target_share * (height * width - 1))
         spmap = explain.slic_superpixels(image, target, compactness=compactness, iters=iters)
         labels = spmap.labels
@@ -250,7 +248,7 @@ class TestSlic:
             channels = 1 if trial % 4 == 0 else 3
             levels = (2, 256)[trial % 2]
             values = rng.integers(0, levels, (height, width, channels))
-            image = Image.from_array((values * (255 // (levels - 1))).astype(np.uint8))
+            image = (values * (255 // (levels - 1))).astype(np.uint8)
             target = int(rng.integers(1, height * width + 1))
             iters = int(rng.integers(1, 5))
             compactness = (0.0, 1.0, 10.0, 40.0)[trial % 4]
@@ -381,19 +379,19 @@ class TestPerturb:
     def test_all_ones_identity(self, rng):
         image, spmap = banded_setup(4)
         out = explain.perturb(image, spmap, np.ones(4), BASELINE)
-        assert np.array_equal(out.pixels, image.pixels)
+        assert np.array_equal(out, image)
 
     def test_all_zeros_full_baseline(self):
         image, spmap = banded_setup(4)
         out = explain.perturb(image, spmap, np.zeros(4), BASELINE)
-        assert np.all(out.pixels == 0)
+        assert np.all(out == 0)
 
     def test_single_exclusion_diff_matches_segment(self):
         image, spmap = banded_setup(5)
         mask = np.ones(5)
         mask[2] = 0
         out = explain.perturb(image, spmap, mask, BASELINE)
-        diff = np.any(out.pixels != image.pixels, axis=2)
+        diff = np.any(out != image, axis=2)
         assert np.array_equal(diff, spmap.labels == 2)
 
     def test_default_baseline_is_mean_color(self, rng):
@@ -401,7 +399,7 @@ class TestPerturb:
         spmap = SuperpixelMap(np.zeros((6, 6), dtype=np.int32), 1)
         expected = explain.mean_baseline(image)
         out = explain.perturb(image, spmap, np.zeros(1), expected)
-        assert np.all(out.pixels.reshape(-1, 3) == expected)
+        assert np.all(out.reshape(-1, 3) == expected)
 
 
 class TestCoalitionValue:
@@ -449,7 +447,7 @@ class TestLime:
         c = np.array([0.5, -0.4, 0.3, 0.0, 0.1])
         weights = explain.lime_explain(lambda z: float(c @ z), m, 32, 0.25, 1e-8, Rng(3))
         out = explain.render_lime_heatmap(image, spmap, weights, 2)
-        outlined = spmap.labels[np.all(out.pixels == (255, 255, 0), axis=2)]
+        outlined = spmap.labels[np.all(out == (255, 255, 0), axis=2)]
         assert set(outlined.tolist()) == {0, 2}
 
     def test_sample_budget_below_floor_is_raised(self):
@@ -652,8 +650,8 @@ class TestKernelShap:
         params = network.init_parameters(spec, Rng(51).child("weights"), dtype=np.float32)
         image = render_shape(SHAPE_CLASSES[0], 224, Rng(51).child("image-0"))
 
-        def model(img: Image) -> np.ndarray:
-            x = normalize(fit_to_input(img, spec)).astype(np.float32)
+        def model(img: np.ndarray) -> np.ndarray:
+            x = preprocess(img[None], spec, TrainConfig(dtype="f32"))[0]
             return np.asarray(network.forward(spec, params, x)[0], dtype=np.float64)
 
         spmap = explain.slic_superpixels(image, 100, compactness=10.0, iters=10)
@@ -683,15 +681,15 @@ class TestRendering:
         image = random_image(rng, 8, 8)
         spmap = explain.slic_superpixels(image, 4, compactness=10.0, iters=10)
         out = explain.render_lime_heatmap(image, spmap, np.zeros(spmap.count), spmap.count)
-        assert np.array_equal(out.pixels, image.pixels)
+        assert np.array_equal(out, image)
 
     def test_rectangle_inner_boundary(self):
         labels = np.zeros((10, 12), dtype=np.int32)
         labels[2:6, 3:8] = 1
         spmap = SuperpixelMap(labels, 2)
-        image = Image.from_array(np.full((10, 12, 3), 40, dtype=np.uint8))
+        image = np.full((10, 12, 3), 40, dtype=np.uint8)
         out = explain.render_lime_heatmap(image, spmap, np.array([0.0, 1.0]), 1)
-        yellow = np.all(out.pixels == (255, 255, 0), axis=2)
+        yellow = np.all(out == (255, 255, 0), axis=2)
         # oracle: rectangle pixels adjacent (4-way) to a pixel outside it
         expected = np.zeros((10, 12), dtype=bool)
         for y in range(2, 6):
@@ -706,7 +704,7 @@ class TestRendering:
             labels = rng.integers(0, m, (h, w)).astype(np.int32)
             highlight = rng.uniform(0, 1, m) < 0.5
             out = explain.render_lime_heatmap(
-                Image.from_array(np.zeros((h, w, 3), dtype=np.uint8)),
+                np.zeros((h, w, 3), dtype=np.uint8),
                 SuperpixelMap(labels, m),
                 highlight.astype(np.float64),
                 m,
@@ -719,21 +717,21 @@ class TestRendering:
                     for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
                         if 0 <= ny < h and 0 <= nx < w and inside[y, x] and not inside[ny, nx]:
                             expected[y, x] = True
-            assert np.array_equal(np.all(out.pixels == (255, 255, 0), axis=2), expected)
+            assert np.array_equal(np.all(out == (255, 255, 0), axis=2), expected)
 
     def test_zero_attribution_is_identity(self, rng):
         image = random_image(rng, 8, 8)
         spmap = explain.slic_superpixels(image, 4, compactness=10.0, iters=10)
         out = explain.render_shap_heatmap(image, spmap, np.zeros(spmap.count))
-        assert np.array_equal(out.pixels, image.pixels)
+        assert np.array_equal(out, image)
 
     def test_signed_overlay_colors(self):
         image, spmap = banded_setup(2, h=4)
         out = explain.render_shap_heatmap(image, spmap, np.array([1.0, -1.0]))
-        pos = out.pixels[spmap.labels == 0].astype(int)
-        neg = out.pixels[spmap.labels == 1].astype(int)
-        orig_pos = image.pixels[spmap.labels == 0].astype(int)
-        orig_neg = image.pixels[spmap.labels == 1].astype(int)
+        pos = out[spmap.labels == 0].astype(int)
+        neg = out[spmap.labels == 1].astype(int)
+        orig_pos = image[spmap.labels == 0].astype(int)
+        orig_neg = image[spmap.labels == 1].astype(int)
         assert np.all(pos[:, 0] > orig_pos[:, 0])  # pulled toward red
         assert np.all(neg[:, 2] > orig_neg[:, 2])  # pulled toward blue
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grainforge import imaging
+from grainforge import explain, imaging
 from grainforge.imaging import Image
 from grainforge.rng import Rng
 from grainforge.synthetic import SHAPE_CLASSES, render_shape
@@ -39,7 +39,7 @@ class TestImage:
     @pytest.mark.parametrize("shape, channels", [((5, 7, 3), 3), ((5, 7, 1), 1), ((5, 7), 1)])
     def test_size_is_the_pixels_shape(self, rng, shape, channels):
         image = Image.from_array(rng.integers(0, 256, shape))
-        assert image.pixels.shape == (image.height, image.width, image.channels)
+        assert image.pixels.shape[:2] == (image.height, image.width)
         assert image.pixels.shape == (5, 7, channels) and image.pixels.dtype == np.uint8
 
     def test_pixels_are_read_only(self, rng):
@@ -87,6 +87,29 @@ class TestImage:
     def test_in_range_integers_and_bools_kept(self, arr):
         assert Image.from_array(arr).pixels[:, :, 0].tolist() == arr.astype(int).tolist()
 
+    def test_an_image_and_its_pixels_give_the_same_bytes(self, tmp_path):
+        # callers outside the package may still pass a decoded Image where an array is expected
+        image = Image.from_array(render_shape("ring", 30, Rng(3)))
+        pixels = image.pixels
+        assert imaging.normalize(image).tobytes() == imaging.normalize(pixels).tobytes()
+        for w, h in ((30, 30), (41, 17)):
+            out = imaging.resize(image, w, h)
+            assert type(out) is np.ndarray
+            assert out.tobytes() == imaging.resize(pixels, w, h).tobytes()
+        superpixels = explain.slic_superpixels(image, 9, compactness=10.0, iters=3)
+        expected = explain.slic_superpixels(pixels, 9, compactness=10.0, iters=3)
+        assert superpixels.count == expected.count
+        assert np.array_equal(superpixels.labels, expected.labels)
+        baseline = explain.mean_baseline(image)
+        assert baseline == explain.mean_baseline(pixels)
+        mask = np.arange(superpixels.count) % 2
+        out = explain.perturb(image, superpixels, mask, baseline)
+        assert type(out) is np.ndarray
+        assert out.tobytes() == explain.perturb(pixels, superpixels, mask, baseline).tobytes()
+        imaging.write_image(image, tmp_path / "image.ppm")
+        imaging.write_image(pixels, tmp_path / "pixels.ppm")
+        assert (tmp_path / "image.ppm").read_bytes() == (tmp_path / "pixels.ppm").read_bytes()
+
     def test_to_uint8_rounds_half_up_and_clamps(self):
         values = np.array([-3.0, 0.49, 0.5, 1.5, 2.5, 254.5, 300.0])
         out = imaging.to_uint8(values)
@@ -100,25 +123,44 @@ class TestNetpbm:
         path = tmp_path / "img.ppm"
         imaging.write_image(image, path)
         back = imaging.read_image(path)
-        assert back.width == 7 and back.height == 5 and back.channels == 3
-        assert np.array_equal(back.pixels, image.pixels)
+        assert back.width == 7 and back.height == 5 and back.pixels.shape[2] == 3
+        assert np.array_equal(back.pixels, image)
+        assert image.flags.writeable  # the check sees a read-only view, not the caller's array
 
     def test_round_trip_gray(self, rng, tmp_path):
         image = random_image(rng, 4, 6, 1)
         path = tmp_path / "img.pgm"
         imaging.write_image(image, path)
-        assert np.array_equal(imaging.read_image(path).pixels, image.pixels)
+        assert np.array_equal(imaging.read_image(path).pixels, image)
+
+    @pytest.mark.parametrize(
+        "arr",
+        [np.full((4, 4, 3), 0.5), np.zeros((4, 4, 2), dtype=np.uint8)],
+        ids=["float", "2 channels"],
+    )
+    def test_unreadable_array_is_rejected_before_the_file_is_opened(self, arr, tmp_path):
+        path = tmp_path / "img.ppm"
+        with pytest.raises(ValueError):
+            imaging.write_image(arr, path)
+        assert not path.exists()
+
+    def test_two_dimensional_array_round_trips_as_p5(self, rng, tmp_path):
+        arr = rng.integers(0, 256, (5, 6)).astype(np.uint8)
+        path = tmp_path / "img.pgm"
+        imaging.write_image(arr, path)
+        assert path.read_bytes().startswith(b"P5\n6 5\n255\n")
+        assert np.array_equal(imaging.read_image(path).pixels, arr[:, :, None])
 
     def test_minimal_p6(self):
         data = b"P6\n2 2\n255\n" + bytes(range(12))
         image = imaging.decode_netpbm(data)
-        assert (image.width, image.height, image.channels) == (2, 2, 3)
+        assert (image.width, image.height, image.pixels.shape[2]) == (2, 2, 3)
         assert image.pixels[0, 0, 0] == 0 and image.pixels[1, 1, 2] == 11
 
     def test_minimal_p5(self):
         data = b"P5\n3 1\n255\n" + bytes([0, 128, 255])
         image = imaging.decode_netpbm(data)
-        assert image.channels == 1
+        assert image.pixels.shape[2] == 1
         assert list(image.pixels[0, :, 0]) == [0, 128, 255]
 
     def test_header_comments_and_whitespace(self):
@@ -167,7 +209,7 @@ class TestNetpbm:
             image = imaging.decode_netpbm(data)
         except imaging.NetpbmError:
             return
-        assert image.pixels.size == image.width * image.height * image.channels > 0
+        assert image.pixels.size == image.width * image.height * image.pixels.shape[2] > 0
 
     @settings(max_examples=300, deadline=None)
     @given(st.binary(max_size=64))
@@ -191,18 +233,19 @@ class TestNetpbm:
 
 class TestGrayscale:
     def test_white(self):
-        img = Image.from_array(np.full((1, 1, 3), 255, dtype=np.uint8))
-        assert imaging.to_grayscale(img).pixels[0, 0, 0] == 255
+        img = np.full((1, 1, 3), 255, dtype=np.uint8)
+        assert imaging.luma(img)[0, 0] == 255
 
     def test_pure_red(self):
         arr = np.zeros((1, 1, 3), dtype=np.uint8)
         arr[0, 0, 0] = 255
-        gray = imaging.to_grayscale(Image.from_array(arr))
-        assert gray.pixels[0, 0, 0] == 76  # round(0.299 * 255)
+        gray = imaging.luma(arr)
+        assert gray[0, 0] == 76  # round(0.299 * 255)
 
     def test_gray_passthrough(self, rng):
         img = random_image(rng, 4, 4, 1)
-        assert imaging.to_grayscale(img) is img
+        gray = imaging.luma(img)
+        assert np.shares_memory(gray, img) and np.array_equal(gray, img[:, :, 0])
 
 
 class TestGaussianBlur:
@@ -246,10 +289,10 @@ class TestGaussianBlur:
         assert np.abs(got - full).max() < 1e-9
 
 
-def square_fixture() -> Image:
-    arr = np.zeros((32, 32), dtype=np.uint8)
+def square_fixture() -> np.ndarray:
+    arr = np.zeros((32, 32, 1), dtype=np.uint8)
     arr[8:24, 8:24] = 255
-    return Image.from_array(arr)
+    return arr
 
 
 def square_perimeter() -> set[tuple[int, int]]:
@@ -286,23 +329,23 @@ def non_maximum_suppression(magnitude: np.ndarray, bins: np.ndarray) -> np.ndarr
     return out
 
 
-def suppressed_magnitude(image: Image, sigma: float) -> np.ndarray:
+def suppressed_magnitude(image: np.ndarray, sigma: float) -> np.ndarray:
     """Canny's gradient magnitude after dense non-maximum suppression, the oracle for ``canny``."""
     smoothed = imaging.blur_array(
-        imaging.to_grayscale(image).pixels[:, :, 0].astype(float), sigma
+        imaging.luma(image).astype(float), sigma
     )
     gx, gy = imaging.sobel_gradients(smoothed)
     return non_maximum_suppression(np.hypot(gx, gy), quantize_direction(gx, gy))
 
 
-def canny(image: Image, sigma: float, low: float, high: float) -> np.ndarray:
+def canny(image: np.ndarray, sigma: float, low: float, high: float) -> np.ndarray:
     """``imaging.canny`` of one image, as a stack of one."""
-    return imaging.canny(image.pixels[None], sigma, low, high)[0]
+    return imaging.canny(image[None], sigma, low, high)[0]
 
 
-def segment_grain(image: Image) -> np.ndarray:
+def segment_grain(image: np.ndarray) -> np.ndarray:
     """``imaging.segment_grain`` of one image, as a stack of one."""
-    return imaging.segment_grain(image.pixels[None])[0]
+    return imaging.segment_grain(image[None])[0]
 
 
 def label_components(mask: np.ndarray, connectivity: int, values=None) -> tuple[np.ndarray, int]:
@@ -331,7 +374,7 @@ def seeded_flood(strong: np.ndarray, candidate: np.ndarray) -> np.ndarray:
 
 class TestCanny:
     def test_uniform_image_no_edges(self):
-        img = Image.from_array(np.full((16, 16, 1), 130, dtype=np.uint8))
+        img = np.full((16, 16, 1), 130, dtype=np.uint8)
         edges = canny(img, 1.0, 20, 60)
         assert not edges.any()
 
@@ -361,12 +404,12 @@ class TestCanny:
 
     def test_threshold_order_enforced(self):
         with pytest.raises(ValueError, match="low < high"):
-            imaging.canny(square_fixture().pixels[None], 1.0, 60, 60)
+            imaging.canny(square_fixture()[None], 1.0, 60, 60)
 
     def test_edge_map_round_trips_as_pgm(self, tmp_path):
         edges = canny(square_fixture(), 1.0, 20, 60)
         path = tmp_path / "edges.pgm"
-        imaging.write_image(Image.from_array(edges.astype(np.uint8) * 255), path)
+        imaging.write_image(edges.astype(np.uint8) * 255, path)
         back = imaging.read_image(path)
         assert np.array_equal(back.pixels[:, :, 0] == 255, edges)
 
@@ -374,8 +417,7 @@ class TestCanny:
         img = random_image(rng, 20, 20, 1)
         low = 30.0
         edges = canny(img, 1.0, low, 90.0)
-        gray = imaging.to_grayscale(img)
-        smoothed = imaging.blur_array(gray.pixels[:, :, 0].astype(float), 1.0)
+        smoothed = imaging.blur_array(imaging.luma(img).astype(float), 1.0)
         gx, gy = imaging.sobel_gradients(smoothed)
         magnitude = np.hypot(gx, gy)
         assert np.all(magnitude[edges] >= low)
@@ -405,31 +447,31 @@ class TestCanny:
 class TestOtsu:
     def test_bimodal_halves(self):
         arr = np.concatenate([np.full(50, 50), np.full(50, 200)]).astype(np.uint8)
-        img = Image.from_array(arr.reshape(10, 10, 1))
-        t = imaging.otsu_threshold(img.pixels)
+        img = arr.reshape(10, 10, 1)
+        t = imaging.otsu_threshold(img)
         assert 50 <= t <= 199
-        assert t == exhaustive_otsu(img.pixels[:, :, 0])
+        assert t == exhaustive_otsu(img[:, :, 0])
 
     def test_all_zero(self):
-        img = Image.from_array(np.zeros((4, 4, 1), dtype=np.uint8))
-        assert imaging.otsu_threshold(img.pixels) == 0
+        img = np.zeros((4, 4, 1), dtype=np.uint8)
+        assert imaging.otsu_threshold(img) == 0
 
     def test_single_value_convention(self):
-        img = Image.from_array(np.full((3, 3, 1), 173, dtype=np.uint8))
-        assert imaging.otsu_threshold(img.pixels) == 173
+        img = np.full((3, 3, 1), 173, dtype=np.uint8)
+        assert imaging.otsu_threshold(img) == 173
 
     def test_matches_exhaustive_search(self, rng):
         for _ in range(25):
             img = random_image(rng, 9, 7, 1)
-            assert imaging.otsu_threshold(img.pixels) == exhaustive_otsu(img.pixels[:, :, 0])
+            assert imaging.otsu_threshold(img) == exhaustive_otsu(img[:, :, 0])
 
     def test_matches_exhaustive_on_few_levels(self, rng):
         # few distinct values exercise tie-breaking
         for _ in range(25):
             levels = rng.integers(0, 256, 3)
             arr = levels[rng.integers(0, 3, (6, 6))].astype(np.uint8)
-            img = Image.from_array(arr[:, :, None])
-            assert imaging.otsu_threshold(img.pixels) == exhaustive_otsu(arr)
+            img = arr[:, :, None]
+            assert imaging.otsu_threshold(img) == exhaustive_otsu(arr)
 
 
 def serpentine(h: int, w: int) -> np.ndarray:
@@ -526,7 +568,7 @@ class TestSegmentGrain:
         yy, xx = np.mgrid[0:32, 0:32]
         disc = (yy - 16) ** 2 + (xx - 16) ** 2 <= 8**2
         arr[disc] = 220
-        mask = segment_grain(Image.from_array(arr[:, :, None]))
+        mask = segment_grain(arr[:, :, None])
         # within a 1-pixel band of the analytic boundary
         dist = np.sqrt((yy - 16) ** 2 + (xx - 16) ** 2)
         assert np.all(mask[dist <= 7])
@@ -536,24 +578,24 @@ class TestSegmentGrain:
         arr = np.zeros((20, 20), dtype=np.uint8)
         arr[2:12, 2:12] = 255  # 100 px
         arr[14:19, 14:20] = 255  # 30 px
-        mask = segment_grain(Image.from_array(arr[:, :, None]))
+        mask = segment_grain(arr[:, :, None])
         comps = flood_components(mask)
         assert len(comps) == 1
         assert comps[0] == {(y, x) for y in range(2, 12) for x in range(2, 12)}
         assert mask.sum() == 100
 
     def test_full_white(self):
-        img = Image.from_array(np.full((5, 5, 1), 255, dtype=np.uint8))
+        img = np.full((5, 5, 1), 255, dtype=np.uint8)
         mask = segment_grain(img)
         assert mask.all() and mask.sum() == 25
 
     def test_constant_bright_is_full_frame(self):
-        img = Image.from_array(np.full((5, 5, 1), 9, dtype=np.uint8))
+        img = np.full((5, 5, 1), 9, dtype=np.uint8)
         assert segment_grain(img).all()
 
     def test_no_foreground_gives_an_empty_mask(self):
         for channels in (1, 3):
-            img = Image.from_array(np.zeros((5, 5, channels), dtype=np.uint8))
+            img = np.zeros((5, 5, channels), dtype=np.uint8)
             mask = segment_grain(img)
             assert mask.shape == (5, 5) and mask.dtype == bool and not mask.any()
 
@@ -565,7 +607,7 @@ class TestStacks:
     @staticmethod
     def frames(rng) -> np.ndarray:
         """Shapes, noise, two equal blobs, all-black and constant frames, interleaved."""
-        shapes = [render_shape(kind, 24, Rng(9).child(kind)).pixels for kind in SHAPE_CLASSES]
+        shapes = [render_shape(kind, 24, Rng(9).child(kind)) for kind in SHAPE_CLASSES]
         twins = np.zeros((24, 24, 3), dtype=np.uint8)
         twins[2:8, 2:8] = twins[14:20, 14:20] = 180
         black = np.zeros((24, 24, 3), dtype=np.uint8)
@@ -579,7 +621,7 @@ class TestStacks:
             edges = imaging.canny(stack, sigma, low, high)
             assert edges.shape == stack.shape[:3] and edges.dtype == bool
             for frame, got in zip(stack, edges, strict=True):
-                assert np.array_equal(got, canny(Image.from_array(frame), sigma, low, high))
+                assert np.array_equal(got, canny(frame, sigma, low, high))
             assert not edges[0].any() and not edges[4].any()
 
     def test_segment_grain_of_a_stack_is_segment_grain_of_each_image(self, rng):
@@ -587,7 +629,7 @@ class TestStacks:
         masks = imaging.segment_grain(stack)
         assert masks.shape == stack.shape[:3] and masks.dtype == bool
         for frame, got in zip(stack, masks, strict=True):
-            assert np.array_equal(got, segment_grain(Image.from_array(frame)))
+            assert np.array_equal(got, segment_grain(frame))
         assert not masks[0].any() and masks[4].all()
         assert masks[5].sum() == 36 and masks[5][2:8, 2:8].all()  # the first of two equal blobs
 
@@ -613,19 +655,28 @@ class TestStacks:
 
 class TestResize:
     def test_constant(self):
-        img = Image.from_array(np.full((3, 5, 3), 42, dtype=np.uint8))
+        img = np.full((3, 5, 3), 42, dtype=np.uint8)
         out = imaging.resize(img, 11, 7)
-        assert out.width == 11 and out.height == 7
-        assert np.all(out.pixels == 42)
+        assert out.shape == (7, 11, 3)
+        assert np.all(out == 42)
 
     def test_identity(self, rng):
         img = random_image(rng, 6, 4)
         out = imaging.resize(img, 6, 4)
-        assert np.array_equal(out.pixels, img.pixels)
+        assert np.array_equal(out, img)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("target", [(13, 11), (4, 5), (11, 7)], ids=["up", "down", "mixed"])
+    def test_a_stack_resizes_to_each_image_resized(self, rng, channels, target):
+        stack = rng.integers(0, 256, (4, 9, 6, channels)).astype(np.uint8)
+        out = imaging.resize(stack, *target)
+        assert out.shape == (4, target[1], target[0], channels) and out.dtype == np.uint8
+        for image, got in zip(stack, out, strict=True):
+            assert got.tobytes() == imaging.resize(image, *target).tobytes()
 
     def test_checkerboard_upscale_matches_formula(self):
         arr = np.array([[0, 255], [255, 0]], dtype=np.uint8)
-        img = Image.from_array(arr[:, :, None])
+        img = arr[:, :, None]
         out = imaging.resize(img, 4, 4)
         # per-pixel bilinear formula on the center-aligned grid
         src = arr.astype(float)
@@ -642,18 +693,18 @@ class TestResize:
                     + src[y1, x0] * wy * (1 - wx)
                     + src[y1, x1] * wy * wx
                 )
-                assert out.pixels[i, j, 0] == int(math.floor(value + 0.5))
+                assert out[i, j, 0] == int(math.floor(value + 0.5))
 
 
 class TestNormalize:
     def test_endpoints(self):
         arr = np.array([[[0], [255]]], dtype=np.uint8)
-        out = imaging.normalize(Image.from_array(arr))
+        out = imaging.normalize(arr)
         assert out[0, 0, 0] == 0.0 and out[0, 1, 0] == 1.0
 
     def test_midpoint(self):
         arr = np.array([[[128]]], dtype=np.uint8)
-        assert imaging.normalize(Image.from_array(arr))[0, 0, 0] == pytest.approx(
+        assert imaging.normalize(arr)[0, 0, 0] == pytest.approx(
             128 / 255
         )
 

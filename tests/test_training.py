@@ -301,7 +301,60 @@ class TestTrainLoop:
             training.load_dataset(manifest, [0], spec, cfg)
 
 
+def fit_to_input(image: np.ndarray, spec: NetworkSpec) -> np.ndarray:
+    """One (H, W, C) image resized to the network's input and matched to its channel count."""
+    h, w, c = spec.input_shape
+    image = imaging.resize(image, w, h)
+    if image.shape[2] == c:
+        return image
+    if c == 1:
+        return imaging.luma(image)[:, :, None]
+    return np.repeat(image, 3, axis=2)
+
+
+def preprocess_one(image: np.ndarray, spec: NetworkSpec, config: TrainConfig) -> np.ndarray:
+    """The per-image oracle of ``training.preprocess``: stages, ``fit_to_input``, normalize."""
+    if config.canny:
+        edges = imaging.canny(image[None], config.canny_sigma, config.canny_low, config.canny_high)
+        image = edges[0, :, :, None].astype(np.uint8) * 255
+    if config.segment:
+        image = image * imaging.segment_grain(image[None])[0, :, :, None]
+    x = imaging.normalize(fit_to_input(image, spec))
+    return x.astype(training.DTYPES[config.dtype])
+
+
+def input_spec(h: int, w: int, c: int) -> NetworkSpec:
+    return NetworkSpec(
+        input_shape=(h, w, c),
+        layers=(LayerSpec("flatten"), LayerSpec("dense", units=2, activation="softmax")),
+        num_classes=2,
+    )
+
+
 class TestLoaderStages:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize(
+        "stages",
+        [{}, {"segment": True}, {"canny": True, "segment": True}],
+        ids=["raw", "segment", "canny-segment"],
+    )
+    @pytest.mark.parametrize("shape", [(50, 50, 3), (24, 40, 1)], ids=["rgb-input", "gray-input"])
+    def test_preprocess_of_a_stack_equals_the_per_image_oracle(self, dtype, stages, shape):
+        spec = input_spec(*shape)
+        config = TrainConfig(dtype=dtype, **stages)
+        for h, w in ((37, 61), (13, 7), (80, 80), (50, 50), (24, 40)):
+            for channels in (1, 3):
+                images = [
+                    render_shape(kind, 80, Rng(h * w + i))[:h, :w]
+                    for i, kind in enumerate(SHAPE_CLASSES[:3])
+                ]
+                if channels == 1:
+                    images = [imaging.luma(image)[:, :, None] for image in images]
+                xs = training.preprocess(np.stack(images), spec, config)
+                expected = np.stack([preprocess_one(image, spec, config) for image in images])
+                assert xs.shape == (3, *shape) and xs.dtype == expected.dtype
+                assert xs.tobytes() == expected.tobytes(), (h, w, channels)
+
     def test_canny_stage_yields_binary_channels(self, tiny_shape_dataset):
         root, manifest, _ = tiny_shape_dataset
         spec = network.build_rice_cnn()
@@ -359,6 +412,32 @@ class TestLoaderStages:
         ]
         assert xs.dtype == np.float32 and xs.tobytes() == np.stack(one_by_one).tobytes()
         assert ys.tolist() == [manifest.classes.index(rec.label) for rec in records]
+
+    def test_stacks_count_an_input_size_above_the_image_size(self, tmp_path, monkeypatch):
+        # 50 px images resized to the 224 px disease input: each counts as 224 x 224 pixels
+        spec = network.build_disease_cnn()
+        assert training.CHUNK_PIXELS // (224 * 224) == 2
+        records = []
+        for i in range(5):
+            kind = SHAPE_CLASSES[i % len(SHAPE_CLASSES)]
+            imaging.write_image(render_shape(kind, 50, Rng(i)), tmp_path / f"{i}.ppm")
+            records.append(ManifestRecord(f"{i}.ppm", kind))
+        manifest = manifest_from_records(records)
+        cfg = TrainConfig(data_root=tmp_path, dtype="f32")
+        preprocess, stacks = training.preprocess, []
+
+        def spy(images, *args):
+            stacks.append(images.shape[:3])
+            return preprocess(images, *args)
+
+        monkeypatch.setattr(training, "preprocess", spy)
+        xs, _ = training.load_dataset(manifest, range(5), spec, cfg)
+        assert stacks == [(2, 50, 50), (2, 50, 50), (1, 50, 50)]
+        one_by_one = [
+            preprocess(imaging.read_image(tmp_path / rec.path).pixels[None], spec, cfg)[0]
+            for rec in records
+        ]
+        assert xs.tobytes() == np.stack(one_by_one).tobytes()
 
     def test_augment_expands_fivefold(self, tiny_shape_dataset):
         root, manifest, _ = tiny_shape_dataset
