@@ -20,8 +20,11 @@ images rather than edge maps.  Last it runs ``explain`` with LIME and with
 KernelSHAP, on the round's weights, on two shapes images rendered from
 the seed whose size differs from the model's 50 px input: a 40 px P5 image
 (so preprocessing resizes up and repeats the gray plane) and a 64 px P6
-image (resized down).  Every command must exit 0, print
-the paths the workload expects and pass the workload's check.  The
+image (resized down).  After the ``train-rice-preproc`` report it runs
+the same two explains on that round's ``--canny --segment`` weights and
+one 50 px image, where a coalition's change spreads past its segments
+through the edge map and the Otsu threshold.  Every command must exit 0,
+print the paths the workload expects and pass the workload's check.  The
 script then prints one ``workload relative-path sha256`` line for every
 file in that directory, sorted by path.  A change that must not alter
 any output runs the script on the parent tree and on its own tree and
@@ -50,8 +53,12 @@ EXTRA_TRAINS = (
     ("--augment", "augment.gfw", "augment.csv"),
     ("--segment", "segment.gfw", "segment.csv"),
 )
-# the explain runs after them: (image file, shape class, size in px, gray)
-EXTRA_EXPLAINS = (("gray40.pgm", "disc", 40, True), ("rgb64.ppm", "cross", 64, False))
+# the explain runs after a train workload's report, on its round's weights:
+# (image file, shape class, size in px, gray) by workload
+EXTRA_EXPLAINS = {
+    "train-rice": (("gray40.pgm", "disc", 40, True), ("rgb64.ppm", "cross", 64, False)),
+    "train-rice-preproc": (("edges50.ppm", "ring", 50, False),),
+}
 EXPLAIN_SAMPLES = "200"
 
 
@@ -79,12 +86,12 @@ def report(workload: str, command, failure: str | None) -> int:
     return 1
 
 
-def write_explain_images(root: Path, seed: int) -> None:
-    """Write the ``EXTRA_EXPLAINS`` images under ``root``, rendered from ``seed``."""
+def write_explain_images(root: Path, seed: int, images) -> None:
+    """Write ``images``, entries of ``EXTRA_EXPLAINS``, under ``root``, rendered from ``seed``."""
     from grainforge import imaging, synthetic
     from grainforge.rng import Rng
 
-    for name, kind, size, gray in EXTRA_EXPLAINS:
+    for name, kind, size, gray in images:
         rendered = synthetic.render_shape(kind, size, Rng(seed).child(name))
         # the codec round trip and the Image wrap work whether render_shape and write_image
         # use arrays or Images, so trees from before and after images became arrays compare
@@ -121,17 +128,17 @@ def main() -> int:
                             "--seed", str(seed),
                         ]
                         extra.append(Command("train", argv, [weights, history]))
-                    write_explain_images(root, seed)
-                    for image, *_ in EXTRA_EXPLAINS:
-                        stem = image.rsplit(".", 1)[0]
-                        for method in ("lime", "shap"):
-                            argv = [
-                                "explain", "--weights", "rice.gfw", "--image", image,
-                                "--method", method, "--samples", EXPLAIN_SAMPLES,
-                                "--seed", str(seed), "--out-dir", "explain",
-                            ]
-                            outputs = [f"explain/{stem}.{method}.{ext}" for ext in ("csv", "ppm")]
-                            extra.append(Command("explain", argv, outputs))
+                write_explain_images(root, seed, EXTRA_EXPLAINS[name])
+                for image, *_ in EXTRA_EXPLAINS[name]:
+                    stem = image.rsplit(".", 1)[0]
+                    for method in ("lime", "shap"):
+                        argv = [
+                            "explain", "--weights", "rice.gfw", "--image", image,
+                            "--method", method, "--samples", EXPLAIN_SAMPLES,
+                            "--seed", str(seed), "--out-dir", "explain",
+                        ]
+                        outputs = [f"explain/{stem}.{method}.{ext}" for ext in ("csv", "ppm")]
+                        extra.append(Command("explain", argv, outputs))
                 cwd = os.getcwd()
                 os.chdir(root)  # contextlib.chdir needs Python 3.11
                 try:

@@ -237,14 +237,27 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _model_closure(spec, params, cfg):
-    """Class probabilities of one raw (H, W, C) image, through the model's own preprocessing."""
+def _model_closure(spec, params, cfg, references):
+    """Class probabilities of one raw (H, W, C) image, through the model's own preprocessing.
+
+    The network's activations for each raw image in ``references`` are
+    kept the first time the model sees that image; every later call hands
+    them to ``network.forward``, which patches from the nearer one.  With
+    no ``references`` every call runs the full forward.
+    """
+    kept = {}  # index in references -> the activations forward returned
 
     def model(pixels: np.ndarray) -> np.ndarray:
         x = training.preprocess(pixels[None], spec, cfg)[0]
-        probs, _ = network.forward(spec, params, x, train=False)
+        probs, acts = network.forward(
+            spec, params, x, train=False, references=list(kept.values()) if references else None
+        )
         if not np.isfinite(probs).all():  # finite weights can still overflow float32
             raise ValueError("class probabilities are not finite")
+        for i, image in enumerate(references):
+            if acts is not None and i not in kept and np.array_equal(pixels, image):
+                kept[i] = acts
+                break
         return np.asarray(probs, dtype=np.float64)
 
     return model
@@ -254,7 +267,14 @@ def cmd_explain(args) -> int:
     cfg, spec, params = _load_model(args)
     image_path = Path(args.image)
     image = imaging.read_image(image_path).pixels
-    model = _model_closure(spec, params, cfg)
+    h, w, channels = image.shape
+    baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * channels
+    # KernelSHAP's sampled coalitions lie near its full or its empty coalition (the image
+    # and its all-baseline copy), so its calls patch from those two.  LIME's masks keep
+    # each segment with probability 1/2: nearly all differ from both in about half the
+    # values, past network.PATCH_SHARE, so LIME runs every call in full.
+    references = (image, np.full_like(image, baseline)) if cfg.method == "shap" else ()
+    model = _model_closure(spec, params, cfg, references)
 
     target = cfg.target_class
     if target is None:
@@ -267,13 +287,11 @@ def cmd_explain(args) -> int:
     segments = cfg.segments
     if segments is None:
         segments = 40 if max(spec.input_shape[:2]) <= 64 else 100
-    h, w, channels = image.shape
     if segments > h * w:
         raise UsageError(f"segments {segments} exceeds the {h * w} pixels of {image_path}")
     superpixels = explain_mod.slic_superpixels(
         image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
     )
-    baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * channels
     value = explain_mod.coalition_value(model, image, superpixels, target, baseline)
     rng = Rng(cfg.seed)
 

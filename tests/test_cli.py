@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from grainforge import explain, imaging, network, synthetic, training
+from grainforge import explain, imaging, network, synthetic, tensor, training
 from grainforge.cli import RunConfig, UsageError, build_parser, main, resolve_config
 from grainforge.rng import Rng
 
@@ -558,6 +558,67 @@ class TestExplain:
         assert stdout == ""
         assert "segments 7 exceeds the 6 pixels" in stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "layers, patched",
+        [
+            (("conv2d", "maxpool2d", "conv2d", "maxpool2d"), True),
+            # no pool right after the first conv: every call runs the full forward
+            (("conv2d", "conv2d", "maxpool2d"), False),
+        ],
+        ids=["conv-pool-conv-pool", "conv-conv-pool"],
+    )
+    def test_shap_writes_the_full_forward_bytes(
+        self, tmp_path, capsys, monkeypatch, layers, patched
+    ):
+        spec = network.NetworkSpec(
+            input_shape=(32, 32, 3),
+            layers=(
+                *(network.LayerSpec(kind, filters=6, activation="relu") for kind in layers),
+                network.LayerSpec("flatten"),
+                network.LayerSpec("dense", units=8, activation="relu"),
+                network.LayerSpec("dense", units=3, activation="softmax"),
+            ),
+            num_classes=3,
+        )
+        weights = tmp_path / "model.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(6), np.float32), weights)
+        image = synthetic.render_shape("ring", 32, Rng(6))
+        image_path = tmp_path / "ring.ppm"
+        imaging.write_image(image, image_path)
+        tiles = []
+
+        def spy(x, kernels, bias):  # a patched call convolves gathered 4x4 tiles
+            tiles.append(x.shape[1:3] == (4, 4))
+            return tensor.conv2d_batch(x, kernels, bias)
+
+        monkeypatch.setattr(network, "conv2d_batch", spy)
+        code, _, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", str(image_path), "--method", "shap",
+            "--segments", "16", "--samples", "120", "--seed", "9", "--out-dir", str(tmp_path),
+        )
+        assert code == 0, stderr
+        assert any(tiles) == patched
+
+        # the same command by hand, every call through the full forward
+        spec, params = network.load_weights(weights)
+
+        def model(pixels):
+            x = training.preprocess(pixels[None], spec, training.TrainConfig())[0]
+            return np.asarray(network.forward(spec, params, x, train=False)[0], dtype=np.float64)
+
+        target = int(np.argmax(model(image)))
+        superpixels = explain.slic_superpixels(image, 16, compactness=10.0, iters=10)
+        baseline = explain.mean_baseline(image)
+        value = explain.coalition_value(model, image, superpixels, target, baseline)
+        phi = explain.kernel_shap(value, superpixels.count, 120, Rng(9))
+        explain.write_attribution_csv(tmp_path / "hand.csv", phi, target, "kernel_shap")
+        heatmap = explain.render_shap_heatmap(image, superpixels, phi)
+        imaging.write_image(heatmap, tmp_path / "hand.ppm")
+        for ext in ("csv", "ppm"):
+            written = (tmp_path / f"ring.shap.{ext}").read_bytes()
+            assert written == (tmp_path / f"hand.{ext}").read_bytes()
 
 
 def canny_by_hand(image):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grainforge import network, tensor
+from grainforge import explain, network, synthetic, tensor, training
 from grainforge.network import (
     LayerSpec,
     NetworkSpec,
@@ -329,6 +329,161 @@ class TestLayerOrderAndInference:
         assert np.array_equal(probs, want_probs)
         for got, expect in zip(grads, want, strict=True):
             assert np.array_equal(got, expect)
+
+
+def full_activations(spec, params, x):
+    """The full forward's probabilities, input and pool outputs: there is no reference to patch."""
+    return network.forward(spec, params, x, train=False, references=[])
+
+
+def assert_patch_is_exact(spec, params, x, references):
+    """The patch path's probabilities and pool outputs are the full forward's bytes."""
+    patched, acts = network.forward(spec, params, x, train=False, references=references)
+    full, want = full_activations(spec, params, x)
+    plain, _ = network.forward(spec, params, x, train=False)
+    assert patched.dtype == full.dtype and patched.tobytes() == full.tobytes() == plain.tobytes()
+    assert len(acts) == len(want)
+    for got, expect in zip(acts, want):
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+    return acts
+
+
+@pytest.fixture
+def tile_batches(monkeypatch):
+    """The batch size of every conv that runs on gathered 4x4 tiles, in call order."""
+    sizes = []
+
+    def spy(x, kernels, bias):
+        if x.shape[1:3] == (4, 4):
+            sizes.append(len(x))
+        return tensor.conv2d_batch(x, kernels, bias)
+
+    monkeypatch.setattr(network, "conv2d_batch", spy)
+    return sizes
+
+
+def shap_inputs(spec, size, config, seed):
+    """The network input of a shapes image, of its all-baseline copy and of every coalition
+    that KernelSHAP draws at 100 samples over the image's SLIC segments."""
+    image = synthetic.render_shape("disc", size, Rng(seed))
+    superpixels = explain.slic_superpixels(image, 40 if size <= 64 else 100, 10.0, 10)
+    baseline = explain.mean_baseline(image)
+    masks = []
+
+    def value(mask):
+        masks.append(mask)
+        return float(mask.sum())
+
+    explain.kernel_shap(value, superpixels.count, 100, Rng(seed))
+    images = [image, np.full_like(image, baseline)]
+    images += [explain.perturb(image, superpixels, mask, baseline) for mask in masks]
+    return [training.preprocess(img[None], spec, config)[0] for img in images]
+
+
+class TestPatchedInference:
+    """forward's patch path gives the full forward's bytes, probabilities and pool outputs."""
+
+    @pytest.mark.parametrize(
+        "name, size, settings",
+        [
+            ("rice", 50, {"dtype": "f32"}),
+            ("rice", 50, {"dtype": "f64"}),
+            ("disease", 224, {"dtype": "f32"}),
+            ("disease", 224, {"dtype": "f64"}),
+            ("rice", 40, {"dtype": "f32"}),  # bilinear resize spreads each change
+            ("rice", 50, {"dtype": "f32", "canny": True, "segment": True}),
+        ],
+        ids=["rice-f32", "rice-f64", "disease-f32", "disease-f64", "rice-40px", "canny-segment"],
+    )
+    def test_every_kernel_shap_coalition(self, name, size, settings, tile_batches):
+        spec = SPECS[name]()
+        config = training.TrainConfig(**settings)
+        dtype = training.DTYPES[config.dtype]
+        params = network.init_parameters(spec, Rng(41).child(name), dtype=dtype)
+        full, empty, *coalitions = shap_inputs(spec, size, config, 42)
+        references = [full_activations(spec, params, x)[1] for x in (full, empty)]
+        patched = 0
+        for x in [full, empty, *coalitions]:
+            before = len(tile_batches)
+            assert_patch_is_exact(spec, params, x, references)
+            patched += len(tile_batches) > before
+        # most calls take the patch path; the canny-segment model's Otsu threshold
+        # moves with the coalition, so many of its calls run in full
+        assert patched >= len(coalitions) // (4 if settings.get("canny") else 2)
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_changed_pixel_recomputes_padded_windows(self, name, dtype, tile_batches):
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(43).child(name), dtype=dtype)
+        reference = Rng(44).random(spec.input_shape).astype(dtype)
+        refs = [full_activations(spec, params, reference)[1]]
+        h, w, _ = spec.input_shape
+        for y, x in ((0, 0), (h - 1, w - 1), (h // 2, w // 3)):
+            changed = reference.copy()
+            changed[y, x, 1] += 0.5
+            tile_batches.clear()
+            assert_patch_is_exact(spec, params, changed, refs)
+            assert tile_batches and max(tile_batches) <= 9
+            if x == 0:
+                # a corner pixel reaches one window of each pool, padded to 8 (32 im2col rows)
+                depth = network._patch_depth(spec)
+                assert tile_batches == [network.PATCH_MIN_WINDOWS] * depth
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    def test_fully_changed_image(self, name, tile_batches, monkeypatch):
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(45).child(name), dtype=np.float32)
+        reference, changed = Rng(46).random((2, *spec.input_shape)).astype(np.float32)
+        refs = [full_activations(spec, params, reference)[1]]
+        assert_patch_is_exact(spec, params, changed, refs)
+        assert tile_batches == []  # past PATCH_SHARE: the full forward
+        monkeypatch.setattr(network, "PATCH_SHARE", 1.0)
+        assert_patch_is_exact(spec, params, changed, refs)
+        depth = network._patch_depth(spec)
+        assert len(tile_batches) == depth and min(tile_batches) > network.PATCH_MIN_WINDOWS
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    def test_overflowing_weights(self, name, tile_batches):
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(47).child(name), dtype=np.float32)
+        # weights of +-1e38: sums overflow to +-inf, and inf - inf makes NaN
+        params = [np.copysign(np.float32(1e38), p) for p in params]
+        reference = Rng(48).random(spec.input_shape).astype(np.float32)
+        changed = reference.copy()
+        changed[10:14, 20:30] = 0.25
+        with np.errstate(over="ignore", invalid="ignore"):
+            refs = [full_activations(spec, params, reference)[1]]
+            acts = assert_patch_is_exact(spec, params, changed, refs)
+        assert tile_batches and np.isinf(acts[1]).any() and np.isnan(acts[-1]).any()
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    def test_nan_ties_keep_the_full_forward_corner_order(self, name, tile_batches):
+        # +NaN at input (2i, 2j+1) and -NaN at (2i+1, 2j) lie in the receptive fields of
+        # pool window (i, j)'s top-right and bottom-left conv pixels (and its top-left), not
+        # in its bottom-right one: the window pools NaNs of both signs beside a finite value,
+        # and the pooled sign bit shows the corner order that picked one
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(49).child(name), dtype=np.float32)
+        reference = Rng(50).random(spec.input_shape).astype(np.float32)
+        changed = reference.copy()
+        for i, j in ((3, 4), (6, 9), (10, 2)):
+            changed[2 * i, 2 * j + 1, 0] = np.nan
+            changed[2 * i + 1, 2 * j, 0] = -np.nan
+        refs = [full_activations(spec, params, reference)[1]]
+        acts = assert_patch_is_exact(spec, params, changed, refs)
+        signs = np.signbit(acts[1][np.isnan(acts[1])])
+        assert tile_batches and 0 < signs.sum() < len(signs)
+
+    def test_other_layer_orders_run_in_full(self, tile_batches):
+        spec = mini_spec()  # conv, pool, conv, flatten: the second conv has no pool
+        assert network._patch_depth(spec) == 0
+        params = network.init_parameters(spec, Rng(52), dtype=np.float32)
+        x = Rng(53).random(spec.input_shape).astype(np.float32)
+        probs, acts = network.forward(spec, params, x, train=False, references=[])
+        plain, _ = network.forward(spec, params, x, train=False)
+        assert acts is None and probs.tobytes() == plain.tobytes() and tile_batches == []
 
 
 class TestLoss:
