@@ -92,13 +92,10 @@ def write_explain_images(root: Path, seed: int, images) -> None:
     from grainforge.rng import Rng
 
     for name, kind, size, gray in images:
-        rendered = synthetic.render_shape(kind, size, Rng(seed).child(name))
-        # the codec round trip and the Image wrap work whether render_shape and write_image
-        # use arrays or Images, so trees from before and after images became arrays compare
-        pixels = imaging.decode_netpbm(imaging.encode_netpbm(rendered)).pixels
+        pixels = synthetic.render_shape(kind, size, Rng(seed).child(name))
         if gray:
             pixels = pixels[:, :, 1]  # the green plane, as a P5 image
-        imaging.write_image(imaging.Image.from_array(pixels), root / name)
+        imaging.write_image(pixels, root / name)
 
 
 def main() -> int:

@@ -240,24 +240,22 @@ def cmd_evaluate(args) -> int:
 def _model_closure(spec, params, cfg, references):
     """Class probabilities of one raw (H, W, C) image, through the model's own preprocessing.
 
-    The network's activations for each raw image in ``references`` are
-    kept the first time the model sees that image; every later call hands
-    them to ``network.forward``, which patches from the nearer one.  With
-    no ``references`` every call runs the full forward.
+    The network's activations for each raw image in ``references`` come
+    from one full forward each, run here; every call hands them to
+    ``network.forward``, which patches from the nearer one.  With no
+    ``references`` every call runs the full forward.
     """
-    kept = {}  # index in references -> the activations forward returned
+
+    def forward(pixels: np.ndarray, activations):
+        x = training.preprocess(pixels[None], spec, cfg)[0]
+        return network.forward(spec, params, x, train=False, references=activations)
+
+    kept = [forward(image, [])[1] for image in references]
 
     def model(pixels: np.ndarray) -> np.ndarray:
-        x = training.preprocess(pixels[None], spec, cfg)[0]
-        probs, acts = network.forward(
-            spec, params, x, train=False, references=list(kept.values()) if references else None
-        )
+        probs, _ = forward(pixels, kept if references else None)
         if not np.isfinite(probs).all():  # finite weights can still overflow float32
             raise ValueError("class probabilities are not finite")
-        for i, image in enumerate(references):
-            if acts is not None and i not in kept and np.array_equal(pixels, image):
-                kept[i] = acts
-                break
         return np.asarray(probs, dtype=np.float64)
 
     return model

@@ -31,6 +31,7 @@ import os
 import struct
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +88,25 @@ class LayerSpec:
     activation: str = "none"  # relu | softmax | none
 
 
+class Step(NamedTuple):
+    """One layer as forward runs it; the parameter shapes are None for pool and flatten."""
+
+    layer: LayerSpec
+    activation: str  # what forward applies after the layer
+    out_shape: tuple[int, ...]
+    weight_shape: tuple[int, ...] | None
+    bias_shape: tuple[int, ...] | None
+
+
+class Plan(NamedTuple):
+    steps: tuple[Step, ...]
+    patch_depth: int  # leading (conv, pool) pairs if the layers are (conv, pool)* flatten dense*
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A network's layers, checked when it is built: one whose layers do not fit raises."""
+
     input_shape: tuple[int, int, int]
     layers: tuple[LayerSpec, ...]
     num_classes: int
@@ -97,6 +115,10 @@ class NetworkSpec:
     # code or read from an older header
     preprocess: dict | None = field(default=None, hash=False)
     classes: tuple[str, ...] | None = None
+    plan: Plan = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", _layer_plan(self))
 
 
 # A model's parameters, in _tensor_table order: each conv and dense layer's
@@ -104,20 +126,24 @@ class NetworkSpec:
 Parameters = list[np.ndarray]
 
 
-def _layer_plan(spec: NetworkSpec) -> list[tuple]:
-    """(layer, out_shape, weight_shape, bias_shape) per layer.
-
-    The parameter shapes are None for pool and flatten layers.  Raises
-    NetworkError on any mismatch.
-    """
+def _layer_plan(spec: NetworkSpec) -> Plan:
+    """Each layer's step and the patch depth; TypeError or NetworkError if the spec is bad."""
+    counts = [*spec.input_shape, spec.num_classes]
+    counts += [n for layer in spec.layers for n in (layer.filters, layer.units)]
+    for n in counts:  # a float or a bool is no count
+        if type(n) is not int:
+            raise TypeError(
+                f"input_shape, num_classes, filters and units must be integers, got {n!r}"
+            )
     if not spec.layers:
         raise NetworkError("network must have at least one layer")
     shape: tuple[int, ...] = tuple(spec.input_shape)
     if len(shape) != 3 or any(d < 1 for d in shape):
         raise NetworkError(f"input shape must be positive (H,W,C), got {shape}")
-    plan = []
+    steps: list[Step] = []
     for i, layer in enumerate(spec.layers):
         weight_shape = bias_shape = None
+        activation = layer.activation if layer.kind in ("conv2d", "dense") else "none"
         if layer.kind == "conv2d":
             if len(shape) != 3:
                 raise NetworkError(f"layer {i}: conv2d needs (H,W,C) input, got {shape}")
@@ -136,6 +162,10 @@ def _layer_plan(spec: NetworkSpec) -> list[tuple]:
             if h < 2 or w < 2:
                 raise NetworkError(f"layer {i}: input {h}x{w} smaller than 2x2 window")
             shape = (h // 2, w // 2, c)
+            # a conv's ReLU moves past its pool: ReLU is monotone, so relu(max(window)) ==
+            # max(relu(window)), and ReLU and its backward run on a quarter of the values
+            if steps and steps[-1].layer.kind == "conv2d" and steps[-1].activation == "relu":
+                steps[-1], activation = steps[-1]._replace(activation="none"), "relu"
         elif layer.kind == "flatten":
             if len(shape) != 3:
                 raise NetworkError(f"layer {i}: flatten needs (H,W,C) input, got {shape}")
@@ -154,21 +184,26 @@ def _layer_plan(spec: NetworkSpec) -> list[tuple]:
             raise NetworkError(f"layer {i}: unknown activation {layer.activation!r}")
         if layer.activation == "softmax" and i != len(spec.layers) - 1:
             raise NetworkError(f"layer {i}: softmax is only valid on the final layer")
-        plan.append((layer, shape, weight_shape, bias_shape))
+        steps.append(Step(layer, activation, shape, weight_shape, bias_shape))
     last = spec.layers[-1]
     if last.kind != "dense" or last.activation != "softmax" or last.units != spec.num_classes:
         raise NetworkError(
             "final layer must be dense with softmax over "
             f"{spec.num_classes} classes, got {last}"
         )
-    return plan
+    kinds = [layer.kind for layer in spec.layers]
+    depth = 0
+    while kinds[2 * depth : 2 * depth + 2] == ["conv2d", "maxpool2d"]:
+        depth += 1
+    # only dense layers take a flat input, so after a flatten come dense layers alone
+    return Plan(tuple(steps), depth if kinds[2 * depth] == "flatten" else 0)
 
 
 def _tensor_table(spec: NetworkSpec) -> list[dict]:
     """The stored tensors in payload order: each parameterised layer's weight, then bias."""
     return [
         {"layer": i, "name": name, "shape": list(shape)}
-        for i, (_, _, wshape, bshape) in enumerate(_layer_plan(spec))
+        for i, (_, _, _, wshape, bshape) in enumerate(spec.plan.steps)
         if wshape is not None
         for name, shape in (("weight", wshape), ("bias", bshape))
     ]
@@ -223,7 +258,7 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
     a stream yields the same values in chunks as in one whole-array draw.
     """
     params: Parameters = []
-    for i, (layer, _, wshape, bshape) in enumerate(_layer_plan(spec)):
+    for i, (layer, _, _, wshape, bshape) in enumerate(spec.plan.steps):
         if wshape is None:
             continue
         receptive = math.prod(wshape[:-2])  # 3x3 for conv, 1 for dense
@@ -249,35 +284,7 @@ def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
         raise NetworkError(f"parameter shapes {shapes} do not match the expected {expected}")
 
 
-def _activations(spec: NetworkSpec) -> list[str]:
-    """Activation applied after each layer, as forward runs them.
-
-    A conv's ReLU moves past a directly following 2x2 max pool: ReLU is
-    monotone, so relu(max(window)) == max(relu(window)) and conv -> pool
-    -> ReLU gives the same values while running ReLU and its backward on
-    a quarter of the elements.  Pool and flatten specs carry no activation
-    of their own.
-    """
-    layers = spec.layers
-    acts = [lay.activation if lay.kind in ("conv2d", "dense") else "none" for lay in layers]
-    for i in range(1, len(acts)):
-        relu_conv = layers[i - 1].kind == "conv2d" and acts[i - 1] == "relu"
-        if relu_conv and layers[i].kind == "maxpool2d":
-            acts[i - 1], acts[i] = "none", "relu"
-    return acts
-
-
-def _patch_depth(spec: NetworkSpec) -> int:
-    """The count of leading (conv, pool) pairs if the layers are (conv, pool)* flatten dense*."""
-    kinds = [layer.kind for layer in spec.layers]
-    depth = 0
-    while kinds[2 * depth : 2 * depth + 2] == ["conv2d", "maxpool2d"]:
-        depth += 1
-    rest = kinds[2 * depth :]  # any other order gives 0
-    return depth if rest[:1] == ["flatten"] and set(rest[1:]) <= {"dense"} else 0
-
-
-def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references, depth: int) -> list:
+def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references) -> list:
     """The input and the pool outputs of one (1,H,W,C) inference input, from its nearer reference.
 
     Returns ``[x]`` alone when there is no reference or the nearer one
@@ -303,7 +310,7 @@ def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references, depth: 
     for c in range(1, differs.shape[2]):  # an OR per channel: any(axis=-1) is slower
         changed = changed | differs[..., c]
     kept = [x]
-    for i in range(depth):
+    for i in range(spec.plan.patch_depth):
         # the conv pixels whose 3x3 window holds a changed pixel, then the 2x2 pool
         # windows that hold one of those
         rows = changed[:-2] | changed[1:-1] | changed[2:]
@@ -322,7 +329,7 @@ def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references, depth: 
             )[ys, xs]
             conv = conv2d_batch(tiles, params[2 * i], params[2 * i + 1])
             pooled, _ = maxpool2d_batch(conv, winners=False)
-            if spec.layers[2 * i].activation == "relu":
+            if spec.plan.steps[2 * i + 1].activation == "relu":
                 pooled = relu(pooled)
             out = out.copy()
             out[0, ys, xs] = pooled[:, 0, 0]
@@ -357,16 +364,16 @@ def forward(
             f"batch shape {batch.shape} does not match input {spec.input_shape}"
         )
     cache = [] if train else None
-    layers = list(zip(spec.layers, _activations(spec)))
+    steps = spec.plan.steps
     tensors = iter(params)
-    depth = _patch_depth(spec) if references is not None and single and not train else 0
+    depth = spec.plan.patch_depth if references is not None and single and not train else 0
     if depth:
-        cache = _patch(spec, params, x, references, depth)
+        cache = _patch(spec, params, x, references)
         if len(cache) > 1:  # patched: only flatten and the dense layers are left
             x = cache[-1]
-            del layers[: 2 * depth]
+            steps = steps[2 * depth :]
             tensors = iter(params[2 * depth :])
-    for layer, act in layers:
+    for layer, act, *_ in steps:
         if layer.kind == "conv2d":
             out = conv2d_batch(x, next(tensors), next(tensors))
             entry = {"x": x}
@@ -418,8 +425,6 @@ def backward(
     lam: float = 0.0,
 ) -> Parameters:
     """Analytic gradients of :func:`loss` for the cached forward batch."""
-    if spec.layers[-1].activation != "softmax":
-        raise NetworkError("backward requires a softmax final layer")
     probs = cache[-1]["probs"]
     y = np.atleast_2d(onehot).astype(probs.dtype)
     batch = probs.shape[0]
@@ -427,8 +432,7 @@ def backward(
 
     weights = iter(params[-2::-2])
     grads: Parameters = []
-    for i in range(len(spec.layers) - 1, -1, -1):
-        layer = spec.layers[i]
+    for i, (layer, *_) in reversed(list(enumerate(spec.plan.steps))):
         entry = cache[i]
         # softmax gradient is already fused into dout at the logits
         if "pre" in entry:
@@ -527,7 +531,7 @@ def _header_to_spec(header: dict) -> tuple[NetworkSpec, list[dict]]:
     if header.get("dtype") != "f32":
         raise WeightsFormatError(f"unsupported dtype {header.get('dtype')!r}", 12)
     try:
-        spec = NetworkSpec(
+        fields = dict(
             input_shape=tuple(header["input_shape"]),
             layers=tuple(
                 LayerSpec(
@@ -540,14 +544,8 @@ def _header_to_spec(header: dict) -> tuple[NetworkSpec, list[dict]]:
             ),
             num_classes=header["num_classes"],
         )
-        listed = header["tensors"]
-        counts = [*spec.input_shape, spec.num_classes]
-        counts += [n for layer in spec.layers for n in (layer.filters, layer.units)]
-        for n in counts:  # a float or a bool is no count
-            if type(n) is not int:
-                raise TypeError(
-                    f"input_shape, num_classes, filters and units must be integers, got {n!r}"
-                )
+        listed = header["tensors"]  # a missing key is named before any fault of the spec
+        spec = NetworkSpec(**fields)
         table = _tensor_table(spec)
     except KeyError as exc:
         raise WeightsFormatError(f"JSON header lacks key {exc}", 12) from exc

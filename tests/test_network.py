@@ -68,8 +68,8 @@ def closed_form_param_count(spec):
 
 
 def infer_shapes(spec):
-    """Output shape after each layer; raises NetworkError on any mismatch."""
-    return [out_shape for _, out_shape, _, _ in network._layer_plan(spec)]
+    """Output shape after each layer, from the plan the spec stored when it was built."""
+    return [step.out_shape for step in spec.plan.steps]
 
 
 def layer_param_counts(spec):
@@ -142,16 +142,25 @@ class TestArchitectures:
         assert scalar_count(params) == param_count(spec)
 
     def test_invalid_specs_rejected(self):
-        empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
         with pytest.raises(NetworkError):
-            infer_shapes(empty)
-        no_softmax = NetworkSpec(
-            input_shape=(1, 1, 4),
-            layers=(LayerSpec("flatten"), LayerSpec("dense", units=2)),
-            num_classes=2,
-        )
+            NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
         with pytest.raises(NetworkError, match="softmax"):
-            infer_shapes(no_softmax)
+            NetworkSpec(
+                input_shape=(1, 1, 4),
+                layers=(LayerSpec("flatten"), LayerSpec("dense", units=2)),
+                num_classes=2,
+            )
+
+    @pytest.mark.parametrize(
+        "units, num_classes",
+        [(2.0, 2), (2, 2.0), (True, 1)],
+        ids=["float-units", "float-classes", "bool-units"],
+    )
+    def test_counts_built_in_code_must_be_integers(self, units, num_classes):
+        # a float or a bool is no count, even where it equals one
+        layers = (LayerSpec("flatten"), LayerSpec("dense", units=units, activation="softmax"))
+        with pytest.raises(TypeError, match="must be integers"):
+            NetworkSpec(input_shape=(1, 1, 4), layers=layers, num_classes=num_classes)
 
 
 class TestForward:
@@ -428,7 +437,7 @@ class TestPatchedInference:
             assert tile_batches and max(tile_batches) <= 9
             if x == 0:
                 # a corner pixel reaches one window of each pool, padded to 8 (32 im2col rows)
-                depth = network._patch_depth(spec)
+                depth = spec.plan.patch_depth
                 assert tile_batches == [network.PATCH_MIN_WINDOWS] * depth
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
@@ -441,7 +450,7 @@ class TestPatchedInference:
         assert tile_batches == []  # past PATCH_SHARE: the full forward
         monkeypatch.setattr(network, "PATCH_SHARE", 1.0)
         assert_patch_is_exact(spec, params, changed, refs)
-        depth = network._patch_depth(spec)
+        depth = spec.plan.patch_depth
         assert len(tile_batches) == depth and min(tile_batches) > network.PATCH_MIN_WINDOWS
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
@@ -478,7 +487,7 @@ class TestPatchedInference:
 
     def test_other_layer_orders_run_in_full(self, tile_batches):
         spec = mini_spec()  # conv, pool, conv, flatten: the second conv has no pool
-        assert network._patch_depth(spec) == 0
+        assert spec.plan.patch_depth == 0
         params = network.init_parameters(spec, Rng(52), dtype=np.float32)
         x = Rng(53).random(spec.input_shape).astype(np.float32)
         probs, acts = network.forward(spec, params, x, train=False, references=[])
@@ -629,8 +638,8 @@ class TestSerialization:
         assert spec.preprocess is None and spec.classes is None
 
     def test_empty_spec_rejected_at_save(self, tmp_path):
-        empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
         with pytest.raises(NetworkError):
+            empty = NetworkSpec(input_shape=(8, 8, 1), layers=(), num_classes=2)
             network.save_weights(empty, [], tmp_path / "x.gfw")
 
     @pytest.mark.parametrize("edit", ["missing", "extra", "swapped"])
