@@ -270,8 +270,10 @@ def cmd_explain(args) -> int:
     # KernelSHAP's sampled coalitions lie near its full or its empty coalition (the image
     # and its all-baseline copy), so its calls patch from those two.  LIME's masks keep
     # each segment with probability 1/2: nearly all differ from both in about half the
-    # values, past network.PATCH_SHARE, so LIME runs every call in full.
-    references = (image, np.full_like(image, baseline)) if cfg.method == "shap" else ()
+    # values, past network.PATCH_SHARE, so LIME runs every call in full, as does every
+    # model whose layers the patch path cannot take.
+    patched = cfg.method == "shap" and spec.plan.patch_depth > 0
+    references = (image, np.full_like(image, baseline)) if patched else ()
     model = _model_closure(spec, params, cfg, references)
 
     target = cfg.target_class
