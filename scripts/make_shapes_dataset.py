@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Generate the procedural 5-class shape dataset used by the demo runs.
 
-Writes class-per-directory PPM images plus a manifest CSV, so the output
-feeds straight into `grainforge train`.
+Writes class-per-directory PPM images only; `grainforge ingest` then builds
+the manifest CSV that `grainforge train` reads.
 """
 
 import argparse
 from pathlib import Path
 
 from grainforge.synthetic import generate_shape_dataset
-from grainforge.training import write_manifest
 
 
 def main() -> None:
@@ -28,10 +27,8 @@ def main() -> None:
         seed=args.seed,
         size=args.size,
     )
-    manifest_path = args.out_dir / "manifest.csv"
-    write_manifest(manifest, manifest_path)
     print(f"{len(manifest.records)} images across {len(manifest.classes)} classes")
-    print(manifest_path)
+    print(args.out_dir)
 
 
 if __name__ == "__main__":

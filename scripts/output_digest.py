@@ -20,7 +20,10 @@ images rather than edge maps.  Last it runs ``explain`` with LIME and with
 KernelSHAP, on the round's weights, on two shapes images rendered from
 the seed whose size differs from the model's 50 px input: a 40 px P5 image
 (so preprocessing resizes up and repeats the gray plane) and a 64 px P6
-image (resized down).  After the ``train-rice-preproc`` report it runs
+image (resized down).  Then one more ``explain`` on the 64 px image takes
+every setting from a ``--config`` file: KernelSHAP, so its calls are
+patched, the sample and segment counts, the seed, and ``canny``, which
+the weights record too.  After the ``train-rice-preproc`` report it runs
 the same two explains on that round's ``--canny --segment`` weights and
 one 50 px image, where a coalition's change spreads past its segments
 through the edge map and the Otsu threshold.  Every command must exit 0,
@@ -37,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -60,6 +64,8 @@ EXTRA_EXPLAINS = {
     "train-rice-preproc": (("edges50.ppm", "ring", 50, False),),
 }
 EXPLAIN_SAMPLES = "200"
+# the settings file of the train-rice explain run that takes no setting flag; the seed is added
+CONFIG_EXPLAIN = ("rgb64.ppm", {"method": "shap", "samples": 300, "segments": 30, "canny": False})
 
 
 def run(cli, command) -> str | None:
@@ -136,6 +142,16 @@ def main() -> int:
                         ]
                         outputs = [f"explain/{stem}.{method}.{ext}" for ext in ("csv", "ppm")]
                         extra.append(Command("explain", argv, outputs))
+                if name == "train-rice":
+                    image, settings = CONFIG_EXPLAIN
+                    (root / "explain.json").write_text(json.dumps({**settings, "seed": seed}))
+                    argv = [
+                        "explain", "--weights", "rice.gfw", "--image", image,
+                        "--config", "explain.json", "--out-dir", "explain-config",
+                    ]
+                    stem = image.rsplit(".", 1)[0]
+                    outputs = [f"explain-config/{stem}.shap.{ext}" for ext in ("csv", "ppm")]
+                    extra.append(Command("explain", argv, outputs))
                 cwd = os.getcwd()
                 os.chdir(root)  # contextlib.chdir needs Python 3.11
                 try:

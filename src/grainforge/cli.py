@@ -66,13 +66,10 @@ class RunConfig(training.TrainConfig):
 _SETTINGS = {f.name: f.type for f in fields(RunConfig) if f.metadata}
 
 
-def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> RunConfig:
-    """Merge CLI flags over a JSON config file over defaults.
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
+    """Merge CLI flags over a JSON config file over defaults, and validate.
 
-    ``recorded`` holds the preprocessing settings of a weights file: each one
-    replaces its default, and a flag or config value that differs is a
-    UsageError.  A recorded object that a config file could not hold, or whose
-    values fail ``validate``, is a WeightsFormatError.
+    Returns the settings and the names of those that a flag or the file set.
     """
     file_cfg = {}
     config_path = getattr(args, "config", None)
@@ -104,6 +101,15 @@ def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> Ru
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    return cfg, set(given)
+
+
+def _adopt_recorded(cfg: RunConfig, given: set[str], recorded: dict | None) -> RunConfig:
+    """``cfg`` with the preprocessing settings that a weights file records, if any.
+
+    ``recorded`` is checked like a config file, but a fault is a WeightsFormatError;
+    a recorded value that differs from a setting named in ``given`` is a UsageError.
+    """
     if recorded is None:
         return cfg
     try:
@@ -112,16 +118,16 @@ def resolve_config(args: argparse.Namespace, recorded: dict | None = None) -> Ru
                 f"preprocess must hold {list(training.RECORDED_SETTINGS)}, got {list(recorded)}"
             )
         _check_settings(recorded, "preprocess")
-        cfg = replace(cfg, **recorded)
-        cfg.validate()
+        adopted = replace(cfg, **recorded)
+        adopted.validate()
     except ValueError as exc:
         raise network.WeightsFormatError(f"recorded preprocessing: {exc}", 12) from exc
     for name, value in recorded.items():
-        if name in given and given[name] != value:
+        if name in given and getattr(cfg, name) != value:
             raise UsageError(
-                f"{name} is {given[name]!r} here but {value!r} in the weights file"
+                f"{name} is {getattr(cfg, name)!r} here but {value!r} in the weights file"
             )
-    return cfg
+    return adopted
 
 
 def _check_settings(settings: dict, source: str) -> None:
@@ -177,7 +183,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args)
+    cfg, _ = resolve_config(args)
     manifest = training.read_manifest(args.manifest)
     spec = network.ARCHITECTURES[cfg.model]()
     _check_classes(manifest, spec)
@@ -210,9 +216,9 @@ def _check_classes(manifest: training.Manifest, spec: network.NetworkSpec) -> No
 
 def _load_model(args) -> tuple[RunConfig, network.NetworkSpec, network.Parameters]:
     """Validate the settings, read the weights, then adopt the preprocessing they record."""
-    resolve_config(args)  # a bad setting exits 2 before any file is read
+    cfg, given = resolve_config(args)  # a bad setting exits 2 before any file is read
     spec, params = network.load_weights(args.weights)
-    return resolve_config(args, spec.preprocess), spec, params
+    return _adopt_recorded(cfg, given, spec.preprocess), spec, params
 
 
 def cmd_evaluate(args) -> int:
@@ -297,11 +303,8 @@ def cmd_explain(args) -> int:
 
     out_dir = Path(args.out_dir) if args.out_dir else image_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = image_path.name
-    for ext in IMAGE_EXTENSIONS:
-        if stem.lower().endswith(ext):
-            stem = stem[: -len(ext)]
-            break
+    is_image = image_path.suffix.lower() in IMAGE_EXTENSIONS  # the rule ingest applies
+    stem = image_path.stem if is_image else image_path.name
 
     if cfg.method == "lime":
         weights = explain_mod.lime_explain(

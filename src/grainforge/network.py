@@ -47,6 +47,7 @@ from .tensor import (
     relu,
     relu_backward,
     softmax,
+    windows,
 )
 
 LOG_EPSILON = 1e-12
@@ -89,13 +90,12 @@ class LayerSpec:
 
 
 class Step(NamedTuple):
-    """One layer as forward runs it; the parameter shapes are None for pool and flatten."""
+    """One layer as forward runs it; the weight shape is None for pool and flatten."""
 
     layer: LayerSpec
     activation: str  # what forward applies after the layer
     out_shape: tuple[int, ...]
-    weight_shape: tuple[int, ...] | None
-    bias_shape: tuple[int, ...] | None
+    weight_shape: tuple[int, ...] | None  # the bias is weight_shape[-1:]: one value per output
 
 
 class Plan(NamedTuple):
@@ -142,7 +142,7 @@ def _layer_plan(spec: NetworkSpec) -> Plan:
         raise NetworkError(f"input shape must be positive (H,W,C), got {shape}")
     steps: list[Step] = []
     for i, layer in enumerate(spec.layers):
-        weight_shape = bias_shape = None
+        weight_shape = None
         activation = layer.activation if layer.kind in ("conv2d", "dense") else "none"
         if layer.kind == "conv2d":
             if len(shape) != 3:
@@ -154,7 +154,6 @@ def _layer_plan(spec: NetworkSpec) -> Plan:
                 raise NetworkError(f"layer {i}: conv2d needs a positive filter count")
             shape = (h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1, layer.filters)
             weight_shape = (KERNEL_SIZE, KERNEL_SIZE, cin, layer.filters)
-            bias_shape = (layer.filters,)
         elif layer.kind == "maxpool2d":
             if len(shape) != 3:
                 raise NetworkError(f"layer {i}: maxpool needs (H,W,C) input, got {shape}")
@@ -176,7 +175,6 @@ def _layer_plan(spec: NetworkSpec) -> Plan:
             if layer.units < 1:
                 raise NetworkError(f"layer {i}: dense needs a positive unit count")
             weight_shape = (shape[0], layer.units)
-            bias_shape = (layer.units,)
             shape = (layer.units,)
         else:
             raise NetworkError(f"layer {i}: unknown kind {layer.kind!r}")
@@ -184,7 +182,7 @@ def _layer_plan(spec: NetworkSpec) -> Plan:
             raise NetworkError(f"layer {i}: unknown activation {layer.activation!r}")
         if layer.activation == "softmax" and i != len(spec.layers) - 1:
             raise NetworkError(f"layer {i}: softmax is only valid on the final layer")
-        steps.append(Step(layer, activation, shape, weight_shape, bias_shape))
+        steps.append(Step(layer, activation, shape, weight_shape))
     last = spec.layers[-1]
     if last.kind != "dense" or last.activation != "softmax" or last.units != spec.num_classes:
         raise NetworkError(
@@ -203,9 +201,9 @@ def _tensor_table(spec: NetworkSpec) -> list[dict]:
     """The stored tensors in payload order: each parameterised layer's weight, then bias."""
     return [
         {"layer": i, "name": name, "shape": list(shape)}
-        for i, (_, _, _, wshape, bshape) in enumerate(spec.plan.steps)
+        for i, (_, _, _, wshape) in enumerate(spec.plan.steps)
         if wshape is not None
-        for name, shape in (("weight", wshape), ("bias", bshape))
+        for name, shape in (("weight", wshape), ("bias", wshape[-1:]))
     ]
 
 
@@ -258,7 +256,7 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
     a stream yields the same values in chunks as in one whole-array draw.
     """
     params: Parameters = []
-    for i, (layer, _, _, wshape, bshape) in enumerate(spec.plan.steps):
+    for i, (layer, _, _, wshape) in enumerate(spec.plan.steps):
         if wshape is None:
             continue
         receptive = math.prod(wshape[:-2])  # 3x3 for conv, 1 for dense
@@ -273,7 +271,7 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
         flat = weight.reshape(-1)
         for start in range(0, flat.size, INIT_CHUNK):
             flat[start : start + INIT_CHUNK] = draw(min(INIT_CHUNK, flat.size - start))
-        params += [weight, np.zeros(bshape, dtype=dtype)]
+        params += [weight, np.zeros(wshape[-1:], dtype=dtype)]
     return params
 
 
@@ -284,17 +282,17 @@ def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
         raise NetworkError(f"parameter shapes {shapes} do not match the expected {expected}")
 
 
-def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references) -> list:
+def _patch(spec: NetworkSpec, tensors, x: Tensor, references) -> list:
     """The input and the pool outputs of one (1,H,W,C) inference input, from its nearer reference.
 
     Returns ``[x]`` alone when there is no reference or the nearer one
     differs from ``x`` in more than ``PATCH_SHARE`` of its values; forward
-    then runs in full.  Otherwise each (conv, pool) pair recomputes only
-    the pool windows whose 4x4 input tile (the 3x3 receptive fields of the
-    window's four conv pixels) holds a changed pixel, through the same
-    kernels as the full forward, and writes them into a copy of the
-    reference's output.  A recomputed window counts as changed for the
-    next pair.
+    then runs in full.  Otherwise each (conv, pool) pair takes its kernels
+    and bias from forward's iterator ``tensors`` and recomputes only the pool
+    windows whose 4x4 input tile (the 3x3 receptive fields of the window's
+    four conv pixels) holds a changed pixel, through the same kernels as the
+    full forward, and writes them into a copy of the reference's output.  A
+    recomputed window counts as changed for the next pair.
     """
     bits = f"u{x.itemsize}"  # compared as integers, so -0.0 and +0.0 (or two NaNs) differ
     best = None
@@ -310,7 +308,9 @@ def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references) -> list
     for c in range(1, differs.shape[2]):  # an OR per channel: any(axis=-1) is slower
         changed = changed | differs[..., c]
     kept = [x]
-    for i in range(spec.plan.patch_depth):
+    pools = spec.plan.steps[1 : 2 * spec.plan.patch_depth : 2]
+    for pool, out in zip(pools, ref[1:], strict=True):
+        kernels, bias = next(tensors), next(tensors)
         # the conv pixels whose 3x3 window holds a changed pixel, then the 2x2 pool
         # windows that hold one of those
         rows = changed[:-2] | changed[1:-1] | changed[2:]
@@ -318,18 +318,13 @@ def _patch(spec: NetworkSpec, params: Parameters, x: Tensor, references) -> list
         oh, ow = reached.shape[0] // 2, reached.shape[1] // 2
         rows = reached[0 : 2 * oh : 2] | reached[1 : 2 * oh : 2]
         changed = rows[:, 0 : 2 * ow : 2] | rows[:, 1 : 2 * ow : 2]
-        out = ref[i + 1]
         where = np.flatnonzero(changed)
         if where.size:
             # padded with repeats: duplicate rows give the same bits and rewrite the same values
             ys, xs = np.divmod(np.resize(where, max(where.size, PATCH_MIN_WINDOWS)), ow)
-            _, sh, sw, sc = x.strides
-            tiles = np.lib.stride_tricks.as_strided(
-                x, (oh, ow, 4, 4, x.shape[3]), (2 * sh, 2 * sw, sh, sw, sc), writeable=False
-            )[ys, xs]
-            conv = conv2d_batch(tiles, params[2 * i], params[2 * i + 1])
+            conv = conv2d_batch(windows(x, 4, 4)[0, 2 * ys, 2 * xs], kernels, bias)
             pooled, _ = maxpool2d_batch(conv, winners=False)
-            if spec.plan.steps[2 * i + 1].activation == "relu":
+            if pool.activation == "relu":
                 pooled = relu(pooled)
             out = out.copy()
             out[0, ys, xs] = pooled[:, 0, 0]
@@ -368,11 +363,10 @@ def forward(
     tensors = iter(params)
     depth = spec.plan.patch_depth if references is not None and single and not train else 0
     if depth:
-        cache = _patch(spec, params, x, references)
+        cache = _patch(spec, tensors, x, references)
         if len(cache) > 1:  # patched: only flatten and the dense layers are left
             x = cache[-1]
             steps = steps[2 * depth :]
-            tensors = iter(params[2 * depth :])
     for layer, act, *_ in steps:
         if layer.kind == "conv2d":
             out = conv2d_batch(x, next(tensors), next(tensors))

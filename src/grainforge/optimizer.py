@@ -9,6 +9,7 @@ loss gradient, so the optimizer sees a single gradient tensor per weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +35,9 @@ class OptimizerState:
             raise ValueError(
                 f"unknown optimizer {self.algorithm!r}, expected one of {ALGORITHMS}"
             )
-        # zero is allowed as the degenerate no-op rate (updates vanish exactly)
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        # zero is the degenerate no-op rate (updates vanish exactly); NaN fails both comparisons
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
 
 
 def step(

@@ -32,7 +32,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _windows(x: Tensor, kh: int, kw: int) -> Tensor:
+def windows(x: Tensor, kh: int, kw: int) -> Tensor:
     """Read-only (B, H', W', Kh, Kw, C) view of every Kh x Kw window of (B,H,W,C) ``x``."""
     b, h, w, c = x.shape
     sb, sh, sw, sc = x.strides
@@ -65,7 +65,7 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (cout,):
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     # rows ordered (Kh, Kw, Cin) like the kernels
-    cols = _windows(x, kh, kw).reshape(-1, kh * kw * cin)
+    cols = windows(x, kh, kw).reshape(-1, kh * kw * cin)
     out = cols @ kernels.reshape(-1, cout)
     out += bias
     return out.reshape(b, h - kh + 1, w - kw + 1, cout)
@@ -88,7 +88,7 @@ def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = Tr
 
     dbias = dout.sum(axis=(0, 1, 2))
     dout_flat = dout.reshape(b * oh * ow, cout)
-    cols = _windows(x, kh, kw).reshape(-1, kh * kw * cin)
+    cols = windows(x, kh, kw).reshape(-1, kh * kw * cin)
     dkernels = (cols.T @ dout_flat).astype(dout.dtype, copy=False).reshape(kh, kw, cin, cout)
     del cols  # the copy is the size of the forward's im2col; free it before dx
     if not need_dx:

@@ -545,6 +545,30 @@ class TestExplain:
         probs, _ = network.forward(spec, params, x)
         assert explained == int(np.argmax(probs))
 
+    def test_output_names_follow_the_ingest_suffix_rule(self, trained, tmp_path, capsys):
+        root, _, weights, _ = trained
+        images = tmp_path / "images"
+        (images / "disc").mkdir(parents=True)
+        # a name that is all extension has no suffix: ingest skips it, and explain keeps it whole
+        stems = {"x.PPM": "x", "a.b.ppm": "a.b", ".ppm": ".ppm"}
+        for name in stems:
+            (images / "disc" / name).write_bytes((root / "disc" / "disc_0000.ppm").read_bytes())
+        manifest = tmp_path / "manifest.csv"
+        assert run_cli(capsys, "ingest", str(images), "--out", str(manifest))[0] == 0
+        rows = list(csv.reader(manifest.open()))[1:]
+        assert sorted(path for path, _ in rows) == ["disc/a.b.ppm", "disc/x.PPM"]
+        out_dir = tmp_path / "out"
+        for name, stem in stems.items():
+            code, stdout, stderr = run_cli(
+                capsys,
+                "explain", "--weights", str(weights), "--image", str(images / "disc" / name),
+                "--samples", "30", "--segments", "9", "--out-dir", str(out_dir),
+            )
+            assert code == 0, stderr
+            assert stdout.splitlines() == [
+                str(out_dir / f"{stem}.lime.csv"), str(out_dir / f"{stem}.lime.ppm")
+            ]
+
     def test_more_segments_than_pixels_is_usage_error(self, trained, tmp_path, capsys):
         _, _, weights, _ = trained
         image_path = tmp_path / "tiny.ppm"
@@ -1092,6 +1116,43 @@ class TestConfig:
         assert stdout == ""
         assert key in stderr
 
+    def test_settings_named_by_a_flag_or_the_file(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"samples": 30, "top_k": 3}))
+        monkeypatch.setenv("GRAINFORGE_SEED", "9")  # a fallback, not a setting given here
+        argv = [*REQUIRED_ARGS["explain"], "--top-k", "2", "--config", str(config)]
+        cfg, given = resolve_config(build_parser().parse_args(argv))
+        assert (cfg.samples, cfg.top_k, cfg.seed) == (30, 2, 9)
+        assert given == {"samples", "top_k"}
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_config_file_parsed_once_per_command(
+        self, trained, tmp_path, capsys, monkeypatch, command
+    ):
+        root, manifest, weights, _ = trained
+        config = tmp_path / "config.json"
+        # canny is recorded in the weights too, so the file's value is checked against it
+        settings = {"method": "shap", "samples": 30, "segments": 9, "seed": 5, "canny": False}
+        config.write_text(json.dumps(settings))
+        parsed = []
+        load = json.load
+
+        def counting_load(fh, *args, **kwargs):
+            parsed.append(fh.name)
+            return load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_load)
+        if command == "evaluate":
+            extra = ["--manifest", str(manifest), "--data-root", str(root)]
+        else:
+            extra = ["--image", str(root / "disc" / "disc_0000.ppm")]
+        code, _, stderr = run_cli(
+            capsys, command, "--weights", str(weights), *extra, "--config", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 0, stderr
+        assert parsed == [str(config)]
+
     def test_bounds_are_pinned(self):
         # the cases below come from the field metadata, so losing a bound would drop its case
         assert BOUND_IDS == [
@@ -1117,7 +1178,7 @@ class TestConfig:
             assert stdout == ""
             assert field.name in stderr
         args = build_parser().parse_args([*REQUIRED_ARGS[command], f"{flag}={inside!r}"])
-        assert getattr(resolve_config(args), field.name) == inside
+        assert getattr(resolve_config(args)[0], field.name) == inside
 
     @pytest.mark.parametrize(
         "key, limit, bad", [("samples", 10**6, 10**21), ("slic_iters", 1000, 1001)]
@@ -1135,7 +1196,7 @@ class TestConfig:
             assert stdout == ""
             assert f"{key} must be in [1, {limit}]" in stderr
         args = build_parser().parse_args([*REQUIRED_ARGS["explain"], flag, str(limit)])
-        assert getattr(resolve_config(args), key) == limit
+        assert getattr(resolve_config(args)[0], key) == limit
         help_text = " ".join(subcommand_parsers()["explain"].format_help().split())
         assert f"1 to {limit}" in help_text
 
@@ -1173,7 +1234,7 @@ class TestConfig:
         path.write_text(json.dumps(config))
         args = build_parser().parse_args([*REQUIRED_ARGS[command], "--config", str(path)])
         try:
-            cfg = resolve_config(args)
+            cfg, _ = resolve_config(args)
         except UsageError:
             return
         for f in fields(cfg):

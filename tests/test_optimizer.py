@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,13 @@ def test_nonfinite_gradient_names_tensor():
     bad = [np.array([[np.nan]]), np.zeros(1)]
     with pytest.raises(FloatingPointError, match=r"tensor 0 \(weight\)"):
         step(state, scalar_params(0.0), bad)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1e-3])
+def test_learning_rate_outside_the_configs_bound_rejected(rate):
+    # the bound TrainConfig.validate applies: finite and >= 0
+    with pytest.raises(ValueError, match="learning rate must be finite and >= 0"):
+        OptimizerState(algorithm="adam", learning_rate=rate)
 
 
 def test_unknown_algorithm_rejected():
