@@ -31,8 +31,19 @@ print the paths the workload expects and pass the workload's check.  The
 script then prints one ``workload relative-path sha256`` line for every
 file in that directory, sorted by path.  A change that must not alter
 any output runs the script on the parent tree and on its own tree and
-diffs the two outputs.  The exit status is 1 if any command or check
-failed, else 0.
+diffs the two outputs.
+
+After the workloads it writes a fixed corpus of malformed weights files
+into a temporary directory and runs ``explain`` on each, with a valid
+50 px image, and prints one ``malformed case exit-code first-stderr-line``
+line per file.  The corpus starts from a rice weights file that records
+its preprocessing and class names: ``MUTATIONS`` headers with one to three
+values replaced, deleted or joined by an extra key, drawn from a seeded
+``random.Random``; edits of the recorded parts, the version and the dtype;
+faults of the recorded preprocessing, which ``explain`` checks after
+loading; headers that are not objects; and faults of the framing.  So a
+change to a parser can show that every error it reports is unchanged.
+The exit status is 1 if any workload command or check failed, else 0.
 """
 
 from __future__ import annotations
@@ -42,6 +53,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -66,6 +79,15 @@ EXTRA_EXPLAINS = {
 EXPLAIN_SAMPLES = "200"
 # the settings file of the train-rice explain run that takes no setting flag; the seed is added
 CONFIG_EXPLAIN = ("rgb64.ppm", {"method": "shap", "samples": 300, "segments": 30, "canny": False})
+# the malformed-weights corpus: its seed, its count of seeded header mutations, and
+# the values a mutation puts in place of a value or under an extra key
+MALFORMED_SEED = 25
+MUTATIONS = 240
+MUTATION_VALUES = (None, True, False, 0, 1, -1, 2, 3.0, 0.5, "x", "relu", [], [1, 2], {}, {"k": 1})
+# the recorded preprocessing of the corpus's base file
+BASE_PREPROCESS = {
+    "canny": False, "segment": False, "canny_sigma": 1.0, "canny_low": 50.0, "canny_high": 100.0
+}
 
 
 def run(cli, command) -> str | None:
@@ -102,6 +124,129 @@ def write_explain_images(root: Path, seed: int, images) -> None:
         if gray:
             pixels = pixels[:, :, 1]  # the green plane, as a P5 image
         imaging.write_image(pixels, root / name)
+
+
+def json_paths(node, prefix=()):
+    """The key/index path of every value below the root of a parsed JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield (*prefix, key)
+        yield from json_paths(child, (*prefix, key))
+
+
+def mutate(header: dict, rng: random.Random) -> None:
+    """Replace, delete or add beside one value of ``header``, chosen by ``rng``."""
+    *parents, last = rng.choice(list(json_paths(header)))
+    node = header
+    for key in parents:
+        node = node[key]
+    action = rng.choice(("replace", "delete", "extra"))
+    value = json.loads(json.dumps(rng.choice(MUTATION_VALUES)))  # a fresh copy
+    if action == "replace":
+        node[last] = value
+    elif action == "delete":
+        del node[last]
+    elif isinstance(node, dict):
+        node["extra"] = value
+    else:
+        node.insert(last, value)
+
+
+def malformed_weights(base: bytes, seed: int) -> dict[str, bytes]:
+    """The corpus, by case name, made from the bytes of a valid weights file."""
+    (header_len,) = struct.unpack("<Q", base[4:12])
+    header = json.loads(base[12 : 12 + header_len])
+    payload = base[12 + header_len :]
+
+    def framed(text: bytes) -> bytes:
+        return b"GFW1" + struct.pack("<Q", len(text)) + text + payload
+
+    def edited(edit) -> bytes:
+        copy = json.loads(json.dumps(header))
+        edit(copy)
+        return framed(json.dumps(copy).encode())
+
+    rng = random.Random(seed)
+    cases = {}
+    for i in range(MUTATIONS):
+        copy = json.loads(json.dumps(header))
+        for _ in range(rng.randint(1, 3)):
+            mutate(copy, rng)
+        cases[f"mutation-{i:03d}"] = framed(json.dumps(copy).encode())
+    for name, edit in {
+        "classes-unsorted": lambda h: h["classes"].reverse(),
+        "classes-short": lambda h: h["classes"].pop(),
+        "classes-repeated": lambda h: h["classes"].__setitem__(1, h["classes"][0]),
+        "classes-number": lambda h: h["classes"].__setitem__(0, 1),
+        "classes-string": lambda h: h.update(classes="abcde"),
+        "preprocess-null": lambda h: h.update(preprocess=None),
+        "preprocess-list": lambda h: h.update(preprocess=[]),
+        "version-2": lambda h: h.update(version=2),
+        "version-missing": lambda h: h.pop("version"),
+        "dtype-f64": lambda h: h.update(dtype="f64"),
+        "dtype-missing": lambda h: h.pop("dtype"),
+        "format-missing": lambda h: h.pop("format"),
+        "recorded-canny-1": lambda h: h["preprocess"].update(canny=1),
+        "recorded-sigma-0": lambda h: h["preprocess"].update(canny_sigma=0),
+        "recorded-missing-key": lambda h: h["preprocess"].pop("canny_high"),
+        "recorded-extra-key": lambda h: h["preprocess"].update(blur=1.5),
+        "recorded-low-above-high": lambda h: h["preprocess"].update(canny_low=200.0),
+        "recorded-segment-string": lambda h: h["preprocess"].update(segment="yes"),
+    }.items():
+        cases[name] = edited(edit)
+    for name, text in {"list": b"[]", "string": b'"x"', "number": b"1", "null": b"null"}.items():
+        cases[f"header-{name}"] = framed(text)
+    size = 12 + header_len
+    cases.update({
+        "bad-magic": b"NOPE" + base[4:],
+        "other-version": b"GFW2" + base[4:],
+        "short-length-field": base[:7],
+        "length-past-end": base[:4] + struct.pack("<Q", len(base)) + base[12:],
+        "truncated-payload": base[:-17],
+        "trailing-bytes": base + b"\x00\x00",
+        "bad-json": framed(b"{not json"),
+        "bad-utf8": framed(b'{"a": "\xff"}'),
+        "non-finite-value": base[: size + 8] + struct.pack("<f", float("nan")) + base[size + 12 :],
+        "unmutated": base,
+    })
+    return cases
+
+
+def digest_malformed(cli, seed: int) -> None:
+    """Run ``explain`` on each file of the malformed-weights corpus and print how it ended."""
+    from dataclasses import replace
+
+    from grainforge import imaging, network, synthetic
+    from grainforge.rng import Rng
+
+    spec = replace(
+        network.build_rice_cnn(), preprocess=BASE_PREPROCESS, classes=("a", "b", "c", "d", "e")
+    )
+    params = network.init_parameters(spec, Rng(seed), "float32")
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # so that no message names the temporary directory
+        try:
+            network.save_weights(spec, params, "base.gfw")
+            imaging.write_image(synthetic.render_shape("ring", 50, Rng(seed)), "grain.ppm")
+            for case, data in malformed_weights(Path("base.gfw").read_bytes(), seed).items():
+                Path("case.gfw").write_bytes(data)
+                argv = [
+                    "explain", "--weights", "case.gfw", "--image", "grain.ppm",
+                    "--samples", "8", "--seed", str(seed), "--out-dir", "out",
+                ]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                first = err.getvalue().partition("\n")[0]
+                print("malformed", case, code, first)
+        finally:
+            os.chdir(cwd)
 
 
 def main() -> int:
@@ -162,6 +307,7 @@ def main() -> int:
             for path in sorted(p for p in root.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(name, path.relative_to(root).as_posix(), digest)
+    digest_malformed(cli, MALFORMED_SEED)
     return 1 if failures else 0
 
 

@@ -121,7 +121,8 @@ def _adopt_recorded(cfg: RunConfig, given: set[str], recorded: dict | None) -> R
         adopted = replace(cfg, **recorded)
         adopted.validate()
     except ValueError as exc:
-        raise network.WeightsFormatError(f"recorded preprocessing: {exc}", 12) from exc
+        message = f"recorded preprocessing: {exc}"
+        raise network.WeightsFormatError(message, network.HEADER_START) from exc
     for name, value in recorded.items():
         if name in given and getattr(cfg, name) != value:
             raise UsageError(
@@ -160,7 +161,6 @@ def cmd_ingest(args) -> int:
         raise UsageError(f"dataset directory {root} does not exist")
     records = []
     class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    populated = 0
     for class_dir in class_dirs:
         files = sorted(
             p.name for p in class_dir.iterdir()
@@ -169,12 +169,11 @@ def cmd_ingest(args) -> int:
         if not files:
             print(f"warning: class directory {class_dir.name!r} has no images", file=sys.stderr)
             continue
-        populated += 1
         for name in files:
             records.append(
                 training.ManifestRecord(path=f"{class_dir.name}/{name}", label=class_dir.name)
             )
-    if populated == 0:
+    if not records:
         raise UsageError(f"no class directories with images under {root}")
     manifest = training.manifest_from_records(records)
     training.write_manifest(manifest, args.out)
@@ -273,13 +272,24 @@ def cmd_explain(args) -> int:
     image = imaging.read_image(image_path).pixels
     h, w, channels = image.shape
     baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * channels
-    # KernelSHAP's sampled coalitions lie near its full or its empty coalition (the image
-    # and its all-baseline copy), so its calls patch from those two.  LIME's masks keep
+    segments = cfg.segments
+    if segments is None:
+        segments = 40 if max(spec.input_shape[:2]) <= 64 else 100
+    if segments > h * w:
+        raise UsageError(f"segments {segments} exceeds the {h * w} pixels of {image_path}")
+    superpixels = explain_mod.slic_superpixels(
+        image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
+    )
+
+    # KernelSHAP's sampled coalitions lie near its full or its empty coalition, so its
+    # calls patch from the images of those two, as the game makes them.  LIME's masks keep
     # each segment with probability 1/2: nearly all differ from both in about half the
     # values, past network.PATCH_SHARE, so LIME runs every call in full, as does every
     # model whose layers the patch path cannot take.
-    patched = cfg.method == "shap" and spec.plan.patch_depth > 0
-    references = (image, np.full_like(image, baseline)) if patched else ()
+    references = ()
+    if cfg.method == "shap" and spec.plan.patch_depth > 0:
+        empty = explain_mod.perturb(image, superpixels, np.zeros(superpixels.count), baseline)
+        references = (image, empty)
     model = _model_closure(spec, params, cfg, references)
 
     target = cfg.target_class
@@ -289,15 +299,6 @@ def cmd_explain(args) -> int:
         raise UsageError(
             f"class {target} out of range for {spec.num_classes}-class model"
         )
-
-    segments = cfg.segments
-    if segments is None:
-        segments = 40 if max(spec.input_shape[:2]) <= 64 else 100
-    if segments > h * w:
-        raise UsageError(f"segments {segments} exceeds the {h * w} pixels of {image_path}")
-    superpixels = explain_mod.slic_superpixels(
-        image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
-    )
     value = explain_mod.coalition_value(model, image, superpixels, target, baseline)
     rng = Rng(cfg.seed)
 

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -54,6 +54,8 @@ LOG_EPSILON = 1e-12
 KERNEL_SIZE = 3
 
 MAGIC = b"GFW1"
+# the JSON header follows the magic and its 8-byte little-endian length
+HEADER_START = len(MAGIC) + 8
 
 # A single inference input whose nearer reference differs in more than this share of its
 # values runs the full forward.  Past it the gathered windows cost more than the full
@@ -275,13 +277,6 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
     return params
 
 
-def check_parameters(spec: NetworkSpec, params: Parameters) -> None:
-    expected = [tuple(t["shape"]) for t in _tensor_table(spec)]
-    shapes = [p.shape for p in params]
-    if shapes != expected:
-        raise NetworkError(f"parameter shapes {shapes} do not match the expected {expected}")
-
-
 def _patch(spec: NetworkSpec, tensors, x: Tensor, references) -> list:
     """The input and the pool outputs of one (1,H,W,C) inference input, from its nearer reference.
 
@@ -453,30 +448,6 @@ def backward(
 # ---------------------------------------------------------------------------
 
 
-def _spec_to_header(spec: NetworkSpec) -> dict:
-    header = {
-        "format": "grainforge-weights",
-        "version": 1,
-        "dtype": "f32",
-        "input_shape": list(spec.input_shape),
-        "num_classes": spec.num_classes,
-        "layers": [
-            {
-                "kind": layer.kind,
-                "filters": layer.filters,
-                "units": layer.units,
-                "activation": layer.activation,
-            }
-            for layer in spec.layers
-        ],
-    }
-    if spec.preprocess is not None:
-        header["preprocess"] = spec.preprocess
-    if spec.classes is not None:
-        header["classes"] = list(spec.classes)
-    return header
-
-
 def _recorded_classes(header: dict, num_classes: int) -> tuple[str, ...] | None:
     if "classes" not in header:
         return None
@@ -488,17 +459,32 @@ def _recorded_classes(header: dict, num_classes: int) -> tuple[str, ...] | None:
         and classes == sorted(set(classes))
     )
     if not valid:
-        raise WeightsFormatError(
-            f"classes must be {num_classes} distinct names in sorted order, got {classes!r}", 12
+        raise ValueError(
+            f"classes must be {num_classes} distinct names in sorted order, got {classes!r}"
         )
     return tuple(classes)
 
 
 def save_weights(spec: NetworkSpec, params: Parameters, path) -> None:
     """Write the bit-exact weights container; params are stored as float32."""
-    check_parameters(spec, params)
-    header = _spec_to_header(spec)
-    header["tensors"] = _tensor_table(spec)
+    table = _tensor_table(spec)
+    expected = [tuple(t["shape"]) for t in table]
+    shapes = [p.shape for p in params]
+    if shapes != expected:
+        raise NetworkError(f"parameter shapes {shapes} do not match the expected {expected}")
+    header = {
+        "format": "grainforge-weights",
+        "version": 1,
+        "dtype": "f32",
+        "input_shape": list(spec.input_shape),
+        "num_classes": spec.num_classes,
+        "layers": [asdict(layer) for layer in spec.layers],
+        "tensors": table,
+    }
+    if spec.preprocess is not None:
+        header["preprocess"] = spec.preprocess
+    if spec.classes is not None:
+        header["classes"] = list(spec.classes)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -508,51 +494,53 @@ def save_weights(spec: NetworkSpec, params: Parameters, path) -> None:
             fh.write(np.ascontiguousarray(array, dtype="<f4"))
 
 
-def _table_mismatch(listed, table: list[dict]) -> str:
-    """Where the header's tensor list first departs from the layers' table."""
+def _table_mismatch(listed, table: list[dict]) -> str | None:
+    """Where the header's tensor list first departs from the layers' table, or None."""
     if not isinstance(listed, list):
         return f"tensors must be a list of {len(table)} entries, got {listed!r}"
     for k, (got, want) in enumerate(zip(listed, table)):
+        # canonical JSON, so a 0.0 or a true where the table holds an integer differs
         if json.dumps(got, sort_keys=True) != json.dumps(want, sort_keys=True):
             return f"tensors[{k}] is {got!r}, expected {want!r}"
-    return f"tensors lists {len(listed)} entries, expected {len(table)}"
+    if len(listed) != len(table):
+        return f"tensors lists {len(listed)} entries, expected {len(table)}"
+    return None
 
 
-def _header_to_spec(header: dict) -> tuple[NetworkSpec, list[dict]]:
-    """The spec a parsed header describes and its tensor table, which ``tensors`` must equal."""
+def _header_to_spec(header) -> tuple[NetworkSpec, list[dict]]:
+    """The spec a parsed header describes and its tensor table; ValueError if it is malformed.
+
+    A layer entry is read field by field in ``LayerSpec``'s order, so a missing
+    key is named, and a key that is no field is ignored.
+    """
+    if not isinstance(header, dict):
+        raise ValueError("JSON header is not an object")
     if header.get("version") != 1:
-        raise WeightsFormatError(f"unsupported header version {header.get('version')}", 12)
+        raise ValueError(f"unsupported header version {header.get('version')}")
     if header.get("dtype") != "f32":
-        raise WeightsFormatError(f"unsupported dtype {header.get('dtype')!r}", 12)
+        raise ValueError(f"unsupported dtype {header.get('dtype')!r}")
     try:
-        fields = dict(
+        parts = dict(
             input_shape=tuple(header["input_shape"]),
             layers=tuple(
-                LayerSpec(
-                    kind=entry["kind"],
-                    filters=entry["filters"],
-                    units=entry["units"],
-                    activation=entry["activation"],
-                )
+                LayerSpec(**{f.name: entry[f.name] for f in fields(LayerSpec)})
                 for entry in header["layers"]
             ),
             num_classes=header["num_classes"],
         )
         listed = header["tensors"]  # a missing key is named before any fault of the spec
-        spec = NetworkSpec(**fields)
-        table = _tensor_table(spec)
+        spec = NetworkSpec(**parts)  # a NetworkError is a ValueError, e.g. "kind": "conv3d"
     except KeyError as exc:
-        raise WeightsFormatError(f"JSON header lacks key {exc}", 12) from exc
+        raise ValueError(f"JSON header lacks key {exc}") from exc
     except TypeError as exc:  # a value of the wrong JSON type, e.g. "units": "2"
-        raise WeightsFormatError(f"malformed JSON header: {exc}", 12) from exc
-    except NetworkError as exc:  # e.g. "kind": "conv3d"
-        raise WeightsFormatError(str(exc), 12) from exc
-    # canonical JSON, so a 0.0 or a true where the table holds an integer differs
-    if json.dumps(listed, sort_keys=True) != json.dumps(table, sort_keys=True):
-        raise WeightsFormatError(_table_mismatch(listed, table), 12)
+        raise ValueError(f"malformed JSON header: {exc}") from exc
+    table = _tensor_table(spec)
+    mismatch = _table_mismatch(listed, table)
+    if mismatch:
+        raise ValueError(mismatch)
     preprocess = header.get("preprocess")
     if "preprocess" in header and not isinstance(preprocess, dict):
-        raise WeightsFormatError(f"preprocess must be a JSON object, got {preprocess!r}", 12)
+        raise ValueError(f"preprocess must be a JSON object, got {preprocess!r}")
     spec = replace(
         spec, preprocess=preprocess, classes=_recorded_classes(header, spec.num_classes)
     )
@@ -563,31 +551,32 @@ def load_weights(path) -> tuple[NetworkSpec, Parameters]:
     """Read a weights container back into (spec, float32 parameters), one copy of each tensor."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        start = fh.read(12)
+        start = fh.read(HEADER_START)
         if start[:3] == MAGIC[:3] and start[:4] != MAGIC:
             raise WeightsFormatError(
                 f"unsupported weights version {start[3:4]!r}, expected {MAGIC[3:4]!r}", 3
             )
         if start[:4] != MAGIC:
             raise WeightsFormatError(f"bad magic {start[:4]!r}, expected {MAGIC!r}", 0)
-        if len(start) < 12:
+        if len(start) < HEADER_START:
             raise WeightsFormatError("truncated header length field", len(start))
-        (header_len,) = struct.unpack("<Q", start[4:12])
-        if size < 12 + header_len:  # before reading, so a huge length reads nothing
+        (header_len,) = struct.unpack("<Q", start[len(MAGIC) :])
+        if size < HEADER_START + header_len:  # before reading, so a huge length reads nothing
             raise WeightsFormatError("truncated JSON header", size)
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, 4300+ digit int, deep nesting
-            raise WeightsFormatError(f"unreadable JSON header: {exc}", 12) from exc
-        if not isinstance(header, dict):
-            raise WeightsFormatError("JSON header is not an object", 12)
-        spec, table = _header_to_spec(header)
-        end = 12 + header_len + 4 * sum(math.prod(t["shape"]) for t in table)
+            raise WeightsFormatError(f"unreadable JSON header: {exc}", HEADER_START) from exc
+        try:
+            spec, table = _header_to_spec(header)
+        except ValueError as exc:
+            raise WeightsFormatError(str(exc), HEADER_START) from exc
+        end = HEADER_START + header_len + 4 * sum(math.prod(t["shape"]) for t in table)
         if size < end:
             raise WeightsFormatError("truncated tensor payload", size)
         if size > end:
             raise WeightsFormatError(f"{size - end} unexpected trailing bytes", end)
-        arrays, offset = [], 12 + header_len
+        arrays, offset = [], HEADER_START + header_len
         for k, t in enumerate(table):
             values = np.fromfile(fh, dtype="<f4", count=math.prod(t["shape"]))
             if not np.isfinite(values).all():

@@ -644,6 +644,43 @@ class TestExplain:
             written = (tmp_path / f"ring.shap.{ext}").read_bytes()
             assert written == (tmp_path / f"hand.{ext}").read_bytes()
 
+    def test_empty_coalitions_call_matches_its_reference(self, tmp_path, capsys, monkeypatch):
+        # KernelSHAP's v(empty) call must start from the second reference unchanged: its
+        # network input equals that reference's input in every bit
+        spec = network.NetworkSpec(
+            input_shape=(32, 32, 3),
+            layers=(
+                network.LayerSpec("conv2d", filters=6, activation="relu"),
+                network.LayerSpec("maxpool2d"),
+                network.LayerSpec("flatten"),
+                network.LayerSpec("dense", units=3, activation="softmax"),
+            ),
+            num_classes=3,
+        )
+        weights = tmp_path / "model.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(6), np.float32), weights)
+        image_path = tmp_path / "ring.ppm"
+        imaging.write_image(synthetic.render_shape("ring", 32, Rng(6)), image_path)
+        calls = []
+        patch = network._patch
+
+        def spy(spec, tensors, x, references):
+            if references:  # the reference forwards themselves have none
+                calls.append((x, references[1][0]))
+            return patch(spec, tensors, x, references)
+
+        monkeypatch.setattr(network, "_patch", spy)
+        code, _, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", str(image_path), "--method", "shap",
+            "--segments", "16", "--samples", "60", "--seed", "9", "--out-dir", str(tmp_path),
+        )
+        assert code == 0, stderr
+        assert any(
+            x.dtype == empty.dtype and x.shape == empty.shape and x.tobytes() == empty.tobytes()
+            for x, empty in calls
+        )
+
 
 def canny_by_hand(image):
     """Canny at the default settings, as a 3-channel image."""

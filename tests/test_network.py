@@ -731,6 +731,66 @@ class TestSerialization:
         )
         return path
 
+    def test_header_layout_is_pinned(self, tmp_path):
+        # every key and value of a trained rice model's header; a new LayerSpec field
+        # or table entry shows here rather than as a silent change of the format
+        classes = ["arborio", "basmati", "ipsala", "jasmine", "karacadag"]
+        spec = replace(build_rice_cnn(), preprocess=dict(RECORDED), classes=tuple(classes))
+        path = tmp_path / "rice.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(18), np.float32), path)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", data[4:12])
+
+        def layer(kind, filters=0, units=0, activation="none"):
+            return {"kind": kind, "filters": filters, "units": units, "activation": activation}
+
+        def tensors(i, weight_shape):
+            return [
+                {"layer": i, "name": "weight", "shape": weight_shape},
+                {"layer": i, "name": "bias", "shape": weight_shape[-1:]},
+            ]
+
+        expected = {
+            "format": "grainforge-weights",
+            "version": 1,
+            "dtype": "f32",
+            "input_shape": [50, 50, 3],
+            "num_classes": 5,
+            "layers": [
+                layer("conv2d", filters=32, activation="relu"),
+                layer("maxpool2d"),
+                layer("conv2d", filters=64, activation="relu"),
+                layer("maxpool2d"),
+                layer("flatten"),
+                layer("dense", units=32, activation="relu"),
+                layer("dense", units=5, activation="softmax"),
+            ],
+            "tensors": [
+                *tensors(0, [3, 3, 3, 32]),
+                *tensors(2, [3, 3, 32, 64]),
+                *tensors(5, [11 * 11 * 64, 32]),
+                *tensors(6, [32, 5]),
+            ],
+            "preprocess": RECORDED,
+            "classes": classes,
+        }
+        assert json.loads(data[12 : 12 + header_len]) == expected
+        assert data[12 : 12 + header_len] == json.dumps(expected, sort_keys=True).encode()
+
+    def test_unknown_layer_key_ignored(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h["layers"][0].update(stride=2))
+        spec, _ = network.load_weights(path)
+        assert spec == recorded_spec()
+
+    @pytest.mark.parametrize("i", [0, -1], ids=["conv", "dense"])
+    def test_layer_entry_without_units_rejected(self, tmp_path, i):
+        # a conv's units are 0, so a reader that fell back to the default would load it
+        path = self._with_header(tmp_path, lambda h: h["layers"][i].pop("units"))
+        with pytest.raises(WeightsFormatError) as info:
+            network.load_weights(path)
+        assert str(info.value) == "JSON header lacks key 'units' (byte offset 12)"
+        assert info.value.offset == 12
+
     def test_out_of_range_tensor_layer_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["tensors"][0].update(layer=99))
         with pytest.raises(WeightsFormatError, match="'layer': 99.*byte offset 12"):
