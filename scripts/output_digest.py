@@ -57,6 +57,7 @@ import random
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,7 +81,9 @@ EXPLAIN_SAMPLES = "200"
 # the settings file of the train-rice explain run that takes no setting flag; the seed is added
 CONFIG_EXPLAIN = ("rgb64.ppm", {"method": "shap", "samples": 300, "segments": 30, "canny": False})
 # the malformed-weights corpus: its seed, its count of seeded header mutations, and
-# the values a mutation puts in place of a value or under an extra key
+# the values a mutation puts in place of a value or under an extra key.  They are small:
+# explain runs a recorded canny_sigma that passes its checks, and Canny's blur pads each
+# image by 3 sigma on every side
 MALFORMED_SEED = 25
 MUTATIONS = 240
 MUTATION_VALUES = (None, True, False, 0, 1, -1, 2, 3.0, 0.5, "x", "relu", [], [1, 2], {}, {"k": 1})
@@ -219,8 +222,6 @@ def malformed_weights(base: bytes, seed: int) -> dict[str, bytes]:
 
 def digest_malformed(cli, seed: int) -> None:
     """Run ``explain`` on each file of the malformed-weights corpus and print how it ended."""
-    from dataclasses import replace
-
     from grainforge import imaging, network, synthetic
     from grainforge.rng import Rng
 
