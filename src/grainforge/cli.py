@@ -246,16 +246,17 @@ def _model_closure(spec, params, cfg, references):
     """Class probabilities of one raw (H, W, C) image, through the model's own preprocessing.
 
     The network's activations for each raw image in ``references`` come
-    from one full forward each, run here; every call hands them to
-    ``network.forward``, which patches from the nearer one.  With no
-    ``references`` every call runs the full forward.
+    from one full forward each, run here, and are stacked per level; every
+    call hands them to ``network.forward``, which patches each pool window
+    from a reference that matches it.  With no ``references`` every call
+    runs the full forward.
     """
 
     def forward(pixels: np.ndarray, activations):
         x = training.preprocess(pixels[None], spec, cfg)[0]
         return network.forward(spec, params, x, train=False, references=activations)
 
-    kept = [forward(image, [])[1] for image in references]
+    kept = [np.concatenate(level) for level in zip(*(forward(im, [])[1] for im in references))]
 
     def model(pixels: np.ndarray) -> np.ndarray:
         probs, _ = forward(pixels, kept if references else None)
@@ -272,22 +273,27 @@ def cmd_explain(args) -> int:
     image = imaging.read_image(image_path).pixels
     h, w, channels = image.shape
     baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * channels
+    small = max(spec.input_shape[:2]) <= 64  # a model input of 64 px or less
     segments = cfg.segments
     if segments is None:
-        segments = 40 if max(spec.input_shape[:2]) <= 64 else 100
+        segments = 40 if small else 100
     if segments > h * w:
         raise UsageError(f"segments {segments} exceeds the {h * w} pixels of {image_path}")
     superpixels = explain_mod.slic_superpixels(
         image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
     )
 
-    # KernelSHAP's sampled coalitions lie near its full or its empty coalition, so its
-    # calls patch from the images of those two, as the game makes them.  LIME's masks keep
-    # each segment with probability 1/2: nearly all differ from both in about half the
-    # values, past network.PATCH_SHARE, so LIME runs every call in full, as does every
-    # model whose layers the patch path cannot take.
+    # The model's calls patch from the images of the full and the empty coalition, as the
+    # game paints them: a pool window whose input tile matches one of the two takes its
+    # bytes.  KernelSHAP's coalitions lie near one of the two.  LIME's masks keep each
+    # segment with probability 1/2, yet at 224 px a median 85% of the first pool's windows
+    # and 59% of the second's still match one.  At 64 px and below a window's receptive
+    # field covers more of the image: LIME's second pair matches in under a tenth of its
+    # windows and runs in full, and the first pair's saving does not pay for the
+    # bookkeeping, so there LIME runs every call in full, as does every model whose layers
+    # the patch path cannot take.
     references = ()
-    if cfg.method == "shap" and spec.plan.patch_depth > 0:
+    if spec.plan.patch_depth > 0 and (cfg.method == "shap" or not small):
         empty = explain_mod.perturb(image, superpixels, np.zeros(superpixels.count), baseline)
         references = (image, empty)
     model = _model_closure(spec, params, cfg, references)
@@ -376,8 +382,9 @@ def _add_config_flag(parser: argparse.ArgumentParser, f) -> None:
         kind = {"type": _TYPES[f.type.split(" | ")[0]], "choices": f.metadata["choices"]}
     flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
     help = f.metadata["help"]
-    if f.metadata["high"] is not None:
-        bounds = f"{f.metadata['low']} to {f.metadata['high']}"
+    low, high, above = (f.metadata[k] for k in ("low", "high", "above"))
+    if high is not None:
+        bounds = f"{low} to {high}" if above is None else f"above {above}, at most {high}"
         help = f"{help}, {bounds}" if help else bounds
     parser.add_argument(flag, dest=f.name, help=help, **kind)
 

@@ -5,10 +5,12 @@ flatten / dense) plus an input shape and class count.  The training
 forward pass caches per-layer activations so the backward pass can produce
 exact analytic gradients of the cross-entropy + L2 objective; softmax and
 cross-entropy are fused at the logits as (p - y) / B.  The inference
-forward keeps no cache; for one input it can instead start from a
-reference input's pool outputs and recompute only the pool windows
-whose receptive field changed (the exact part of incremental inference,
-Nakandala et al., SIGMOD 2019).
+forward keeps no cache; for one input it can instead start from the
+pool outputs of reference inputs: each pool window takes the bytes of a
+reference whose input matches it over the window's receptive field, and
+only the windows that match none are recomputed, for as many leading
+(conv, pool) pairs as that pays (the exact part of incremental
+inference, Nakandala et al., SIGMOD 2019).
 
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
@@ -57,10 +59,11 @@ MAGIC = b"GFW1"
 # the JSON header follows the magic and its 8-byte little-endian length
 HEADER_START = len(MAGIC) + 8
 
-# A single inference input whose nearer reference differs in more than this share of its
-# values runs the full forward.  Past it the gathered windows cost more than the full
-# convolutions; the measured break-even lies near 0.17 at 50 px and 0.4 at 224 px.
-PATCH_SHARE = 0.3
+# A (conv, pool) pair of a single inference input that would recompute more than this
+# share of its pool windows runs in full, with every pair after it.  A patched pair costs
+# about 1.1 x its share of the full pair, plus its bookkeeping, so the break-even lies near
+# 0.8 at both 50 and 224 px; per call, cuts from 0.5 to 0.85 measured alike.
+PATCH_SHARE = 0.75
 # the fewest pool windows a patch recomputes at once.  Their 4 conv pixels each make one
 # im2col row, and a product over fewer than 28 rows can round differently from the
 # same rows of the full product (OpenBLAS small-matrix kernels); 8 windows give 32.
@@ -278,50 +281,56 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
 
 
 def _patch(spec: NetworkSpec, tensors, x: Tensor, references) -> list:
-    """The input and the pool outputs of one (1,H,W,C) inference input, from its nearer reference.
+    """The input and the leading pool outputs of one (1,H,W,C) inference input.
 
-    Returns ``[x]`` alone when there is no reference or the nearer one
-    differs from ``x`` in more than ``PATCH_SHARE`` of its values; forward
-    then runs in full.  Otherwise each (conv, pool) pair takes its kernels
-    and bias from forward's iterator ``tensors`` and recomputes only the pool
-    windows whose 4x4 input tile (the 3x3 receptive fields of the window's
-    four conv pixels) holds a changed pixel, through the same kernels as the
-    full forward, and writes them into a copy of the reference's output.  A
-    recomputed window counts as changed for the next pair.
+    ``references`` holds what R earlier calls returned in place of the
+    cache, stacked per level: their inputs as one (R,H,W,C) array, then
+    each pool's outputs as one (R,h,w,c) array.  Each (conv, pool) pair
+    takes its kernels and bias from forward's iterator ``tensors``.  A
+    pool window whose 4x4 input tile (the 3x3 receptive fields of its four
+    conv pixels) equals that tile of a reference takes that reference's
+    bytes; only the windows that match no reference are recomputed, through
+    the same kernels as the full forward.  For the next pair, a window has
+    changed from every reference whose bytes it did not take.  The walk
+    stops at the first pair that would recompute more than ``PATCH_SHARE``
+    of its windows; forward runs that pair and the rest in full.
     """
     bits = f"u{x.itemsize}"  # compared as integers, so -0.0 and +0.0 (or two NaNs) differ
-    best = None
-    for ref in references:
-        differs = x[0].view(bits) != ref[0][0].view(bits)
-        count = np.count_nonzero(differs)
-        if best is None or count < best[0]:
-            best = (count, differs, ref)
-    if best is None or best[0] > PATCH_SHARE * x.size:
-        return [x]
-    _, differs, ref = best
-    changed = differs[..., 0]
-    for c in range(1, differs.shape[2]):  # an OR per channel: any(axis=-1) is slower
+    differs = x.view(bits) != references[0].view(bits)
+    changed = differs[..., 0]  # (R, H, W): where each reference differs
+    for c in range(1, differs.shape[3]):  # an OR per channel: any(axis=-1) is slower
         changed = changed | differs[..., c]
     kept = [x]
     pools = spec.plan.steps[1 : 2 * spec.plan.patch_depth : 2]
-    for pool, out in zip(pools, ref[1:], strict=True):
+    for pool, outs in zip(pools, references[1:], strict=True):
+        # pool window (i, j) pools conv pixels 2i..2i+1 x 2j..2j+1, whose 3x3 windows
+        # read input pixels 2i..2i+3 x 2j..2j+3: it changed if one of those did
+        r, oh, ow, c = outs.shape
+        rows = changed[:, :-1] | changed[:, 1:]
+        rows = rows[:, 0 : 2 * oh : 2] | rows[:, 2 : 2 * oh + 2 : 2]
+        cols = rows[:, :, :-1] | rows[:, :, 1:]
+        changed = cols[:, :, 0 : 2 * ow : 2] | cols[:, :, 2 : 2 * ow + 2 : 2]
+        # each window's row in outs, flattened to (R*oh*ow, c): its first matching
+        # reference's, or the last reference's where none matches
+        n = oh * ow
+        pick, fresh = np.arange(n), changed[0]
+        for mask in changed[1:]:
+            pick += n * fresh.reshape(-1)
+            fresh = fresh & mask
+        where = np.flatnonzero(fresh)  # the windows that match no reference
+        if where.size > PATCH_SHARE * n:
+            break
         kernels, bias = next(tensors), next(tensors)
-        # the conv pixels whose 3x3 window holds a changed pixel, then the 2x2 pool
-        # windows that hold one of those
-        rows = changed[:-2] | changed[1:-1] | changed[2:]
-        reached = rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]
-        oh, ow = reached.shape[0] // 2, reached.shape[1] // 2
-        rows = reached[0 : 2 * oh : 2] | reached[1 : 2 * oh : 2]
-        changed = rows[:, 0 : 2 * ow : 2] | rows[:, 1 : 2 * ow : 2]
-        where = np.flatnonzero(changed)
+        out = outs.reshape(r * n, c).take(pick, axis=0).reshape(1, oh, ow, c)
         if where.size:
-            # padded with repeats: duplicate rows give the same bits and rewrite the same values
-            ys, xs = np.divmod(np.resize(where, max(where.size, PATCH_MIN_WINDOWS)), ow)
+            if where.size < PATCH_MIN_WINDOWS:
+                # padded with repeats: duplicate rows give the same bits and rewrite the same values
+                where = np.resize(where, PATCH_MIN_WINDOWS)
+            ys, xs = np.divmod(where, ow)
             conv = conv2d_batch(windows(x, 4, 4)[0, 2 * ys, 2 * xs], kernels, bias)
             pooled, _ = maxpool2d_batch(conv, winners=False)
             if pool.activation == "relu":
                 pooled = relu(pooled)
-            out = out.copy()
             out[0, ys, xs] = pooled[:, 0, 0]
         kept.append(out)
         x = out
@@ -339,13 +348,15 @@ def forward(
     argmax; the probabilities are the same bytes and the cache is None.
 
     ``references``, given for one inference input of a network whose
-    layers are (conv, pool)* flatten dense*, turns on the patch path: a
-    list of what earlier such calls returned in place of the cache, that
-    is their input and each pool's output after its ReLU, all (1,h,w,c).
-    The call starts from the reference whose input differs from this
-    input in the fewest values (see :func:`_patch`) and returns its own
-    input and pool outputs in place of the cache.  The probabilities are
-    the full forward's bytes either way.
+    layers are (conv, pool)* flatten dense*, turns on the patch path.  It
+    holds what R earlier such calls returned in place of the cache, their
+    input and each pool's output after its ReLU, stacked per level into
+    one (R,h,w,c) array each; an empty list holds none.  The call takes
+    each pool window from a reference whose input matches it there, for
+    as many leading pairs as that pays (see :func:`_patch`), runs the
+    rest in full, and returns its own input and every pool output in
+    place of the cache.  The probabilities are the full forward's bytes
+    either way.
     """
     single = batch.ndim == 3
     x = batch[None] if single else batch
@@ -358,10 +369,9 @@ def forward(
     tensors = iter(params)
     depth = spec.plan.patch_depth if references is not None and single and not train else 0
     if depth:
-        cache = _patch(spec, tensors, x, references)
-        if len(cache) > 1:  # patched: only flatten and the dense layers are left
-            x = cache[-1]
-            steps = steps[2 * depth :]
+        cache = _patch(spec, tensors, x, references) if len(references) else [x]
+        x = cache[-1]
+        steps = steps[2 * (len(cache) - 1) :]  # past the pairs that were patched
     for layer, act, *_ in steps:
         if layer.kind == "conv2d":
             out = conv2d_batch(x, next(tensors), next(tensors))
@@ -515,6 +525,10 @@ def _header_to_spec(header) -> tuple[NetworkSpec, list[dict]]:
     """
     if not isinstance(header, dict):
         raise ValueError("JSON header is not an object")
+    if header.get("format") != "grainforge-weights":  # a missing key too
+        raise ValueError(
+            f"unsupported format {header.get('format')!r}, expected 'grainforge-weights'"
+        )
     if header.get("version") != 1:
         raise ValueError(f"unsupported header version {header.get('version')}")
     if header.get("dtype") != "f32":

@@ -176,7 +176,7 @@ def option(
     ``choices`` lists the allowed values for both the flag and ``validate``;
     ``flag`` overrides the flag name derived from the field name.  ``validate``
     checks the bounds: ``low`` and ``high`` are inclusive (``high`` needs
-    ``low``), ``above`` is exclusive.
+    ``low`` or ``above``), ``above`` is exclusive.
     """
     metadata = dict(
         commands=commands, help=help, choices=choices, flag=flag, low=low, high=high, above=above
@@ -202,7 +202,8 @@ class TrainConfig:
     canny: bool = option(False, "train", "evaluate", help="replace inputs with Canny edge maps")
     segment: bool = option(False, "train", "evaluate", help="zero background via Otsu segmentation")
     augment: bool = option(False, "train", help="expand training data with rotations and flips")
-    canny_sigma: float = option(1.0, "train", "evaluate", above=0)
+    # Canny's blur pads each image by 3 sigma on every side, so its memory grows with sigma^2
+    canny_sigma: float = option(1.0, "train", "evaluate", above=0, high=50)
     canny_low: float = option(50.0, "train", "evaluate", low=0)
     canny_high: float = option(100.0, "train", "evaluate")
     dtype: str = option("f32", "train", "evaluate", "explain", choices=tuple(DTYPES))
@@ -219,12 +220,13 @@ class TrainConfig:
             if value is None:
                 continue
             low, high, above = meta.get("low"), meta.get("high"), meta.get("above")
-            if high is not None and not low <= value <= high:
-                raise ValueError(f"{f.name} must be in [{low}, {high}], got {value}")
-            if low is not None and value < low:
-                raise ValueError(f"{f.name} must be >= {low}, got {value}")
             if above is not None and value <= above:
                 raise ValueError(f"{f.name} must be > {above}, got {value}")
+            if high is not None and not (value <= high and (low is None or low <= value)):
+                opening = f"[{low}" if above is None else f"({above}"
+                raise ValueError(f"{f.name} must be in {opening}, {high}], got {value}")
+            if low is not None and value < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value}")
         if not self.canny_low < self.canny_high:
             raise ValueError(
                 "canny thresholds need canny_low < canny_high, "

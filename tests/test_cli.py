@@ -644,6 +644,59 @@ class TestExplain:
             written = (tmp_path / f"ring.shap.{ext}").read_bytes()
             assert written == (tmp_path / f"hand.{ext}").read_bytes()
 
+    @pytest.mark.parametrize("size, patched", [(64, False), (72, True)])
+    def test_lime_patches_above_64_px(self, tmp_path, capsys, monkeypatch, size, patched):
+        # the line cmd_explain draws for its default segment count: at 64 px and below,
+        # LIME runs every call in full
+        spec = network.NetworkSpec(
+            input_shape=(size, size, 3),
+            layers=(
+                network.LayerSpec("conv2d", filters=4, activation="relu"),
+                network.LayerSpec("maxpool2d"),
+                network.LayerSpec("flatten"),
+                network.LayerSpec("dense", units=3, activation="softmax"),
+            ),
+            num_classes=3,
+        )
+        weights = tmp_path / "model.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(7), np.float32), weights)
+        image = synthetic.render_shape("disc", size, Rng(7))
+        image_path = tmp_path / "disc.ppm"
+        imaging.write_image(image, image_path)
+        tiles = []
+
+        def spy(x, kernels, bias):
+            tiles.append(x.shape[1:3] == (4, 4))
+            return tensor.conv2d_batch(x, kernels, bias)
+
+        monkeypatch.setattr(network, "conv2d_batch", spy)
+        code, _, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", str(image_path), "--method", "lime",
+            "--segments", "16", "--samples", "40", "--seed", "9", "--out-dir", str(tmp_path),
+        )
+        assert code == 0, stderr
+        assert any(tiles) == patched
+
+        spec, params = network.load_weights(weights)
+
+        def model(pixels):
+            x = training.preprocess(pixels[None], spec, training.TrainConfig())[0]
+            return np.asarray(network.forward(spec, params, x, train=False)[0], dtype=np.float64)
+
+        target = int(np.argmax(model(image)))
+        superpixels = explain.slic_superpixels(image, 16, compactness=10.0, iters=10)
+        value = explain.coalition_value(
+            model, image, superpixels, target, explain.mean_baseline(image)
+        )
+        weights = explain.lime_explain(value, superpixels.count, 40, 0.25, 1.0, Rng(9))
+        explain.write_attribution_csv(tmp_path / "hand.csv", weights, target, "lime")
+        heatmap = explain.render_lime_heatmap(image, superpixels, weights, 5)
+        imaging.write_image(heatmap, tmp_path / "hand.ppm")
+        for ext in ("csv", "ppm"):
+            written = (tmp_path / f"disc.lime.{ext}").read_bytes()
+            assert written == (tmp_path / f"hand.{ext}").read_bytes()
+
     def test_empty_coalitions_call_matches_its_reference(self, tmp_path, capsys, monkeypatch):
         # KernelSHAP's v(empty) call must start from the second reference unchanged: its
         # network input equals that reference's input in every bit
@@ -665,8 +718,7 @@ class TestExplain:
         patch = network._patch
 
         def spy(spec, tensors, x, references):
-            if references:  # the reference forwards themselves have none
-                calls.append((x, references[1][0]))
+            calls.append((x, references[0][1:]))  # the input of the second reference
             return patch(spec, tensors, x, references)
 
         monkeypatch.setattr(network, "_patch", spy)
@@ -1096,6 +1148,8 @@ def bound_cases():
                 yield f, float(low), math.nextafter(low, -math.inf)
             if above is not None:
                 yield f, math.nextafter(above, math.inf), float(above)
+            if high is not None:
+                yield f, float(high), math.nextafter(high, math.inf)
 
 
 BOUND_CASES = list(bound_cases())
@@ -1194,8 +1248,8 @@ class TestConfig:
         # the cases below come from the field metadata, so losing a bound would drop its case
         assert BOUND_IDS == [
             "learning_rate--5e-324", "batch_size-0", "epochs-0", "patience-0", "seed--1",
-            "seed-18446744073709551616", "l2--5e-324", "canny_sigma-0.0", "canny_low--5e-324",
-            "target_class--1", "segments-0", "compactness--5e-324", "slic_iters-0",
+            "seed-18446744073709551616", "l2--5e-324", "canny_sigma-0.0",
+            "canny_sigma-50.00000000000001", "canny_low--5e-324", "target_class--1", "segments-0", "compactness--5e-324", "slic_iters-0",
             "slic_iters-1001", "samples-0", "samples-1000001", "kernel_width-0.0",
             "ridge--5e-324", "top_k--1",
         ]

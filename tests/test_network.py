@@ -345,6 +345,12 @@ def full_activations(spec, params, x):
     return network.forward(spec, params, x, train=False, references=[])
 
 
+def stacked_references(spec, params, inputs):
+    """The full forwards' activations of ``inputs``, stacked per level as forward takes them."""
+    activations = [full_activations(spec, params, x)[1] for x in inputs]
+    return [np.concatenate(level) for level in zip(*activations)]
+
+
 def assert_patch_is_exact(spec, params, x, references):
     """The patch path's probabilities and pool outputs are the full forward's bytes."""
     patched, acts = network.forward(spec, params, x, train=False, references=references)
@@ -372,9 +378,9 @@ def tile_batches(monkeypatch):
     return sizes
 
 
-def shap_inputs(spec, size, config, seed):
+def coalition_inputs(spec, size, config, seed, method):
     """The network input of a shapes image, of its all-baseline copy and of every coalition
-    that KernelSHAP draws at 100 samples over the image's SLIC segments."""
+    that KernelSHAP or LIME draws at 100 samples over the image's SLIC segments."""
     image = synthetic.render_shape("disc", size, Rng(seed))
     superpixels = explain.slic_superpixels(image, 40 if size <= 64 else 100, 10.0, 10)
     baseline = explain.mean_baseline(image)
@@ -384,42 +390,61 @@ def shap_inputs(spec, size, config, seed):
         masks.append(mask)
         return float(mask.sum())
 
-    explain.kernel_shap(value, superpixels.count, 100, Rng(seed))
+    if method == "shap":
+        explain.kernel_shap(value, superpixels.count, 100, Rng(seed))
+    else:
+        explain.lime_explain(value, superpixels.count, 100, 0.25, 1.0, Rng(seed))
     images = [image, np.full_like(image, baseline)]
     images += [explain.perturb(image, superpixels, mask, baseline) for mask in masks]
     return [training.preprocess(img[None], spec, config)[0] for img in images]
 
 
+COALITION_CASES = pytest.mark.parametrize(
+    "name, size, settings",
+    [
+        ("rice", 50, {"dtype": "f32"}),
+        ("rice", 50, {"dtype": "f64"}),
+        ("disease", 224, {"dtype": "f32"}),
+        ("disease", 224, {"dtype": "f64"}),
+        ("rice", 40, {"dtype": "f32"}),  # bilinear resize spreads each change
+        ("rice", 50, {"dtype": "f32", "canny": True, "segment": True}),
+    ],
+    ids=["rice-f32", "rice-f64", "disease-f32", "disease-f64", "rice-40px", "canny-segment"],
+)
+
+
+def patched_calls(name, size, settings, method, tile_batches):
+    """How many of the coalition calls patch a pair; every call is checked to be exact."""
+    spec = SPECS[name]()
+    config = training.TrainConfig(**settings)
+    dtype = training.DTYPES[config.dtype]
+    params = network.init_parameters(spec, Rng(41).child(name), dtype=dtype)
+    full, empty, *coalitions = coalition_inputs(spec, size, config, 42, method)
+    references = stacked_references(spec, params, (full, empty))
+    patched = 0
+    for x in [full, empty, *coalitions]:
+        before = len(tile_batches)
+        assert_patch_is_exact(spec, params, x, references)
+        patched += len(tile_batches) > before
+    return patched, len(coalitions)
+
+
 class TestPatchedInference:
     """forward's patch path gives the full forward's bytes, probabilities and pool outputs."""
 
-    @pytest.mark.parametrize(
-        "name, size, settings",
-        [
-            ("rice", 50, {"dtype": "f32"}),
-            ("rice", 50, {"dtype": "f64"}),
-            ("disease", 224, {"dtype": "f32"}),
-            ("disease", 224, {"dtype": "f64"}),
-            ("rice", 40, {"dtype": "f32"}),  # bilinear resize spreads each change
-            ("rice", 50, {"dtype": "f32", "canny": True, "segment": True}),
-        ],
-        ids=["rice-f32", "rice-f64", "disease-f32", "disease-f64", "rice-40px", "canny-segment"],
-    )
+    @COALITION_CASES
     def test_every_kernel_shap_coalition(self, name, size, settings, tile_batches):
-        spec = SPECS[name]()
-        config = training.TrainConfig(**settings)
-        dtype = training.DTYPES[config.dtype]
-        params = network.init_parameters(spec, Rng(41).child(name), dtype=dtype)
-        full, empty, *coalitions = shap_inputs(spec, size, config, 42)
-        references = [full_activations(spec, params, x)[1] for x in (full, empty)]
-        patched = 0
-        for x in [full, empty, *coalitions]:
-            before = len(tile_batches)
-            assert_patch_is_exact(spec, params, x, references)
-            patched += len(tile_batches) > before
+        patched, calls = patched_calls(name, size, settings, "shap", tile_batches)
         # most calls take the patch path; the canny-segment model's Otsu threshold
         # moves with the coalition, so many of its calls run in full
-        assert patched >= len(coalitions) // (4 if settings.get("canny") else 2)
+        assert patched >= calls // (4 if settings.get("canny") else 2)
+
+    @COALITION_CASES
+    def test_every_lime_coalition(self, name, size, settings, tile_batches):
+        patched, calls = patched_calls(name, size, settings, "lime", tile_batches)
+        # a LIME mask keeps each segment with probability 1/2, yet in the first pair of
+        # nearly every call most windows match one of the two references
+        assert patched >= 0.9 * calls
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -427,7 +452,7 @@ class TestPatchedInference:
         spec = SPECS[name]()
         params = network.init_parameters(spec, Rng(43).child(name), dtype=dtype)
         reference = Rng(44).random(spec.input_shape).astype(dtype)
-        refs = [full_activations(spec, params, reference)[1]]
+        refs = stacked_references(spec, params, [reference])
         h, w, _ = spec.input_shape
         for y, x in ((0, 0), (h - 1, w - 1), (h // 2, w // 3)):
             changed = reference.copy()
@@ -444,14 +469,47 @@ class TestPatchedInference:
     def test_fully_changed_image(self, name, tile_batches, monkeypatch):
         spec = SPECS[name]()
         params = network.init_parameters(spec, Rng(45).child(name), dtype=np.float32)
-        reference, changed = Rng(46).random((2, *spec.input_shape)).astype(np.float32)
-        refs = [full_activations(spec, params, reference)[1]]
+        *references, changed = Rng(46).random((3, *spec.input_shape)).astype(np.float32)
+        refs = stacked_references(spec, params, references)
         assert_patch_is_exact(spec, params, changed, refs)
-        assert tile_batches == []  # past PATCH_SHARE: the full forward
+        assert tile_batches == []  # every window matches no reference, past PATCH_SHARE
         monkeypatch.setattr(network, "PATCH_SHARE", 1.0)
         assert_patch_is_exact(spec, params, changed, refs)
-        depth = spec.plan.patch_depth
-        assert len(tile_batches) == depth and min(tile_batches) > network.PATCH_MIN_WINDOWS
+        pools = spec.plan.steps[1 : 2 * spec.plan.patch_depth : 2]
+        assert tile_batches == [pool.out_shape[0] * pool.out_shape[1] for pool in pools]
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    def test_later_pair_runs_in_full(self, name, tile_batches):
+        # a changed pixel every 8 rows and columns reaches about a quarter of the first
+        # pool's windows, but every 4x4 tile of that pool's output holds one of them
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(54).child(name), dtype=np.float32)
+        reference = Rng(55).random(spec.input_shape).astype(np.float32)
+        changed = reference.copy()
+        changed[::8, ::8] += 0.5
+        acts = assert_patch_is_exact(
+            spec, params, changed, stacked_references(spec, params, [reference])
+        )
+        h, w, _ = spec.plan.steps[1].out_shape
+        assert len(tile_batches) == 1 and tile_batches[0] <= network.PATCH_SHARE * h * w
+        assert len(acts) == 1 + spec.plan.patch_depth
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    def test_window_matching_only_the_second_reference_takes_its_bytes(self, name, tile_batches):
+        # the input is the first reference left of column 25 and the second from there on:
+        # only the first pool's windows whose 4x4 tile spans the seam, columns 11 and 12,
+        # match neither, and the windows right of them match the second reference alone
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(56).child(name), dtype=np.float32)
+        first, second = Rng(57).random((2, *spec.input_shape)).astype(np.float32)
+        refs = stacked_references(spec, params, [first, second])
+        mixed = first.copy()
+        mixed[:, 25:] = second[:, 25:]
+        acts = assert_patch_is_exact(spec, params, mixed, refs)
+        h = spec.plan.steps[1].out_shape[0]
+        assert tile_batches[0] == 2 * h
+        right = acts[1][0, :, 13:]
+        assert right.tobytes() == refs[1][1, :, 13:].tobytes() != refs[1][0, :, 13:].tobytes()
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     def test_overflowing_weights(self, name, tile_batches):
@@ -463,7 +521,7 @@ class TestPatchedInference:
         changed = reference.copy()
         changed[10:14, 20:30] = 0.25
         with np.errstate(over="ignore", invalid="ignore"):
-            refs = [full_activations(spec, params, reference)[1]]
+            refs = stacked_references(spec, params, [reference])
             acts = assert_patch_is_exact(spec, params, changed, refs)
         assert tile_batches and np.isinf(acts[1]).any() and np.isnan(acts[-1]).any()
 
@@ -480,7 +538,7 @@ class TestPatchedInference:
         for i, j in ((3, 4), (6, 9), (10, 2)):
             changed[2 * i, 2 * j + 1, 0] = np.nan
             changed[2 * i + 1, 2 * j, 0] = -np.nan
-        refs = [full_activations(spec, params, reference)[1]]
+        refs = stacked_references(spec, params, [reference])
         acts = assert_patch_is_exact(spec, params, changed, refs)
         signs = np.signbit(acts[1][np.isnan(acts[1])])
         assert tile_batches and 0 < signs.sum() < len(signs)
@@ -852,6 +910,24 @@ class TestSerialization:
         path = self._with_header(tmp_path, edit)
         with pytest.raises(WeightsFormatError, match="(preprocess|classes).*byte offset 12"):
             network.load_weights(path)
+
+    @pytest.mark.parametrize(
+        "edit, shown",
+        [
+            (lambda h: h.update(format="grainforge-weights-2"), "'grainforge-weights-2'"),
+            (lambda h: h.update(format=1), "1"),
+            (lambda h: h.pop("format"), "None"),  # a header without the key is no weights file
+        ],
+        ids=["other-name", "number", "missing"],
+    )
+    def test_other_format_rejected(self, tmp_path, edit, shown):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(WeightsFormatError) as info:
+            network.load_weights(path)
+        assert info.value.offset == network.HEADER_START
+        assert str(info.value) == (
+            f"unsupported format {shown}, expected 'grainforge-weights' (byte offset 12)"
+        )
 
     def test_preprocess_is_kept_as_an_opaque_object(self, tmp_path):
         # the CLI checks the recorded settings; load_weights only checks for an object
