@@ -273,7 +273,7 @@ def cmd_explain(args) -> int:
     image = imaging.read_image(image_path).pixels
     h, w, channels = image.shape
     baseline = explain_mod.mean_baseline(image) if cfg.baseline == "mean" else (128,) * channels
-    small = max(spec.input_shape[:2]) <= 64  # a model input of 64 px or less
+    small = max(spec.input_shape[:2]) <= 64
     segments = cfg.segments
     if segments is None:
         segments = 40 if small else 100
