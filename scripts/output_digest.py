@@ -21,11 +21,14 @@ KernelSHAP, on the round's weights, on two shapes images rendered from
 the seed whose size differs from the model's 50 px input: a 40 px P5 image
 (so preprocessing resizes up and repeats the gray plane) and a 64 px P6
 image (resized down).  Then one more ``explain`` on the 64 px image takes
-every setting from a ``--config`` file: KernelSHAP, so its calls are
-patched, the sample and segment counts, the seed, and ``canny``, which
-the weights record too.  After the ``train-rice-preproc`` report it runs
-the same two explains on that round's ``--canny --segment`` weights and
-one 50 px image, where a coalition's change spreads past its segments
+every setting from a ``--config`` file: KernelSHAP, the sample and
+segment counts, the seed, and ``canny``, which the weights record too.
+Then three LIME runs at the benchmark's 1,000 samples, where the window
+memo serves most windows of most calls: on a 50 px image, on the 64 px
+image resized to the 50 px input, and on the 50 px image through a model
+trained for one epoch with ``--canny`` (a third extra ``train``).  After
+the ``train-rice-preproc`` report it runs the same two explains on that
+round's ``--canny --segment`` weights and one 50 px image, where a coalition's change spreads past its segments
 through the edge map and the Otsu threshold.  Every command must exit 0,
 print the paths the workload expects and pass the workload's check.  The
 script then prints one ``workload relative-path sha256`` line for every
@@ -70,6 +73,7 @@ REPORT_ARGV = [
 EXTRA_TRAINS = (
     ("--augment", "augment.gfw", "augment.csv"),
     ("--segment", "segment.gfw", "segment.csv"),
+    ("--canny", "canny.gfw", "canny.csv"),
 )
 # the explain runs after a train workload's report, on its round's weights:
 # (image file, shape class, size in px, gray) by workload
@@ -78,6 +82,15 @@ EXTRA_EXPLAINS = {
     "train-rice-preproc": (("edges50.ppm", "ring", 50, False),),
 }
 EXPLAIN_SAMPLES = "200"
+# the LIME runs at 1,000 samples after the train-rice explains: (weights, image, output
+# directory), on LIME_IMAGE, written as an EXTRA_EXPLAINS entry is, or on the 64 px image
+LIME_IMAGE = ("lime50.ppm", "square", 50, False)
+LIME_EXPLAINS = (
+    ("rice.gfw", "lime50.ppm", "lime-50"),
+    ("rice.gfw", "rgb64.ppm", "lime-resize"),
+    ("canny.gfw", "lime50.ppm", "lime-canny"),
+)
+LIME_SAMPLES = "1000"
 # the settings file of the train-rice explain run that takes no setting flag; the seed is added
 CONFIG_EXPLAIN = ("rgb64.ppm", {"method": "shap", "samples": 300, "segments": 30, "canny": False})
 # the malformed-weights corpus: its seed, its count of seeded header mutations, and
@@ -298,6 +311,16 @@ def main() -> int:
                     stem = image.rsplit(".", 1)[0]
                     outputs = [f"explain-config/{stem}.shap.{ext}" for ext in ("csv", "ppm")]
                     extra.append(Command("explain", argv, outputs))
+                    write_explain_images(root, seed, [LIME_IMAGE])
+                    for weights, image, out_dir in LIME_EXPLAINS:
+                        argv = [
+                            "explain", "--weights", weights, "--image", image,
+                            "--method", "lime", "--samples", LIME_SAMPLES,
+                            "--seed", str(seed), "--out-dir", out_dir,
+                        ]
+                        stem = image.rsplit(".", 1)[0]
+                        outputs = [f"{out_dir}/{stem}.lime.{ext}" for ext in ("csv", "ppm")]
+                        extra.append(Command("explain", argv, outputs))
                 cwd = os.getcwd()
                 os.chdir(root)  # contextlib.chdir needs Python 3.11
                 try:

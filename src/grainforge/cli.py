@@ -52,7 +52,11 @@ class RunConfig(training.TrainConfig):
     target_class: int | None = option(
         None, "explain", flag="--class", help="class to explain (default: the argmax class)", low=0
     )
-    segments: int | None = option(None, "explain", help="target superpixel count", low=1)
+    # the explainers solve an M x M system over the segments, and SLIC visits each
+    # segment's centre in Python, so both grow with the count (README, Explanations)
+    segments: int | None = option(
+        None, "explain", help="target superpixel count", low=1, high=1000
+    )
     compactness: float = option(10.0, "explain", low=0)
     slic_iters: int = option(10, "explain", help="SLIC iterations", low=1, high=1000)
     samples: int = option(1000, "explain", help="perturbation sample budget", low=1, high=10**6)
@@ -242,24 +246,18 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _model_closure(spec, params, cfg, references):
+def _model_closure(spec, params, cfg):
     """Class probabilities of one raw (H, W, C) image, through the model's own preprocessing.
 
-    The network's activations for each raw image in ``references`` come
-    from one full forward each, run here, and are stacked per level; every
-    call hands them to ``network.forward``, which patches each pool window
-    from a reference that matches it.  With no ``references`` every call
-    runs the full forward.
+    Every call's forward goes through one ``network.WindowMemo``, which reuses
+    each pool window that an earlier call of this closure computed; it lives
+    as long as the closure, so nothing is kept between commands.
     """
-
-    def forward(pixels: np.ndarray, activations):
-        x = training.preprocess(pixels[None], spec, cfg)[0]
-        return network.forward(spec, params, x, train=False, references=activations)
-
-    kept = [np.concatenate(level) for level in zip(*(forward(im, [])[1] for im in references))]
+    memo = network.WindowMemo(spec, params)
 
     def model(pixels: np.ndarray) -> np.ndarray:
-        probs, _ = forward(pixels, kept if references else None)
+        x = training.preprocess(pixels[None], spec, cfg)[0]
+        probs, _ = network.forward(spec, params, x, train=False, memo=memo)
         if not np.isfinite(probs).all():  # finite weights can still overflow float32
             raise ValueError("class probabilities are not finite")
         return np.asarray(probs, dtype=np.float64)
@@ -282,21 +280,18 @@ def cmd_explain(args) -> int:
     superpixels = explain_mod.slic_superpixels(
         image, segments, compactness=cfg.compactness, iters=cfg.slic_iters
     )
+    limit = next(f for f in fields(RunConfig) if f.name == "segments").metadata["high"]
+    if superpixels.count > limit:  # SLIC's grid can hold more centres than the target
+        raise UsageError(
+            f"SLIC made {superpixels.count} segments of {image_path}, above the {limit} "
+            "that segments allows; ask for fewer"
+        )
 
-    # The model's calls patch from the images of the full and the empty coalition, as the
-    # game paints them: a pool window whose input tile matches one of the two takes its
-    # bytes.  KernelSHAP's coalitions lie near one of the two.  LIME's masks keep each
-    # segment with probability 1/2, yet at 224 px a median 85% of the first pool's windows
-    # and 59% of the second's still match one.  At 64 px and below a window's receptive
-    # field covers more of the image: LIME's second pair matches in under a tenth of its
-    # windows and runs in full, and the first pair's saving does not pay for the
-    # bookkeeping, so there LIME runs every call in full, as does every model whose layers
-    # the patch path cannot take.
-    references = ()
-    if spec.plan.patch_depth > 0 and (cfg.method == "shap" or not small):
-        empty = explain_mod.perturb(image, superpixels, np.zeros(superpixels.count), baseline)
-        references = (image, empty)
-    model = _model_closure(spec, params, cfg, references)
+    # Every coalition's image goes through one window memo: a pool window whose
+    # receptive field an earlier call of this command has seen takes that call's output.
+    # It compares network inputs, not masks, so it stays exact under resize, --canny
+    # and --segment, and it is built here, after SLIC, and dropped with the command.
+    model = _model_closure(spec, params, cfg)
 
     target = cfg.target_class
     if target is None:

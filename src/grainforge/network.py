@@ -5,12 +5,11 @@ flatten / dense) plus an input shape and class count.  The training
 forward pass caches per-layer activations so the backward pass can produce
 exact analytic gradients of the cross-entropy + L2 objective; softmax and
 cross-entropy are fused at the logits as (p - y) / B.  The inference
-forward keeps no cache; for one input it can instead start from the
-pool outputs of reference inputs: each pool window takes the bytes of a
-reference whose input matches it over the window's receptive field, and
-only the windows that match none are recomputed, for as many leading
-(conv, pool) pairs as that pays (the exact part of incremental
-inference, Nakandala et al., SIGMOD 2019).
+forward keeps no cache.  A ``WindowMemo`` runs single inputs, one after
+another, with the full forward's bytes: each pool window of the leading
+(conv, pool) pairs whose receptive-field input an earlier call has seen
+takes that call's output, and only the unseen windows are recomputed
+(the exact part of incremental inference, Nakandala et al., SIGMOD 2019).
 
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
@@ -42,6 +41,7 @@ from .tensor import (
     Tensor,
     conv2d_backward,
     conv2d_batch,
+    conv2d_rows,
     dense_backward,
     dense_forward,
     maxpool2d_backward,
@@ -59,15 +59,21 @@ MAGIC = b"GFW1"
 # the JSON header follows the magic and its 8-byte little-endian length
 HEADER_START = len(MAGIC) + 8
 
-# A (conv, pool) pair of a single inference input that would recompute more than this
-# share of its pool windows runs in full, with every pair after it.  A patched pair costs
-# about 1.1 x its share of the full pair, plus its bookkeeping, so the break-even lies near
-# 0.8 at both 50 and 224 px; per call, cuts from 0.5 to 0.85 measured alike.
+# A (conv, pool) pair of a memoised call that would recompute more than this share of
+# its pool windows runs in full.  A recomputed window costs about 1.1 x its share of the
+# full pair, plus its bookkeeping, so the break-even lies near 0.8 at both 50 and 224 px.
 PATCH_SHARE = 0.75
-# the fewest pool windows a patch recomputes at once.  Their 4 conv pixels each make one
-# im2col row, and a product over fewer than 28 rows can round differently from the
-# same rows of the full product (OpenBLAS small-matrix kernels); 8 windows give 32.
+# the fewest pool windows a memoised call recomputes at once.  Their 4 conv pixels each
+# make one im2col row, and a product over fewer than 28 rows can round differently from
+# the same rows of the full product (OpenBLAS small-matrix kernels); 8 windows give 32.
 PATCH_MIN_WINDOWS = 8
+# A window memo stores new pixel values, window keys and outputs only while it holds
+# fewer bytes than this; past it, calls stay exact and only recompute more.
+MEMO_BYTES = 16 * 2**20
+
+UNSTORED = 255  # the id of a pixel value or pool window that a memo does not hold
+# the row and column offsets of a pool window's four conv pixels from its first one
+_CORNER_ROWS, _CORNER_COLS = np.array([[0], [1]]), np.array([[0, 1]])
 
 # weights are drawn this many float64 values (128 KiB) at a time, so no
 # layer-sized float64 temporary is ever held beside the target-dtype array
@@ -280,98 +286,290 @@ def init_parameters(spec: NetworkSpec, rng: Rng, dtype) -> Parameters:
     return params
 
 
-def _patch(spec: NetworkSpec, tensors, x: Tensor, references) -> list:
-    """The input and the leading pool outputs of one (1,H,W,C) inference input.
+class _Table:
+    """The distinct keys seen at each of P positions, and the pool output of each.
 
-    ``references`` holds what R earlier calls returned in place of the
-    cache, stacked per level: their inputs as one (R,H,W,C) array, then
-    each pool's outputs as one (R,h,w,c) array.  Each (conv, pool) pair
-    takes its kernels and bias from forward's iterator ``tensors``.  A
-    pool window whose 4x4 input tile (the 3x3 receptive fields of its four
-    conv pixels) equals that tile of a reference takes that reference's
-    bytes; only the windows that match no reference are recomputed, through
-    the same kernels as the full forward.  For the next pair, a window has
-    changed from every reference whose bytes it did not take.  The walk
-    stops at the first pair that would recompute more than ``PATCH_SHARE``
-    of its windows; forward runs that pair and the rest in full.
+    A key is one integer word per array of ``keys``.  Each position numbers
+    its distinct keys 0, 1, ... in the order they are stored, and that slot
+    is the key's id there.  The first ``depth`` slots are dense (slots, P)
+    tables: slot ``k`` of position ``q`` holds word ``keys[i][k, q]``, and
+    ``tag[k, q]`` is ``k + 1`` once it is stored, 0 before.  The later slots,
+    which few positions reach, are entries of flat arrays: their position
+    ``spos``, ``k + 1`` in ``stag``, their words in ``skeys``.  A window table
+    also holds each stored key's pool output, one row of ``vals``, at
+    ``rows[k, q]`` (``srows`` for a later slot).
     """
-    bits = f"u{x.itemsize}"  # compared as integers, so -0.0 and +0.0 (or two NaNs) differ
-    differs = x.view(bits) != references[0].view(bits)
-    changed = differs[..., 0]  # (R, H, W): where each reference differs
-    for c in range(1, differs.shape[3]):  # an OR per channel: any(axis=-1) is slower
-        changed = changed | differs[..., c]
-    kept = [x]
-    pools = spec.plan.steps[1 : 2 * spec.plan.patch_depth : 2]
-    for pool, outs in zip(pools, references[1:], strict=True):
-        # pool window (i, j) pools conv pixels 2i..2i+1 x 2j..2j+1, whose 3x3 windows
-        # read input pixels 2i..2i+3 x 2j..2j+3: it changed if one of those did
-        r, oh, ow, c = outs.shape
-        rows = changed[:, :-1] | changed[:, 1:]
-        rows = rows[:, 0 : 2 * oh : 2] | rows[:, 2 : 2 * oh + 2 : 2]
-        cols = rows[:, :, :-1] | rows[:, :, 1:]
-        changed = cols[:, :, 0 : 2 * ow : 2] | cols[:, :, 2 : 2 * ow + 2 : 2]
-        # each window's row in outs, flattened to (R*oh*ow, c): its first matching
-        # reference's, or the last reference's where none matches
-        n = oh * ow
-        pick, fresh = np.arange(n), changed[0]
-        for mask in changed[1:]:
-            pick += n * fresh.reshape(-1)
-            fresh = fresh & mask
-        where = np.flatnonzero(fresh)  # the windows that match no reference
-        if where.size > PATCH_SHARE * n:
-            break
-        kernels, bias = next(tensors), next(tensors)
-        out = outs.reshape(r * n, c).take(pick, axis=0).reshape(1, oh, ow, c)
-        if where.size:
-            if where.size < PATCH_MIN_WINDOWS:
-                # padded with repeats: duplicate rows give the same bits and rewrite the same values
-                where = np.resize(where, PATCH_MIN_WINDOWS)
-            ys, xs = np.divmod(where, ow)
-            conv = conv2d_batch(windows(x, 4, 4)[0, 2 * ys, 2 * xs], kernels, bias)
-            pooled, _ = maxpool2d_batch(conv, winners=False)
-            if pool.activation == "relu":
-                pooled = relu(pooled)
-            out[0, ys, xs] = pooled[:, 0, 0]
-        kept.append(out)
-        x = out
-    return kept
+
+    def __init__(self, dtypes, positions: int, outputs: bool):
+        self.positions = positions
+        self.keys = [np.empty((0, positions), dtype) for dtype in dtypes]
+        self.tag = np.empty((0, positions), np.uint8)
+        self.dense = [*self.keys, self.tag]  # grown one slot level at a time, together
+        self.spos = np.empty(0, np.int32)
+        self.stag = np.empty(0, np.uint8)
+        self.skeys = [np.empty(0, dtype) for dtype in dtypes]
+        self.sparse = [self.spos, self.stag, *self.skeys]  # grown together, by a quarter
+        self.rows = self.srows = self.order = None
+        if outputs:
+            self.rows, self.srows = np.empty((0, positions), np.int32), np.empty(0, np.int32)
+            self.dense.append(self.rows)
+            self.sparse.append(self.srows)
+            self.order = np.arange(positions)
+        self.spilled = 0  # the entries in use of the flat arrays
+        self.count = np.zeros(positions, np.uint8)
+        self.vals = None  # (capacity, channels), made by the first store of outputs
+        self.used = 0
+        # a dense slot level costs every position its bytes: past two, a table adds one
+        # only while it costs under 1/64 of the budget, so a large table spills
+        level = positions * sum(t.itemsize for t in self.dense)
+        self.depth = min(UNSTORED, max(2, MEMO_BYTES // 64 // level))
+        # what its arrays hold, counted as they grow
+        self.nbytes = self.count.nbytes + (0 if self.order is None else self.order.nbytes)
+
+    def find(self, cur):
+        """Look up the keys ``cur``, one (P,) array per word.
+
+        Returns each position's id, ``UNSTORED`` where its key is not stored,
+        and the flat entries that matched (None if there are none).
+        """
+        match = self.keys[0] == cur[0]
+        for keys, word in zip(self.keys[1:], cur[1:]):
+            match &= keys == word
+        # keys are distinct among a position's stored slots, so at most one tag survives
+        tag = np.maximum.reduce(match * self.tag, axis=0, initial=0)
+        hit = None
+        if self.spilled:
+            pos = self.spos[: self.spilled]
+            found = self.skeys[0][: self.spilled] == cur[0].take(pos)
+            for keys, word in zip(self.skeys[1:], cur[1:]):
+                found &= keys[: self.spilled] == word.take(pos)
+            hit = np.flatnonzero(found)
+            tag[pos[hit]] = self.stag[hit]
+        return tag - np.uint8(1), hit  # 0 - 1 wraps to UNSTORED
+
+    def gather(self, ids: np.ndarray, hit: np.ndarray) -> np.ndarray:
+        """The stored output of each position's id; a row where the id is UNSTORED is junk."""
+        flat = np.multiply(ids, self.positions, dtype=np.intp)
+        flat += self.order  # slot * P + position
+        rows = self.rows.reshape(-1).take(flat, mode="clip")
+        if hit is not None:
+            rows[self.spos[hit]] = self.srows[hit]
+        return self.vals.take(rows, axis=0)
+
+    def store(self, budget: int, where, keys, vals=None, ok=None) -> np.ndarray:
+        """Store the keys ``keys`` (one (n,) array per word) at positions ``where``, and ``vals``.
+
+        Returns the n ids.  A key outside ``ok``, or at a position whose 255 ids
+        are taken, gets ``UNSTORED``; so does every key if storing them would add
+        more than ``budget`` bytes.
+        """
+        ids = np.full(len(where), UNSTORED, np.uint8)
+        slot = self.count[where]
+        ok = slot < UNSTORED if ok is None else ok & (slot < UNSTORED)
+        if not ok.all():
+            where, keys, slot = where[ok], [word[ok] for word in keys], slot[ok]
+            vals = None if vals is None else vals[ok]
+        if not len(where):
+            return ids
+        dense = slot < self.depth
+        spill = len(where) - int(np.count_nonzero(dense))
+        # a position past its dense slots already holds them all, so with no dense entry
+        # here the tables hold at least one level and none is added
+        levels = max(int(slot.max(initial=0, where=dense)) + 1 - len(self.tag), 0)
+        added = levels * self.positions * sum(t.itemsize for t in self.dense)
+        entries = len(self.spos)
+        if self.spilled + spill > entries:
+            entries = max(entries + entries // 4, self.spilled + spill)
+            added += (entries - len(self.spos)) * sum(t.itemsize for t in self.sparse)
+        if vals is not None:
+            if self.vals is None:
+                self.vals = np.empty((0, vals.shape[1]), vals.dtype)
+            capacity = len(self.vals)
+            if self.used + len(vals) > capacity:  # by a quarter: each row is copied O(1) times
+                capacity = max(capacity + capacity // 4, self.used + len(vals))
+            added += (capacity - len(self.vals)) * vals[0].nbytes
+        if added > budget:
+            return ids
+        self.nbytes += added
+        # numpy grows each array in place (a realloc) and zero-fills the new part
+        if levels:
+            for table in self.dense:
+                table.resize((len(table) + levels, self.positions), refcheck=False)
+        if entries > len(self.spos):
+            for table in self.sparse:
+                table.resize(entries, refcheck=False)
+        self.count[where] = slot + 1
+        ids[ok] = slot
+        row = None
+        if vals is not None:
+            if capacity > len(self.vals):
+                self.vals.resize((capacity, vals.shape[1]), refcheck=False)
+            self.vals[self.used : self.used + len(vals)] = vals
+            row = np.arange(self.used, self.used + len(vals))
+            self.used += len(vals)
+        if spill:
+            later = ~dense
+            at = slice(self.spilled, self.spilled + spill)
+            self.spos[at], self.stag[at] = where[later], slot[later] + 1
+            for table, word in zip(self.skeys, keys):
+                table[at] = word[later]
+            if row is not None:
+                self.srows[at] = row[later]
+                row = row[dense]
+            self.spilled += spill
+            where, keys, slot = where[dense], [word[dense] for word in keys], slot[dense]
+        for table, word in zip(self.keys, keys):
+            table[slot, where] = word
+        self.tag[slot, where] = slot + 1
+        if row is not None:
+            self.rows[slot, where] = row
+        return ids
 
 
-def forward(
-    spec: NetworkSpec, params: Parameters, batch: Tensor, train: bool = True, references=None
-):
-    """Class probabilities for a (B,H,W,C) batch, plus the backward cache.
+def _pixel_words(x: Tensor) -> list:
+    """The key of each pixel of (H,W,C) ``x``: its channels' bytes, as (H*W,) words of 8 bytes
+    or fewer; compared as integers, so -0.0 and +0.0, or two NaNs, differ."""
+    x = np.ascontiguousarray(x)
+    size, start, words = x.shape[2] * x.itemsize, 0, []
+    while start < size:
+        n = 1 << min(3, (size - start).bit_length() - 1)  # 8, 4, 2 or 1 bytes
+        words.append(np.ndarray((x.size // x.shape[2],), f"<u{n}", x, start, (size,)).copy())
+        start += n
+    return words
 
-    A single (H,W,C) sample is accepted and returns a (K,) probability
-    vector computed through the identical batched path.  With
-    ``train=False`` (inference) no cache is kept and pooling skips its
-    argmax; the probabilities are the same bytes and the cache is None.
 
-    ``references``, given for one inference input of a network whose
-    layers are (conv, pool)* flatten dense*, turns on the patch path.  It
-    holds what R earlier such calls returned in place of the cache, their
-    input and each pool's output after its ReLU, stacked per level into
-    one (R,h,w,c) array each; an empty list holds none.  The call takes
-    each pool window from a reference whose input matches it there, for
-    as many leading pairs as that pays (see :func:`_patch`), runs the
-    rest in full, and returns its own input and every pool output in
-    place of the cache.  The probabilities are the full forward's bytes
-    either way.
+def _window_keys(ids: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """The (2, oh*ow) keys of the pool windows over a (H,W) uint8 id map.
+
+    Window (i, j) reads ids rows 2i..2i+3, columns 2j..2j+3: each row's four
+    ids are one little-endian uint32 read at stride 2, and two rows make a word.
     """
-    single = batch.ndim == 3
-    x = batch[None] if single else batch
-    if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
-        raise NetworkError(
-            f"batch shape {batch.shape} does not match input {spec.input_shape}"
-        )
+    wc = ids.shape[1]
+    tiles = np.ndarray((2, oh, ow, 2), "<u4", ids, 0, (2 * wc, 2 * wc, 2, wc))
+    return tiles.copy().view("<u8").reshape(2, oh * ow)
+
+
+def _pool_full(x: Tensor, pool: Step, kernels, bias) -> Tensor:
+    """The (h*w, c) outputs of every pool window of the (1,H,W,C) input ``x``: a pair in full."""
+    out, _ = maxpool2d_batch(conv2d_batch(x, kernels, bias), winners=False)
+    out = relu(out) if pool.activation == "relu" else out
+    return out.reshape(-1, out.shape[-1])
+
+
+def _pool_tiles(x: Tensor, where, ow: int, pool: Step, kernels, bias) -> Tensor:
+    """The (n, c) outputs of the pool windows at flat positions ``where`` of input ``x``.
+
+    Each window's four conv pixels become four im2col rows, gathered straight
+    from ``x``, and go through the full forward's kernels; the product covers at
+    least ``PATCH_MIN_WINDOWS`` windows, padded with repeats.
+    """
+    n = len(where)
+    if n < PATCH_MIN_WINDOWS:  # duplicate rows give the same bits
+        where = np.resize(where, PATCH_MIN_WINDOWS)
+    ys, xs = np.divmod(where, ow)
+    corners = windows(x, KERNEL_SIZE, KERNEL_SIZE)[
+        0, 2 * ys[:, None, None] + _CORNER_ROWS, 2 * xs[:, None, None] + _CORNER_COLS
+    ]
+    conv = conv2d_rows(corners.reshape(4 * len(where), -1), kernels, bias)
+    pooled, _ = maxpool2d_batch(conv.reshape(len(where), 2, 2, -1), winners=False)
+    if pool.activation == "relu":
+        pooled = relu(pooled)
+    return pooled[:n, 0, 0]
+
+
+class WindowMemo:
+    """An exact memo of the leading (conv, pool) pairs of one network, for single inputs.
+
+    A call returns the input's class probabilities, the full forward's bytes,
+    and each leading pair's pool output after its ReLU, reusing every pool
+    window that an earlier call has computed (the exact part of incremental
+    inference, Nakandala et al., SIGMOD 2019).  Each pixel location gives each
+    distinct value it holds (its channels' integer bits, so -0.0 and +0.0 differ)
+    a uint8 id.  A pool window's key is the 16 ids of its 4x4 tile: pixels at
+    the first pair, the previous pair's windows after it.  Each window location
+    gives each distinct key an id too, so by induction over the pairs equal keys
+    mean equal tile bytes, and a window whose key is stored takes the stored
+    output.  Only the other windows go through the conv, pool and ReLU kernels;
+    a pair that misses more than ``PATCH_SHARE`` of its windows runs in full.
+    Values, keys and outputs are stored while the memo holds under
+    ``MEMO_BYTES``; past it a new one's id is ``UNSTORED``, and a key holding
+    that id is never stored or matched, so calls stay exact and recompute more.
+    A network whose layers are not (conv, pool)* flatten dense* memoises nothing.
+    """
+
+    def __init__(self, spec: NetworkSpec, params: Parameters):
+        steps, depth = spec.plan.steps, spec.plan.patch_depth
+        self.input_shape = tuple(spec.input_shape)
+        self.pairs = [(steps[2 * k + 1], params[2 * k], params[2 * k + 1]) for k in range(depth)]
+        self.tail = steps[2 * depth :], params[2 * depth :]
+        self.pixel_table = self.dtype = None  # set by the first call, for the bits of its dtype
+        self.pair_tables = [
+            _Table(("<u8", "<u8"), math.prod(p.out_shape[:2]), outputs=True) for p, *_ in self.pairs
+        ]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes the memo holds: its pixel values, window keys and outputs, and tables."""
+        tables = [self.pixel_table, *self.pair_tables] if self.pixel_table else self.pair_tables
+        return sum(table.nbytes for table in tables)
+
+    def __call__(self, x: Tensor) -> tuple[Tensor, list]:
+        """The (K,) probabilities of one (H,W,C) input and its (1,h,w,c) pool outputs."""
+        if x.shape != self.input_shape:
+            raise NetworkError(f"input shape {x.shape} does not match {self.input_shape}")
+        batch, pools = x[None], []
+        if self.pairs:
+            if self.pixel_table is None:
+                self.dtype = x.dtype
+            elif x.dtype != self.dtype:
+                raise NetworkError(f"input dtype {x.dtype} is not the memo's {self.dtype}")
+            cur = _pixel_words(x)
+            if self.pixel_table is None:
+                self.pixel_table = _Table([word.dtype for word in cur], len(cur[0]), outputs=False)
+            ids, _ = self.pixel_table.find(cur)
+            missed = np.flatnonzero(ids == UNSTORED)
+            unstored = False
+            if len(missed):
+                keys = [word[missed] for word in cur]
+                fresh = self.pixel_table.store(MEMO_BYTES - self.nbytes, missed, keys)
+                ids[missed], unstored = fresh, UNSTORED in fresh
+            ids = ids.reshape(x.shape[:2])
+        for (pool, kernels, bias), table in zip(self.pairs, self.pair_tables):
+            oh, ow, channels = pool.out_shape
+            n = oh * ow
+            cur, ok = _window_keys(ids, oh, ow), None
+            ids, hit = table.find(cur)
+            missed = np.flatnonzero(ids == UNSTORED)
+            if len(missed) > PATCH_SHARE * n:
+                out = _pool_full(batch, pool, kernels, bias)
+                new = out if len(missed) == n else out[missed]
+            else:
+                new = _pool_tiles(batch, missed, ow, pool, kernels, bias) if len(missed) else None
+                if len(missed) < n:
+                    out = table.gather(ids, hit)  # one gather, then the misses
+                    if new is not None:
+                        out[missed] = new
+                else:
+                    out = new
+            if len(missed):
+                if unstored:  # a key holding an unstored id is not stored
+                    children = cur.view(np.uint8).reshape(2, n, 8)[:, missed]
+                    ok = (children != UNSTORED).all(axis=(0, 2))
+                fresh = table.store(MEMO_BYTES - self.nbytes, missed, cur[:, missed], new, ok)
+                ids[missed], unstored = fresh, UNSTORED in fresh
+            else:
+                unstored = False
+            ids = ids.reshape(oh, ow)
+            batch = out.reshape(1, oh, ow, channels)
+            pools.append(batch)
+        steps, params = self.tail
+        probs, _ = _run(steps, iter(params), batch, train=False)
+        return probs[0], pools
+
+
+def _run(steps, tensors, x: Tensor, train: bool):
+    """Run ``steps`` on the (B,...) batch ``x``, their parameters taken from ``tensors``."""
     cache = [] if train else None
-    steps = spec.plan.steps
-    tensors = iter(params)
-    depth = spec.plan.patch_depth if references is not None and single and not train else 0
-    if depth:
-        cache = _patch(spec, tensors, x, references) if len(references) else [x]
-        x = cache[-1]
-        steps = steps[2 * (len(cache) - 1) :]  # past the pairs that were patched
     for layer, act, *_ in steps:
         if layer.kind == "conv2d":
             out = conv2d_batch(x, next(tensors), next(tensors))
@@ -392,12 +590,36 @@ def forward(
             out = softmax(out)
         if train:
             cache.append(entry)
-        elif depth and layer.kind == "maxpool2d":
-            cache.append(out)
         x = out
-    probs = x
     if train:
-        cache.append({"probs": probs})
+        cache.append({"probs": x})
+    return x, cache
+
+
+def forward(
+    spec: NetworkSpec, params: Parameters, batch: Tensor, train: bool = True, memo=None
+):
+    """Class probabilities for a (B,H,W,C) batch, plus the backward cache.
+
+    A single (H,W,C) sample is accepted and returns a (K,) probability
+    vector computed through the identical batched path.  With
+    ``train=False`` (inference) no cache is kept and pooling skips its
+    argmax; the probabilities are the same bytes and the cache is None.
+    A single inference sample may instead go through ``memo``, a
+    :class:`WindowMemo` of this network and parameters: the probabilities
+    are the same bytes, and the memo's pool outputs take the cache's place.
+    """
+    if memo is not None:
+        if train or batch.ndim != 3:
+            raise NetworkError("a window memo takes one (H,W,C) inference input")
+        return memo(batch)
+    single = batch.ndim == 3
+    x = batch[None] if single else batch
+    if x.ndim != 4 or x.shape[1:] != tuple(spec.input_shape):
+        raise NetworkError(
+            f"batch shape {batch.shape} does not match input {spec.input_shape}"
+        )
+    probs, cache = _run(spec.plan.steps, iter(params), x, train)
     return (probs[0], cache) if single else (probs, cache)
 
 

@@ -583,11 +583,31 @@ class TestExplain:
         assert "segments 7 exceeds the 6 pixels" in stderr
         assert not (tmp_path / "out").exists()
 
+    def test_slic_count_above_the_segments_bound_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # SLIC's grid holds 32 x 32 centres for a target of 1000 on a 50 px image
+        spec = network.build_rice_cnn()
+        weights = tmp_path / "rice.gfw"
+        network.save_weights(spec, network.init_parameters(spec, Rng(8), np.float32), weights)
+        image_path = tmp_path / "disc.ppm"
+        imaging.write_image(synthetic.render_shape("disc", 50, Rng(8)), image_path)
+        calls = []
+        monkeypatch.setattr(network.WindowMemo, "__call__", lambda memo, x: calls.append(x))
+        code, stdout, stderr = run_cli(
+            capsys,
+            "explain", "--weights", str(weights), "--image", str(image_path),
+            "--segments", "1000", "--slic-iters", "1", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 2 and stdout == "" and calls == []
+        assert "SLIC made 1024 segments" in stderr and "above the 1000" in stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "layers, patched",
         [
             (("conv2d", "maxpool2d", "conv2d", "maxpool2d"), True),
-            # no pool right after the first conv: every call runs the full forward
+            # no pool right after the first conv: the memo holds nothing, every call runs in full
             (("conv2d", "conv2d", "maxpool2d"), False),
         ],
         ids=["conv-pool-conv-pool", "conv-conv-pool"],
@@ -612,11 +632,11 @@ class TestExplain:
         imaging.write_image(image, image_path)
         tiles = []
 
-        def spy(x, kernels, bias):  # a patched call convolves gathered 4x4 tiles
-            tiles.append(x.shape[1:3] == (4, 4))
-            return tensor.conv2d_batch(x, kernels, bias)
+        def spy(cols, kernels, bias):  # the memo convolves the windows it recomputes
+            tiles.append(len(cols))
+            return tensor.conv2d_rows(cols, kernels, bias)
 
-        monkeypatch.setattr(network, "conv2d_batch", spy)
+        monkeypatch.setattr(network, "conv2d_rows", spy)
         code, _, stderr = run_cli(
             capsys,
             "explain", "--weights", str(weights), "--image", str(image_path), "--method", "shap",
@@ -644,10 +664,10 @@ class TestExplain:
             written = (tmp_path / f"ring.shap.{ext}").read_bytes()
             assert written == (tmp_path / f"hand.{ext}").read_bytes()
 
-    @pytest.mark.parametrize("size, patched", [(64, False), (72, True)])
-    def test_lime_patches_above_64_px(self, tmp_path, capsys, monkeypatch, size, patched):
-        # the line cmd_explain draws for its default segment count: at 64 px and below,
-        # LIME runs every call in full
+    @pytest.mark.parametrize("size", [64, 72])
+    def test_lime_reuses_windows_at_every_size(self, tmp_path, capsys, monkeypatch, size):
+        # LIME's calls go through the window memo on both sides of 64 px, where the
+        # default segment count changes, and write the full forward's bytes
         spec = network.NetworkSpec(
             input_shape=(size, size, 3),
             layers=(
@@ -663,20 +683,28 @@ class TestExplain:
         image = synthetic.render_shape("disc", size, Rng(7))
         image_path = tmp_path / "disc.ppm"
         imaging.write_image(image, image_path)
-        tiles = []
+        calls, in_full = [], []
+        memo_call, full = network.WindowMemo.__call__, network._pool_full
 
-        def spy(x, kernels, bias):
-            tiles.append(x.shape[1:3] == (4, 4))
-            return tensor.conv2d_batch(x, kernels, bias)
+        def spy(memo, x):
+            calls.append(memo.nbytes)
+            return memo_call(memo, x)
 
-        monkeypatch.setattr(network, "conv2d_batch", spy)
+        def full_spy(*args):
+            in_full.append(args)
+            return full(*args)
+
+        monkeypatch.setattr(network.WindowMemo, "__call__", spy)
+        monkeypatch.setattr(network, "_pool_full", full_spy)
         code, _, stderr = run_cli(
             capsys,
             "explain", "--weights", str(weights), "--image", str(image_path), "--method", "lime",
             "--segments", "16", "--samples", "40", "--seed", "9", "--out-dir", str(tmp_path),
         )
         assert code == 0, stderr
-        assert any(tiles) == patched
+        # one memo for the command, filled as it goes, running few calls' pair in full
+        assert len(calls) == 41 and calls == sorted(calls) and calls[-1] > calls[0]
+        assert 0 < len(in_full) < len(calls) // 2
 
         spec, params = network.load_weights(weights)
 
@@ -697,9 +725,9 @@ class TestExplain:
             written = (tmp_path / f"disc.lime.{ext}").read_bytes()
             assert written == (tmp_path / f"hand.{ext}").read_bytes()
 
-    def test_empty_coalitions_call_matches_its_reference(self, tmp_path, capsys, monkeypatch):
-        # KernelSHAP's v(empty) call must start from the second reference unchanged: its
-        # network input equals that reference's input in every bit
+    def test_repeated_input_reuses_every_window(self, tmp_path, capsys, monkeypatch):
+        # KernelSHAP's v(full) call repeats the input of the call that picks the explained
+        # class: the memo serves it whole, recomputing no window and running no pair
         spec = network.NetworkSpec(
             input_shape=(32, 32, 3),
             layers=(
@@ -714,24 +742,37 @@ class TestExplain:
         network.save_weights(spec, network.init_parameters(spec, Rng(6), np.float32), weights)
         image_path = tmp_path / "ring.ppm"
         imaging.write_image(synthetic.render_shape("ring", 32, Rng(6)), image_path)
-        calls = []
-        patch = network._patch
+        calls, computed = [], []
+        memo_call, tiles, full = (
+            network.WindowMemo.__call__, network._pool_tiles, network._pool_full
+        )
 
-        def spy(spec, tensors, x, references):
-            calls.append((x, references[0][1:]))  # the input of the second reference
-            return patch(spec, tensors, x, references)
+        def spy(memo, x):
+            calls.append((x.copy(), len(computed)))
+            return memo_call(memo, x)
 
-        monkeypatch.setattr(network, "_patch", spy)
+        def counted(kernel):
+            def run(*args):
+                computed.append(kernel)
+                return kernel(*args)
+
+            return run
+
+        monkeypatch.setattr(network.WindowMemo, "__call__", spy)
+        monkeypatch.setattr(network, "_pool_tiles", counted(tiles))
+        monkeypatch.setattr(network, "_pool_full", counted(full))
         code, _, stderr = run_cli(
             capsys,
             "explain", "--weights", str(weights), "--image", str(image_path), "--method", "shap",
             "--segments", "16", "--samples", "60", "--seed", "9", "--out-dir", str(tmp_path),
         )
         assert code == 0, stderr
-        assert any(
-            x.dtype == empty.dtype and x.shape == empty.shape and x.tobytes() == empty.tobytes()
-            for x, empty in calls
-        )
+        first = calls[0][0]
+        repeats = [i for i, (x, _) in enumerate(calls) if i and x.tobytes() == first.tobytes()]
+        assert repeats
+        ends = [n for _, n in calls[1:]] + [len(computed)]
+        for i in repeats:
+            assert ends[i] == calls[i][1]  # nothing computed during call i
 
 
 def canny_by_hand(image):
@@ -1249,7 +1290,7 @@ class TestConfig:
         assert BOUND_IDS == [
             "learning_rate--5e-324", "batch_size-0", "epochs-0", "patience-0", "seed--1",
             "seed-18446744073709551616", "l2--5e-324", "canny_sigma-0.0",
-            "canny_sigma-50.00000000000001", "canny_low--5e-324", "target_class--1", "segments-0", "compactness--5e-324", "slic_iters-0",
+            "canny_sigma-50.00000000000001", "canny_low--5e-324", "target_class--1", "segments-0", "segments-1001", "compactness--5e-324", "slic_iters-0",
             "slic_iters-1001", "samples-0", "samples-1000001", "kernel_width-0.0",
             "ridge--5e-324", "top_k--1",
         ]
@@ -1272,7 +1313,8 @@ class TestConfig:
         assert getattr(resolve_config(args)[0], field.name) == inside
 
     @pytest.mark.parametrize(
-        "key, limit, bad", [("samples", 10**6, 10**21), ("slic_iters", 1000, 1001)]
+        "key, limit, bad",
+        [("samples", 10**6, 10**21), ("slic_iters", 1000, 1001), ("segments", 1000, 1001)],
     )
     def test_count_settings_have_an_upper_bound(
         self, tmp_path, capsys, monkeypatch, key, limit, bad

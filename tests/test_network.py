@@ -340,42 +340,68 @@ class TestLayerOrderAndInference:
             assert np.array_equal(got, expect)
 
 
-def full_activations(spec, params, x):
-    """The full forward's probabilities, input and pool outputs: there is no reference to patch."""
-    return network.forward(spec, params, x, train=False, references=[])
+def full_pools(spec, params, x):
+    """The full forward's probabilities of one input and its leading pool outputs after ReLU."""
+    batch, pools, tensors = x[None], [], iter(params)
+    for step in spec.plan.steps[: 2 * spec.plan.patch_depth]:
+        if step.layer.kind == "conv2d":
+            batch = tensor.conv2d_batch(batch, next(tensors), next(tensors))
+        else:
+            batch, _ = tensor.maxpool2d_batch(batch, winners=False)
+            batch = tensor.relu(batch) if step.activation == "relu" else batch
+            pools.append(batch)
+    probs, _ = network.forward(spec, params, x, train=False)
+    return probs, pools
 
 
-def stacked_references(spec, params, inputs):
-    """The full forwards' activations of ``inputs``, stacked per level as forward takes them."""
-    activations = [full_activations(spec, params, x)[1] for x in inputs]
-    return [np.concatenate(level) for level in zip(*activations)]
-
-
-def assert_patch_is_exact(spec, params, x, references):
-    """The patch path's probabilities and pool outputs are the full forward's bytes."""
-    patched, acts = network.forward(spec, params, x, train=False, references=references)
-    full, want = full_activations(spec, params, x)
-    plain, _ = network.forward(spec, params, x, train=False)
-    assert patched.dtype == full.dtype and patched.tobytes() == full.tobytes() == plain.tobytes()
-    assert len(acts) == len(want)
-    for got, expect in zip(acts, want):
+def assert_memo_is_exact(memo, spec, params, x):
+    """The memo's probabilities and pool outputs for ``x`` are the full forward's bytes."""
+    probs, pools = memo(x)
+    want_probs, want = full_pools(spec, params, x)
+    assert probs.dtype == want_probs.dtype and probs.tobytes() == want_probs.tobytes()
+    assert len(pools) == len(want) == spec.plan.patch_depth
+    for got, expect in zip(pools, want):
         assert got.shape == expect.shape and got.dtype == expect.dtype
         assert got.tobytes() == expect.tobytes()
-    return acts
+    assert memo.nbytes <= network.MEMO_BYTES
+    return pools
+
+
+def pair_windows(spec):
+    """The pool window count of each memoised pair, by the (h, w) of the pair's input."""
+    shape, windows = spec.input_shape, {}
+    for pool in spec.plan.steps[1 : 2 * spec.plan.patch_depth : 2]:
+        windows[tuple(shape[:2])] = pool.out_shape[0] * pool.out_shape[1]
+        shape = pool.out_shape
+    return windows
 
 
 @pytest.fixture
 def tile_batches(monkeypatch):
-    """The batch size of every conv that runs on gathered 4x4 tiles, in call order."""
+    """The window count of every product the memo runs on gathered windows, in call order."""
     sizes = []
 
-    def spy(x, kernels, bias):
-        if x.shape[1:3] == (4, 4):
-            sizes.append(len(x))
-        return tensor.conv2d_batch(x, kernels, bias)
+    def spy(cols, kernels, bias):
+        sizes.append(len(cols) // 4)  # four conv pixels per pool window
+        return tensor.conv2d_rows(cols, kernels, bias)
 
-    monkeypatch.setattr(network, "conv2d_batch", spy)
+    monkeypatch.setattr(network, "conv2d_rows", spy)
     return sizes
+
+
+@pytest.fixture
+def full_pairs(monkeypatch):
+    """The (h, w) input of every (conv, pool) pair the memo runs in full, in call order."""
+    shapes = []
+
+    full = network._pool_full
+
+    def spy(x, pool, kernels, bias):
+        shapes.append(x.shape[1:3])
+        return full(x, pool, kernels, bias)
+
+    monkeypatch.setattr(network, "_pool_full", spy)
+    return shapes
 
 
 def coalition_inputs(spec, size, config, seed, method):
@@ -413,117 +439,131 @@ COALITION_CASES = pytest.mark.parametrize(
 )
 
 
-def patched_calls(name, size, settings, method, tile_batches):
-    """How many of the coalition calls patch a pair; every call is checked to be exact."""
+def memo_calls(name, size, settings, method, tile_batches, full_pairs):
+    """Every coalition call through one memo, each checked to be exact.
+
+    Returns the share of the coalition calls' pool windows (all calls but the
+    image's and the all-baseline copy's) that went through the conv kernels.
+    """
     spec = SPECS[name]()
     config = training.TrainConfig(**settings)
     dtype = training.DTYPES[config.dtype]
     params = network.init_parameters(spec, Rng(41).child(name), dtype=dtype)
-    full, empty, *coalitions = coalition_inputs(spec, size, config, 42, method)
-    references = stacked_references(spec, params, (full, empty))
-    patched = 0
-    for x in [full, empty, *coalitions]:
-        before = len(tile_batches)
-        assert_patch_is_exact(spec, params, x, references)
-        patched += len(tile_batches) > before
-    return patched, len(coalitions)
+    memo = network.WindowMemo(spec, params)
+    inputs = coalition_inputs(spec, size, config, 42, method)
+    for i, x in enumerate(inputs):
+        if i == 2:
+            tile_batches.clear()
+            full_pairs.clear()
+        assert_memo_is_exact(memo, spec, params, x)
+    windows = pair_windows(spec)
+    computed = sum(tile_batches) + sum(windows[shape] for shape in full_pairs)
+    return computed / (sum(windows.values()) * (len(inputs) - 2))
 
 
-class TestPatchedInference:
-    """forward's patch path gives the full forward's bytes, probabilities and pool outputs."""
+def memo_of(name, seed, dtype=np.float32):
+    spec = SPECS[name]()
+    params = network.init_parameters(spec, Rng(seed).child(name), dtype=dtype)
+    return spec, params, network.WindowMemo(spec, params)
+
+
+class TestWindowMemo:
+    """A window memo gives the full forward's bytes, probabilities and pool outputs."""
 
     @COALITION_CASES
-    def test_every_kernel_shap_coalition(self, name, size, settings, tile_batches):
-        patched, calls = patched_calls(name, size, settings, "shap", tile_batches)
-        # most calls take the patch path; the canny-segment model's Otsu threshold
-        # moves with the coalition, so many of its calls run in full
-        assert patched >= calls // (4 if settings.get("canny") else 2)
+    def test_every_kernel_shap_coalition(self, name, size, settings, tile_batches, full_pairs):
+        # after the image and its all-baseline copy the memo serves most windows
+        computed = memo_calls(name, size, settings, "shap", tile_batches, full_pairs)
+        assert 0 < computed < 0.2
 
     @COALITION_CASES
-    def test_every_lime_coalition(self, name, size, settings, tile_batches):
-        patched, calls = patched_calls(name, size, settings, "lime", tile_batches)
-        # a LIME mask keeps each segment with probability 1/2, yet in the first pair of
-        # nearly every call most windows match one of the two references
-        assert patched >= 0.9 * calls
+    def test_every_lime_coalition(self, name, size, settings, tile_batches, full_pairs):
+        # a LIME mask keeps each segment with probability 1/2, yet a window's receptive
+        # field covers few segments, so its input has mostly been seen before
+        computed = memo_calls(name, size, settings, "lime", tile_batches, full_pairs)
+        assert 0 < computed < 0.2
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_one_changed_pixel_recomputes_padded_windows(self, name, dtype, tile_batches):
-        spec = SPECS[name]()
-        params = network.init_parameters(spec, Rng(43).child(name), dtype=dtype)
+        spec, params, memo = memo_of(name, 43, dtype)
         reference = Rng(44).random(spec.input_shape).astype(dtype)
-        refs = stacked_references(spec, params, [reference])
+        assert_memo_is_exact(memo, spec, params, reference)
         h, w, _ = spec.input_shape
         for y, x in ((0, 0), (h - 1, w - 1), (h // 2, w // 3)):
             changed = reference.copy()
             changed[y, x, 1] += 0.5
             tile_batches.clear()
-            assert_patch_is_exact(spec, params, changed, refs)
+            assert_memo_is_exact(memo, spec, params, changed)
             assert tile_batches and max(tile_batches) <= 9
             if x == 0:
                 # a corner pixel reaches one window of each pool, padded to 8 (32 im2col rows)
-                depth = spec.plan.patch_depth
-                assert tile_batches == [network.PATCH_MIN_WINDOWS] * depth
+                assert tile_batches == [network.PATCH_MIN_WINDOWS] * spec.plan.patch_depth
+            tile_batches.clear()
+            assert_memo_is_exact(memo, spec, params, changed)  # seen before: nothing recomputed
+            assert tile_batches == []
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
-    def test_fully_changed_image(self, name, tile_batches, monkeypatch):
-        spec = SPECS[name]()
-        params = network.init_parameters(spec, Rng(45).child(name), dtype=np.float32)
-        *references, changed = Rng(46).random((3, *spec.input_shape)).astype(np.float32)
-        refs = stacked_references(spec, params, references)
-        assert_patch_is_exact(spec, params, changed, refs)
-        assert tile_batches == []  # every window matches no reference, past PATCH_SHARE
+    def test_fully_changed_image(self, name, tile_batches, full_pairs, monkeypatch):
+        spec, params, memo = memo_of(name, 45)
+        *seen, changed = Rng(46).random((3, *spec.input_shape)).astype(np.float32)
+        for x in seen:
+            assert_memo_is_exact(memo, spec, params, x)
+        full_pairs.clear()
+        assert_memo_is_exact(memo, spec, params, changed)
+        # every window misses, past PATCH_SHARE: each pair runs in full
+        assert tile_batches == [] and full_pairs == list(pair_windows(spec))
         monkeypatch.setattr(network, "PATCH_SHARE", 1.0)
-        assert_patch_is_exact(spec, params, changed, refs)
-        pools = spec.plan.steps[1 : 2 * spec.plan.patch_depth : 2]
-        assert tile_batches == [pool.out_shape[0] * pool.out_shape[1] for pool in pools]
+        spec, params, memo = memo_of(name, 45)
+        assert_memo_is_exact(memo, spec, params, changed)
+        assert tile_batches == list(pair_windows(spec).values())
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
-    def test_later_pair_runs_in_full(self, name, tile_batches):
+    def test_later_pair_runs_in_full(self, name, tile_batches, full_pairs):
         # a changed pixel every 8 rows and columns reaches about a quarter of the first
         # pool's windows, but every 4x4 tile of that pool's output holds one of them
-        spec = SPECS[name]()
-        params = network.init_parameters(spec, Rng(54).child(name), dtype=np.float32)
+        spec, params, memo = memo_of(name, 54)
         reference = Rng(55).random(spec.input_shape).astype(np.float32)
+        assert_memo_is_exact(memo, spec, params, reference)
         changed = reference.copy()
         changed[::8, ::8] += 0.5
-        acts = assert_patch_is_exact(
-            spec, params, changed, stacked_references(spec, params, [reference])
-        )
+        full_pairs.clear()
+        pools = assert_memo_is_exact(memo, spec, params, changed)
         h, w, _ = spec.plan.steps[1].out_shape
         assert len(tile_batches) == 1 and tile_batches[0] <= network.PATCH_SHARE * h * w
-        assert len(acts) == 1 + spec.plan.patch_depth
+        assert full_pairs == list(pair_windows(spec))[1:] and len(pools) == spec.plan.patch_depth
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
-    def test_window_matching_only_the_second_reference_takes_its_bytes(self, name, tile_batches):
-        # the input is the first reference left of column 25 and the second from there on:
+    def test_window_takes_the_output_of_whichever_call_it_matches(self, name, tile_batches):
+        # the input is the first call's left of column 25 and the second's from there on:
         # only the first pool's windows whose 4x4 tile spans the seam, columns 11 and 12,
-        # match neither, and the windows right of them match the second reference alone
-        spec = SPECS[name]()
-        params = network.init_parameters(spec, Rng(56).child(name), dtype=np.float32)
+        # match neither, and the windows right of them take the second call's output
+        spec, params, memo = memo_of(name, 56)
         first, second = Rng(57).random((2, *spec.input_shape)).astype(np.float32)
-        refs = stacked_references(spec, params, [first, second])
+        assert_memo_is_exact(memo, spec, params, first)
+        _, seen = memo(second)
         mixed = first.copy()
         mixed[:, 25:] = second[:, 25:]
-        acts = assert_patch_is_exact(spec, params, mixed, refs)
+        tile_batches.clear()
+        pools = assert_memo_is_exact(memo, spec, params, mixed)
         h = spec.plan.steps[1].out_shape[0]
         assert tile_batches[0] == 2 * h
-        right = acts[1][0, :, 13:]
-        assert right.tobytes() == refs[1][1, :, 13:].tobytes() != refs[1][0, :, 13:].tobytes()
+        right = pools[0][0, :, 13:]
+        assert right.tobytes() == seen[0][0, :, 13:].tobytes()
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     def test_overflowing_weights(self, name, tile_batches):
-        spec = SPECS[name]()
-        params = network.init_parameters(spec, Rng(47).child(name), dtype=np.float32)
+        spec, params, memo = memo_of(name, 47)
         # weights of +-1e38: sums overflow to +-inf, and inf - inf makes NaN
         params = [np.copysign(np.float32(1e38), p) for p in params]
+        memo = network.WindowMemo(spec, params)
         reference = Rng(48).random(spec.input_shape).astype(np.float32)
         changed = reference.copy()
         changed[10:14, 20:30] = 0.25
         with np.errstate(over="ignore", invalid="ignore"):
-            refs = stacked_references(spec, params, [reference])
-            acts = assert_patch_is_exact(spec, params, changed, refs)
-        assert tile_batches and np.isinf(acts[1]).any() and np.isnan(acts[-1]).any()
+            assert_memo_is_exact(memo, spec, params, reference)
+            pools = assert_memo_is_exact(memo, spec, params, changed)
+        assert tile_batches and np.isinf(pools[0]).any() and np.isnan(pools[-1]).any()
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     def test_nan_ties_keep_the_full_forward_corner_order(self, name, tile_batches):
@@ -531,26 +571,95 @@ class TestPatchedInference:
         # pool window (i, j)'s top-right and bottom-left conv pixels (and its top-left), not
         # in its bottom-right one: the window pools NaNs of both signs beside a finite value,
         # and the pooled sign bit shows the corner order that picked one
-        spec = SPECS[name]()
-        params = network.init_parameters(spec, Rng(49).child(name), dtype=np.float32)
+        spec, params, memo = memo_of(name, 49)
         reference = Rng(50).random(spec.input_shape).astype(np.float32)
         changed = reference.copy()
         for i, j in ((3, 4), (6, 9), (10, 2)):
             changed[2 * i, 2 * j + 1, 0] = np.nan
             changed[2 * i + 1, 2 * j, 0] = -np.nan
-        refs = stacked_references(spec, params, [reference])
-        acts = assert_patch_is_exact(spec, params, changed, refs)
-        signs = np.signbit(acts[1][np.isnan(acts[1])])
+        assert_memo_is_exact(memo, spec, params, reference)
+        pools = assert_memo_is_exact(memo, spec, params, changed)
+        signs = np.signbit(pools[0][np.isnan(pools[0])])
         assert tile_batches and 0 < signs.sum() < len(signs)
+
+    @pytest.mark.parametrize("name", ["rice", "disease"])
+    @pytest.mark.parametrize(
+        "first, second", [(0.0, -0.0), (np.nan, -np.nan)], ids=["signed-zeros", "nans"]
+    )
+    def test_values_with_other_bits_get_their_own_id(self, name, first, second, tile_batches):
+        # +0.0 and -0.0 compare equal as floats, and a NaN equals nothing: ids compare bits,
+        # so the second value is recomputed, and the first, seen again, is not
+        spec, params, memo = memo_of(name, 58)
+        reference = Rng(59).random(spec.input_shape).astype(np.float32)
+        inputs = []
+        for value in (first, second, first):
+            x = reference.copy()
+            x[6, 8, 2] = value
+            inputs.append(x)
+        assert_memo_is_exact(memo, spec, params, inputs[0])
+        for x, recomputed in zip(inputs[1:], (True, False)):
+            tile_batches.clear()
+            assert_memo_is_exact(memo, spec, params, x)
+            assert bool(tile_batches) == recomputed
+
+    @pytest.mark.parametrize("name", ["rice", "mini-pool"])
+    def test_noise_stream_stays_exact_within_the_budget(self, name, monkeypatch):
+        # every call brings new values at every pixel: the memo fills its budget (or a
+        # location's 255 ids), stores nothing more, and every call stays exact
+        if name == "rice":
+            monkeypatch.setattr(network, "MEMO_BYTES", 2**21)
+            spec = SPECS["rice"]()
+            calls = 30
+        else:
+            spec = NetworkSpec(
+                input_shape=(10, 10, 3),
+                layers=(
+                    LayerSpec("conv2d", filters=3, activation="relu"),
+                    LayerSpec("maxpool2d"),
+                    LayerSpec("flatten"),
+                    LayerSpec("dense", units=3, activation="softmax"),
+                ),
+                num_classes=3,
+            )
+            calls = 300  # past the 255 ids of a pixel location
+        params = network.init_parameters(spec, Rng(60), dtype=np.float32)
+        memo = network.WindowMemo(spec, params)
+        h, w, c = spec.input_shape
+        config = training.TrainConfig()
+        for i in range(calls):
+            noise = (Rng(61).child(str(i)).random((64, 64, 3)) * 255).astype(np.uint8)
+            x = training.preprocess(noise[None], spec, config)[0]
+            assert_memo_is_exact(memo, spec, params, x)
+        if name == "rice":
+            assert memo.nbytes > network.MEMO_BYTES * 0.9  # filled, never past it
+        else:
+            assert memo.pixel_table.count.max() == network.UNSTORED
 
     def test_other_layer_orders_run_in_full(self, tile_batches):
         spec = mini_spec()  # conv, pool, conv, flatten: the second conv has no pool
         assert spec.plan.patch_depth == 0
         params = network.init_parameters(spec, Rng(52), dtype=np.float32)
+        memo = network.WindowMemo(spec, params)
         x = Rng(53).random(spec.input_shape).astype(np.float32)
-        probs, acts = network.forward(spec, params, x, train=False, references=[])
-        plain, _ = network.forward(spec, params, x, train=False)
-        assert acts is None and probs.tobytes() == plain.tobytes() and tile_batches == []
+        for _ in range(2):
+            probs, pools = memo(x)
+            plain, _ = network.forward(spec, params, x, train=False)
+            assert pools == [] and probs.tobytes() == plain.tobytes() and tile_batches == []
+        assert memo.nbytes == 0
+
+    def test_forward_takes_one_inference_input_through_the_memo(self):
+        spec, params, memo = memo_of("rice", 62)
+        x = Rng(63).random(spec.input_shape).astype(np.float32)
+        for batch, train in ((x[None], False), (x, True)):
+            with pytest.raises(NetworkError, match="one"):
+                network.forward(spec, params, batch, train=train, memo=memo)
+        probs, pools = network.forward(spec, params, x, train=False, memo=memo)
+        want, want_pools = full_pools(spec, params, x)
+        assert probs.tobytes() == want.tobytes() and len(pools) == len(want_pools)
+        with pytest.raises(NetworkError, match="input shape"):
+            memo(x[:-1])
+        with pytest.raises(NetworkError, match="dtype"):
+            memo(x.astype(np.float64))
 
 
 class TestLoss:
