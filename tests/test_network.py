@@ -553,7 +553,8 @@ class TestWindowMemo:
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     def test_overflowing_weights(self, name, tile_batches):
-        spec, params, memo = memo_of(name, 47)
+        spec = SPECS[name]()
+        params = network.init_parameters(spec, Rng(47).child(name), dtype=np.float32)
         # weights of +-1e38: sums overflow to +-inf, and inf - inf makes NaN
         params = [np.copysign(np.float32(1e38), p) for p in params]
         memo = network.WindowMemo(spec, params)
