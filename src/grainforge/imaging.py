@@ -213,20 +213,22 @@ def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
     return cols
 
 
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-_SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
-
-
-def _correlate3(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    windows = np.lib.stride_tricks.sliding_window_view(
-        _pad_planes(arr, 1, "edge"), (3, 3), axis=(-2, -1)
-    )
-    return np.einsum("...ijkl,kl->...ij", windows, kernel)
-
-
 def sobel_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel responses (gx, gy) of the (H, W) planes of ``arr``, clamp-to-border."""
-    return _correlate3(arr, _SOBEL_X), _correlate3(arr, _SOBEL_Y)
+    """3x3 Sobel responses (gx, gy) of the (H, W) planes of ``arr``, clamp-to-border.
+
+    Each response is slice arithmetic over the edge-padded planes, summed in
+    one fixed order: in each kernel row the two outer terms, then the middle
+    one; the rows top to bottom.  On planes without negative values or -0.0,
+    such as Canny's blurred intensities, that gives the bits numpy's einsum
+    gave over the 3x3 windows, and they no longer depend on which SIMD
+    kernel einsum picks.
+    """
+    padded = _pad_planes(arr, 1, "edge")
+    h, w = arr.shape[-2:]
+    p = [[padded[..., k : k + h, l : l + w] for l in range(3)] for k in range(3)]
+    gx = ((p[0][2] - p[0][0]) + 2 * (p[1][2] - p[1][0])) + (p[2][2] - p[2][0])
+    gy = ((p[2][0] + p[2][2]) + 2 * p[2][1]) - ((p[0][0] + p[0][2]) + 2 * p[0][1])
+    return gx, gy
 
 
 # offsets of the neighbor pair to compare against, per direction bin:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -394,6 +395,17 @@ class TestPerturb:
         diff = np.any(out != image, axis=2)
         assert np.array_equal(diff, spmap.labels == 2)
 
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_each_channel_gets_its_own_baseline_value(self, rng, channels):
+        image = random_image(rng, 7, 9, channels)
+        spmap = SuperpixelMap(rng.integers(0, 6, (9, 7)).astype(np.int32), 6)
+        baseline = (11, 222, 93)[:channels]
+        for mask in (rng.random(6) < 0.5, rng.integers(0, 2, 6), rng.random(6).round()):
+            out = explain.perturb(image, spmap, mask, baseline)
+            excluded = ~mask.astype(bool)[spmap.labels]
+            assert np.all(out[excluded] == baseline)
+            assert np.array_equal(out[~excluded], image[~excluded])
+
     def test_default_baseline_is_mean_color(self, rng):
         image = random_image(rng, 6, 6)
         spmap = SuperpixelMap(np.zeros((6, 6), dtype=np.int32), 1)
@@ -408,8 +420,8 @@ class TestCoalitionValue:
         c = np.array([0.5, -0.4, 0.3, 0.1])
         model = mask_reading_model(image, spmap, lambda z: [float(c @ z), 1.0 + float(z.sum())])
         value = explain.coalition_value(model, image, spmap, 1, BASELINE)
-        for z in explain._enumerate_masks(4):
-            assert value(z) == 1.0 + z.sum()
+        for z in itertools.product((0.0, 1.0), repeat=4):
+            assert value(np.array(z)) == 1.0 + sum(z)
 
 
 class TestLime:
@@ -623,12 +635,31 @@ class TestKernelShap:
         # each pair draws size s with probability proportional to C(m, s) times the
         # per-coalition kernel weight, then adds the coalition of size s and of m - s
         m, pairs = 6, 20000
-        masks, counts = explain._sample_coalitions(m, 2 * pairs, Rng(5))
-        drawn = np.bincount(masks.sum(axis=1).astype(int), weights=counts, minlength=m + 1)
+        packed, counts = explain._sample_coalitions(m, 2 * pairs, Rng(5))
+        masks = np.unpackbits(packed, axis=1, count=m)
+        drawn = np.bincount(masks.sum(axis=1), weights=counts, minlength=m + 1)
         sizes = range(1, m)
         mass = np.array([math.comb(m, s) * explain._shapley_kernel_weight(m, s) for s in sizes])
         expected = (mass + mass[::-1]) / mass.sum() * pairs
         assert np.abs(drawn[1:m] - expected).max() < 0.02 * pairs
+
+    def test_sampled_coalitions_keep_their_first_drawn_order(self):
+        # oracle: the draws kept as M-int tuples in a dict, in insertion order
+        m, pairs = 11, 400
+        packed, counts = explain._sample_coalitions(m, 2 * pairs, Rng(6))
+        rng = Rng(6)
+        sizes = np.arange(1, m)
+        size_weight = (m - 1) / (sizes * (m - sizes))
+        cumulative = np.cumsum(size_weight / size_weight.sum())
+        seen: dict[tuple, float] = {}
+        for _ in range(pairs):
+            size = 1 + int(np.searchsorted(cumulative, rng.random()))
+            mask = np.zeros(m, dtype=int)
+            mask[rng.permutation(m)[:size]] = 1
+            for z in (tuple(mask), tuple(1 - mask)):
+                seen[z] = seen.get(z, 0.0) + 1.0
+        assert np.array_equal(np.unpackbits(packed, axis=1, count=m), np.array(list(seen)))
+        assert np.array_equal(counts, np.array(list(seen.values())))
 
     def test_sampled_at_1100_players_keeps_local_accuracy(self):
         # C(1100, 550) does not fit a float, so the size weights need their closed form
@@ -674,6 +705,83 @@ class TestKernelShap:
             explain.kernel_shap(lambda z: float(z[:4].sum()), m, 200, Rng(7)) for _ in range(2)
         )
         assert np.array_equal(a1, a2)
+
+
+def recording_game(c: np.ndarray):
+    """A non-additive game over len(c) players that records every mask it is called with."""
+    calls = []
+
+    def value(z):
+        calls.append(np.array(z))
+        return float(np.tanh(c @ z) + 0.1 * z[0] * z[-1])
+
+    return value, calls
+
+
+class TestStreamedCore:
+    # explainer(value, m, n) and (segments, samples): each path that makes masks
+    CASES = {
+        "lime-drawn": ("lime", 9, 100),
+        "lime-enumerated": ("lime", 6, 64),
+        "shap-sampled": ("shap", 12, 200),
+        "shap-enumerated": ("shap", 7, 126),
+    }
+
+    @staticmethod
+    def explain_with(method, value, m, n):
+        if method == "lime":
+            return explain.lime_explain(value, m, n, 0.25, 1.0, Rng(3))
+        return explain.kernel_shap(value, m, n, Rng(3))
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_chunks_keep_the_calls_and_the_fit(self, monkeypatch, case, rows):
+        method, m, n = self.CASES[case]
+        c = Rng(4).normal(0, 1, m)
+        whole_value, whole_calls = recording_game(c)
+        whole = self.explain_with(method, whole_value, m, n)
+        monkeypatch.setattr(explain, "CHUNK_VALUES", rows * m)
+        chunked_value, chunked_calls = recording_game(c)
+        chunked = self.explain_with(method, chunked_value, m, n)
+        assert len(chunked_calls) == len(whole_calls) > 3 * rows  # several chunks
+        for a, b in zip(chunked_calls, whole_calls):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.abs(chunked - whole).max() <= 1e-12
+        if method == "shap":
+            delta = whole_value(np.ones(m)) - whole_value(np.zeros(m))
+            assert abs(chunked.sum() - delta) <= 1e-12
+
+    def test_chunk_rows_are_even_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(explain, "CHUNK_VALUES", 40)
+        for n, m in ((1, 1), (7, 4), (20, 4), (21, 4), (1000, 3), (5, 100)):
+            ranges = list(explain._row_ranges(n, m))
+            sizes = [b - a for a, b in ranges]
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(a == prev for (a, _), (_, prev) in zip(ranges[1:], ranges))
+            # as few chunks as the bound allows, all of one size but a last, smaller one
+            assert len(ranges) == -(-n // max(1, 40 // m))
+            assert len(set(sizes[:-1])) <= 1 and sizes[0] <= max(1, 40 // m)
+            assert 0 <= sizes[0] - sizes[-1] < len(ranges)
+
+    def test_peak_memory_does_not_grow_with_samples(self):
+        # at 500 segments one n x M float64 array is 8 MB at n = 2,000 and 80 MB at 20,000
+        m = 500
+        c = Rng(1).normal(0, 1, m)
+
+        def value(z):
+            return 0.1 + float(c @ z)
+
+        for method in ("lime", "shap"):
+            peaks = []
+            for n in (2000, 20000):
+                tracemalloc.start()
+                try:
+                    self.explain_with(method, value, m, n)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            mib = [round(peak / 2**20, 1) for peak in peaks]
+            assert peaks[1] <= 1.1 * peaks[0], f"{method}: {mib[0]} -> {mib[1]} MiB"
 
 
 class TestRendering:

@@ -289,6 +289,44 @@ class TestGaussianBlur:
         assert np.abs(got - full).max() < 1e-9
 
 
+def sobel_loop(plane: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel Sobel of one clamp-to-border plane, the kernel weights summed by scalars.
+
+    In each kernel row the two outer terms are added first, then the middle
+    one; the row sums are added top to bottom.
+    """
+    h, w = plane.shape
+    out = []
+    for kernel in (((-1, 0, 1), (-2, 0, 2), (-1, 0, 1)), ((-1, -2, -1), (0, 0, 0), (1, 2, 1))):
+        g = np.empty((h, w))
+        for y, x in np.ndindex(h, w):
+            rows = []
+            for k, weights in enumerate(kernel):
+                sy = min(max(y + k - 1, 0), h - 1)
+                sxs = [min(max(x + l - 1, 0), w - 1) for l in range(3)]
+                terms = [wt * float(plane[sy, sx]) for wt, sx in zip(weights, sxs)]
+                rows.append((terms[0] + terms[2]) + terms[1])
+            g[y, x] = (rows[0] + rows[1]) + rows[2]
+        out.append(g)
+    return out[0], out[1]
+
+
+class TestSobel:
+    def test_matches_the_scalar_loop_in_every_bit(self, rng):
+        # flat runs of 0 and of one repeated value put exact zeros in the sums
+        noisy = rng.uniform(0, 255, (3, 11, 13))
+        noisy[rng.random(noisy.shape) < 0.3] = 0.0
+        noisy[rng.random(noisy.shape) < 0.2] = 97.25
+        blurred = imaging.blur_array(imaging.luma(random_image(rng, 9, 8)), 1.3)
+        for stack in (noisy, blurred[None], imaging.blur_array(noisy, 0.7)):
+            gx, gy = imaging.sobel_gradients(stack)
+            for plane, px, py in zip(stack, gx, gy):
+                ex, ey = sobel_loop(plane)
+                # int64 views compare bits, so -0.0 and +0.0 differ
+                assert np.array_equal(px.view(np.int64), ex.view(np.int64))
+                assert np.array_equal(py.view(np.int64), ey.view(np.int64))
+
+
 def square_fixture() -> np.ndarray:
     arr = np.zeros((32, 32, 1), dtype=np.uint8)
     arr[8:24, 8:24] = 255
