@@ -216,12 +216,10 @@ def blur_array(arr: np.ndarray, sigma: float) -> np.ndarray:
 def sobel_gradients(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """3x3 Sobel responses (gx, gy) of the (H, W) planes of ``arr``, clamp-to-border.
 
-    Each response is slice arithmetic over the edge-padded planes, summed in
-    one fixed order: in each kernel row the two outer terms, then the middle
-    one; the rows top to bottom.  On planes without negative values or -0.0,
-    such as Canny's blurred intensities, that gives the bits numpy's einsum
-    gave over the 3x3 windows, and they no longer depend on which SIMD
-    kernel einsum picks.
+    Slices of the edge-padded planes are summed in one order: each kernel
+    row's outer terms, then its middle one; rows top to bottom.  On planes
+    with no negative value or -0.0 (Canny's blurred intensities) that gives
+    the bits einsum gave, and they no longer depend on einsum's SIMD kernel.
     """
     padded = _pad_planes(arr, 1, "edge")
     h, w = arr.shape[-2:]
