@@ -387,7 +387,9 @@ def _sample_coalitions(m: int, n_samples: int, rng: Rng) -> tuple[np.ndarray, np
         mask = np.zeros(m, dtype=bool)
         mask[rng.permutation(m)[:size]] = True
         drawn[2 * i], drawn[2 * i + 1] = np.packbits(mask), np.packbits(~mask)
-    _, first, counts = np.unique(drawn, axis=0, return_index=True, return_counts=True)
+    # one void field per row: a byte compare per row, not a structured sort of M/8 fields
+    rows = drawn.view(np.dtype((np.void, drawn.shape[1]))).ravel()
+    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
     order = np.argsort(first)
     return drawn[first[order]], counts[order].astype(np.float64)
 

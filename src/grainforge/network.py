@@ -8,8 +8,9 @@ cross-entropy are fused at the logits as (p - y) / B.  The inference
 forward keeps no cache.  A ``WindowMemo`` runs single inputs, one after
 another, with the full forward's bytes: each pool window of the leading
 (conv, pool) pairs whose receptive-field input an earlier call has seen
-takes that call's output, and only the unseen windows are recomputed
-(the exact part of incremental inference, Nakandala et al., SIGMOD 2019).
+takes that call's output, and only the unseen windows are recomputed, their
+4x4 input tiles run as one batch through the same conv kernel (the exact part
+of incremental inference, Nakandala et al., SIGMOD 2019).
 
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
@@ -41,7 +42,6 @@ from .tensor import (
     Tensor,
     conv2d_backward,
     conv2d_batch,
-    conv2d_rows,
     dense_backward,
     dense_forward,
     maxpool2d_backward,
@@ -59,10 +59,6 @@ MAGIC = b"GFW1"
 # the JSON header follows the magic and its 8-byte little-endian length
 HEADER_START = len(MAGIC) + 8
 
-# A (conv, pool) pair of a memoised call that would recompute more than this share of
-# its pool windows runs in full.  A recomputed window costs about 1.1 x its share of the
-# full pair, plus its bookkeeping, so the break-even lies near 0.8 at both 50 and 224 px.
-PATCH_SHARE = 0.75
 # the fewest pool windows a memoised call recomputes at once.  Their 4 conv pixels each
 # make one im2col row, and a product over fewer than 28 rows can round differently from
 # the same rows of the full product (OpenBLAS small-matrix kernels); 8 windows give 32.
@@ -72,8 +68,6 @@ PATCH_MIN_WINDOWS = 8
 MEMO_BYTES = 16 * 2**20
 
 UNSTORED = 255  # the id of a pixel value or pool window that a memo does not hold
-# the row and column offsets of a pool window's four conv pixels from its first one
-_CORNER_ROWS, _CORNER_COLS = np.array([[0], [1]]), np.array([[0, 1]])
 
 # weights are drawn this many float64 values (128 KiB) at a time, so no
 # layer-sized float64 temporary is ever held beside the target-dtype array
@@ -449,32 +443,27 @@ def _window_keys(ids: np.ndarray, oh: int, ow: int) -> np.ndarray:
     return tiles.copy().view("<u8").reshape(2, oh * ow)
 
 
-def _pool_full(x: Tensor, pool: Step, kernels, bias) -> Tensor:
-    """The (h*w, c) outputs of every pool window of the (1,H,W,C) input ``x``: a pair in full."""
-    out, _ = maxpool2d_batch(conv2d_batch(x, kernels, bias), winners=False)
-    out = relu(out) if pool.activation == "relu" else out
-    return out.reshape(-1, out.shape[-1])
+def _pool_windows(x: Tensor, where, pool: Step, kernels, bias) -> Tensor:
+    """The (n, c) outputs of the pool windows at flat positions ``where`` of (1,H,W,C) ``x``.
 
-
-def _pool_tiles(x: Tensor, where, ow: int, pool: Step, kernels, bias) -> Tensor:
-    """The (n, c) outputs of the pool windows at flat positions ``where`` of input ``x``.
-
-    Each window's four conv pixels become four im2col rows, gathered straight
-    from ``x``, and go through the full forward's kernels; the product covers at
-    least ``PATCH_MIN_WINDOWS`` windows, padded with repeats.
+    With every window in ``where`` the pair runs on ``x`` in full.  Otherwise each
+    window's 4x4 input tile goes through the same conv, pool and ReLU kernels, as one
+    batch of at least ``PATCH_MIN_WINDOWS`` tiles padded with repeats: a tile's im2col
+    rows are the full input's rows for its four conv pixels, so the bytes are the same.
     """
+    oh, ow, channels = pool.out_shape
     n = len(where)
-    if n < PATCH_MIN_WINDOWS:  # duplicate rows give the same bits
-        where = np.resize(where, PATCH_MIN_WINDOWS)
-    ys, xs = np.divmod(where, ow)
-    corners = windows(x, KERNEL_SIZE, KERNEL_SIZE)[
-        0, 2 * ys[:, None, None] + _CORNER_ROWS, 2 * xs[:, None, None] + _CORNER_COLS
-    ]
-    conv = conv2d_rows(corners.reshape(4 * len(where), -1), kernels, bias)
-    pooled, _ = maxpool2d_batch(conv.reshape(len(where), 2, 2, -1), winners=False)
-    if pool.activation == "relu":
-        pooled = relu(pooled)
-    return pooled[:n, 0, 0]
+    if n == oh * ow:
+        conv = conv2d_batch(x, kernels, bias)
+    else:
+        if n < PATCH_MIN_WINDOWS:  # duplicate rows give the same bits
+            where = np.resize(where, PATCH_MIN_WINDOWS)
+        ys, xs = np.divmod(where, ow)
+        # the (n, 4, 4, C) tiles live only as long as the conv reads them
+        conv = conv2d_batch(windows(x, 4, 4)[0, 2 * ys, 2 * xs], kernels, bias)
+    out, _ = maxpool2d_batch(conv, winners=False)
+    out = relu(out) if pool.activation == "relu" else out
+    return out.reshape(-1, channels)[:n]
 
 
 class WindowMemo:
@@ -489,8 +478,9 @@ class WindowMemo:
     the first pair, the previous pair's windows after it.  Each window location
     gives each distinct key an id too, so by induction over the pairs equal keys
     mean equal tile bytes, and a window whose key is stored takes the stored
-    output.  Only the other windows go through the conv, pool and ReLU kernels;
-    a pair that misses more than ``PATCH_SHARE`` of its windows runs in full.
+    output.  Only the other windows go through the conv, pool and ReLU kernels,
+    as a batch of their 4x4 input tiles; a pair that misses every window runs
+    on its whole input, as the first call's pairs do.
     Values, keys and outputs are stored while the memo holds under
     ``MEMO_BYTES``; past it a new one's id is ``UNSTORED``, and a key holding
     that id is never stored or matched, so calls stay exact and recompute more.
@@ -540,17 +530,13 @@ class WindowMemo:
             cur, ok = _window_keys(ids, oh, ow), None
             ids, hit = table.find(cur)
             missed = np.flatnonzero(ids == UNSTORED)
-            if len(missed) > PATCH_SHARE * n:
-                out = _pool_full(batch, pool, kernels, bias)
-                new = out if len(missed) == n else out[missed]
+            new = _pool_windows(batch, missed, pool, kernels, bias) if len(missed) else None
+            if len(missed) < n:
+                out = table.gather(ids, hit)  # one gather, then the misses
+                if new is not None:
+                    out[missed] = new
             else:
-                new = _pool_tiles(batch, missed, ow, pool, kernels, bias) if len(missed) else None
-                if len(missed) < n:
-                    out = table.gather(ids, hit)  # one gather, then the misses
-                    if new is not None:
-                        out[missed] = new
-                else:
-                    out = new
+                out = new
             if len(missed):
                 if unstored:  # a key holding an unstored id is not stored
                     children = cur.view(np.uint8).reshape(2, n, 8)[:, missed]

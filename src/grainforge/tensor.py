@@ -66,18 +66,9 @@ def conv2d_batch(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"bias must have shape ({cout},), got {bias.shape}")
     # rows ordered (Kh, Kw, Cin) like the kernels
     cols = windows(x, kh, kw).reshape(-1, kh * kw * cin)
-    return conv2d_rows(cols, kernels, bias).reshape(b, h - kh + 1, w - kw + 1, cout)
-
-
-def conv2d_rows(cols: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """The (N, Cout) conv outputs of N contiguous im2col rows (N, Kh*Kw*Cin).
-
-    This is the product :func:`conv2d_batch` runs, so the same rows give the
-    same bytes whether they came from one image or were gathered elsewhere.
-    """
-    out = cols @ kernels.reshape(-1, kernels.shape[-1])
+    out = cols @ kernels.reshape(-1, cout)
     out += bias
-    return out
+    return out.reshape(b, h - kh + 1, w - kw + 1, cout)
 
 
 def conv2d_backward(x: Tensor, kernels: Tensor, dout: Tensor, need_dx: bool = True):

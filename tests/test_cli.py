@@ -632,11 +632,12 @@ class TestExplain:
         imaging.write_image(image, image_path)
         tiles = []
 
-        def spy(cols, kernels, bias):  # the memo convolves the windows it recomputes
-            tiles.append(len(cols))
-            return tensor.conv2d_rows(cols, kernels, bias)
+        def spy(x, kernels, bias):  # the memo convolves the 4x4 tiles of the windows it recomputes
+            if x.shape[1:3] == (4, 4):
+                tiles.append(len(x))
+            return tensor.conv2d_batch(x, kernels, bias)
 
-        monkeypatch.setattr(network, "conv2d_rows", spy)
+        monkeypatch.setattr(network, "conv2d_batch", spy)
         code, _, stderr = run_cli(
             capsys,
             "explain", "--weights", str(weights), "--image", str(image_path), "--method", "shap",
@@ -684,18 +685,19 @@ class TestExplain:
         image_path = tmp_path / "disc.ppm"
         imaging.write_image(image, image_path)
         calls, in_full = [], []
-        memo_call, full = network.WindowMemo.__call__, network._pool_full
+        memo_call, pool_windows = network.WindowMemo.__call__, network._pool_windows
 
         def spy(memo, x):
             calls.append(memo.nbytes)
             return memo_call(memo, x)
 
-        def full_spy(*args):
-            in_full.append(args)
-            return full(*args)
+        def full_spy(x, where, pool, kernels, bias):
+            if len(where) == pool.out_shape[0] * pool.out_shape[1]:
+                in_full.append(x)
+            return pool_windows(x, where, pool, kernels, bias)
 
         monkeypatch.setattr(network.WindowMemo, "__call__", spy)
-        monkeypatch.setattr(network, "_pool_full", full_spy)
+        monkeypatch.setattr(network, "_pool_windows", full_spy)
         code, _, stderr = run_cli(
             capsys,
             "explain", "--weights", str(weights), "--image", str(image_path), "--method", "lime",
@@ -743,24 +745,18 @@ class TestExplain:
         image_path = tmp_path / "ring.ppm"
         imaging.write_image(synthetic.render_shape("ring", 32, Rng(6)), image_path)
         calls, computed = [], []
-        memo_call, tiles, full = (
-            network.WindowMemo.__call__, network._pool_tiles, network._pool_full
-        )
+        memo_call, pool_windows = network.WindowMemo.__call__, network._pool_windows
 
         def spy(memo, x):
             calls.append((x.copy(), len(computed)))
             return memo_call(memo, x)
 
-        def counted(kernel):
-            def run(*args):
-                computed.append(kernel)
-                return kernel(*args)
-
-            return run
+        def counted(*args):
+            computed.append(args)
+            return pool_windows(*args)
 
         monkeypatch.setattr(network.WindowMemo, "__call__", spy)
-        monkeypatch.setattr(network, "_pool_tiles", counted(tiles))
-        monkeypatch.setattr(network, "_pool_full", counted(full))
+        monkeypatch.setattr(network, "_pool_windows", counted)
         code, _, stderr = run_cli(
             capsys,
             "explain", "--weights", str(weights), "--image", str(image_path), "--method", "shap",

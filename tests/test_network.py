@@ -378,14 +378,15 @@ def pair_windows(spec):
 
 @pytest.fixture
 def tile_batches(monkeypatch):
-    """The window count of every product the memo runs on gathered windows, in call order."""
+    """The window count of every batch of 4x4 tiles the memo convolves, padded, in call order."""
     sizes = []
 
-    def spy(cols, kernels, bias):
-        sizes.append(len(cols) // 4)  # four conv pixels per pool window
-        return tensor.conv2d_rows(cols, kernels, bias)
+    def spy(x, kernels, bias):
+        if x.shape[1:3] == (4, 4):  # one tile per recomputed pool window
+            sizes.append(len(x))
+        return tensor.conv2d_batch(x, kernels, bias)
 
-    monkeypatch.setattr(network, "conv2d_rows", spy)
+    monkeypatch.setattr(network, "conv2d_batch", spy)
     return sizes
 
 
@@ -393,14 +394,14 @@ def tile_batches(monkeypatch):
 def full_pairs(monkeypatch):
     """The (h, w) input of every (conv, pool) pair the memo runs in full, in call order."""
     shapes = []
+    run = network._pool_windows
 
-    full = network._pool_full
+    def spy(x, where, pool, kernels, bias):
+        if len(where) == pool.out_shape[0] * pool.out_shape[1]:
+            shapes.append(x.shape[1:3])
+        return run(x, where, pool, kernels, bias)
 
-    def spy(x, pool, kernels, bias):
-        shapes.append(x.shape[1:3])
-        return full(x, pool, kernels, bias)
-
-    monkeypatch.setattr(network, "_pool_full", spy)
+    monkeypatch.setattr(network, "_pool_windows", spy)
     return shapes
 
 
@@ -504,19 +505,15 @@ class TestWindowMemo:
             assert tile_batches == []
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
-    def test_fully_changed_image(self, name, tile_batches, full_pairs, monkeypatch):
+    def test_fully_changed_image(self, name, tile_batches, full_pairs):
         spec, params, memo = memo_of(name, 45)
         *seen, changed = Rng(46).random((3, *spec.input_shape)).astype(np.float32)
         for x in seen:
             assert_memo_is_exact(memo, spec, params, x)
         full_pairs.clear()
         assert_memo_is_exact(memo, spec, params, changed)
-        # every window misses, past PATCH_SHARE: each pair runs in full
+        # every window misses: each pair runs in full
         assert tile_batches == [] and full_pairs == list(pair_windows(spec))
-        monkeypatch.setattr(network, "PATCH_SHARE", 1.0)
-        spec, params, memo = memo_of(name, 45)
-        assert_memo_is_exact(memo, spec, params, changed)
-        assert tile_batches == list(pair_windows(spec).values())
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
     def test_later_pair_runs_in_full(self, name, tile_batches, full_pairs):
@@ -530,7 +527,7 @@ class TestWindowMemo:
         full_pairs.clear()
         pools = assert_memo_is_exact(memo, spec, params, changed)
         h, w, _ = spec.plan.steps[1].out_shape
-        assert len(tile_batches) == 1 and tile_batches[0] <= network.PATCH_SHARE * h * w
+        assert len(tile_batches) == 1 and tile_batches[0] <= h * w / 4
         assert full_pairs == list(pair_windows(spec))[1:] and len(pools) == spec.plan.patch_depth
 
     @pytest.mark.parametrize("name", ["rice", "disease"])
