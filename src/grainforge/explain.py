@@ -389,9 +389,17 @@ def _sample_coalitions(m: int, n_samples: int, rng: Rng) -> tuple[np.ndarray, np
         drawn[2 * i], drawn[2 * i + 1] = np.packbits(mask), np.packbits(~mask)
     # one void field per row: a byte compare per row, not a structured sort of M/8 fields
     rows = drawn.view(np.dtype((np.void, drawn.shape[1]))).ravel()
-    _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return drawn[first[order]], counts[order].astype(np.float64)
+    order = np.argsort(rows, kind="stable")  # equal rows keep the order they were drawn in
+    # a row that differs from its predecessor in sorted order is a new coalition's first draw;
+    # the rows are compared through the permutation a chunk at a time, never copied whole
+    starts = np.ones(len(rows), dtype=bool)
+    for a, b in _row_ranges(len(rows) - 1, drawn.shape[1]):
+        starts[a + 1 : b + 1] = rows.take(order[a + 1 : b + 1]) != rows.take(order[a:b])
+    first = order[starts]
+    counts = np.diff(np.append(np.flatnonzero(starts), len(rows)))
+    del order, starts
+    keep = np.argsort(first)  # first-drawn order
+    return drawn[first[keep]], counts[keep].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,11 @@ another, with the full forward's bytes: each pool window of the leading
 (conv, pool) pairs whose receptive-field input an earlier call has seen
 takes that call's output, and only the unseen windows are recomputed, their
 4x4 input tiles run as one batch through the same conv kernel (the exact part
-of incremental inference, Nakandala et al., SIGMOD 2019).
+of incremental inference, Nakandala et al., SIGMOD 2019).  The flatten keeps
+one row per pool window, and the dense layer after it sums one product per
+window in window order (``tensor.dense_forward``), so the memo stores each
+last-pair window's product beside its output and sums the stored products to
+the same bytes.
 
 Weights serialize to a bit-exact container: ASCII magic "GFW1", an 8-byte
 little-endian header length, a JSON header describing layers and tensor
@@ -49,6 +53,8 @@ from .tensor import (
     relu,
     relu_backward,
     softmax,
+    sum_windows,
+    window_products,
     windows,
 )
 
@@ -65,7 +71,10 @@ HEADER_START = len(MAGIC) + 8
 PATCH_MIN_WINDOWS = 8
 # A window memo stores new pixel values, window keys and outputs only while it holds
 # fewer bytes than this; past it, calls stay exact and only recompute more.
-MEMO_BYTES = 16 * 2**20
+MEMO_BYTES = 24 * 2**20
+# a memoised call copies the first dense layer's weight blocks of the windows it missed
+# at most this many bytes at a time; a call that misses every window reads them in place
+GATHER_BYTES = 2**18
 
 UNSTORED = 255  # the id of a pixel value or pool window that a memo does not hold
 
@@ -290,8 +299,9 @@ class _Table:
     ``tag[k, q]`` is ``k + 1`` once it is stored, 0 before.  The later slots,
     which few positions reach, are entries of flat arrays: their position
     ``spos``, ``k + 1`` in ``stag``, their words in ``skeys``.  A window table
-    also holds each stored key's pool output, one row of ``vals``, at
-    ``rows[k, q]`` (``srows`` for a later slot).
+    also holds each stored key's output, one row of ``vals`` (the pool output,
+    and at the last pair its dense product after it), at ``rows[k, q]``
+    (``srows`` for a later slot).
     """
 
     def __init__(self, dtypes, positions: int, outputs: bool):
@@ -481,6 +491,12 @@ class WindowMemo:
     output.  Only the other windows go through the conv, pool and ReLU kernels,
     as a batch of their 4x4 input tiles; a pair that misses every window runs
     on its whole input, as the first call's pairs do.
+    The last pair also stores, beside each window's pool output, its product
+    with the window's (c, U) block of the first dense layer's weights, the
+    product ``tensor.dense_forward`` runs for that window.  A call computes the
+    products of the windows it missed only, their weight blocks copied at most
+    ``GATHER_BYTES`` at a time (in place when every window missed), then sums
+    all the rows in window order, adds the bias and runs the rest of the network.
     Values, keys and outputs are stored while the memo holds under
     ``MEMO_BYTES``; past it a new one's id is ``UNSTORED``, and a key holding
     that id is never stored or matched, so calls stay exact and recompute more.
@@ -492,6 +508,11 @@ class WindowMemo:
         self.input_shape = tuple(spec.input_shape)
         self.pairs = [(steps[2 * k + 1], params[2 * k], params[2 * k + 1]) for k in range(depth)]
         self.tail = steps[2 * depth :], params[2 * depth :]
+        if depth:  # the flatten's dense layer: its weights as one (c, U) block per window
+            dense, weights, bias = steps[2 * depth + 1], *params[2 * depth : 2 * depth + 2]
+            oh, ow, channels = steps[2 * depth - 1].out_shape
+            self.dense = weights.reshape(oh * ow, channels, -1), bias, dense.activation
+            self.tail = steps[2 * depth + 2 :], params[2 * depth + 2 :]
         self.pixel_table = self.dtype = None  # set by the first call, for the bits of its dtype
         self.pair_tables = [
             _Table(("<u8", "<u8"), math.prod(p.out_shape[:2]), outputs=True) for p, *_ in self.pairs
@@ -524,13 +545,15 @@ class WindowMemo:
                 fresh = self.pixel_table.store(MEMO_BYTES - self.nbytes, missed, keys)
                 ids[missed], unstored = fresh, UNSTORED in fresh
             ids = ids.reshape(x.shape[:2])
-        for (pool, kernels, bias), table in zip(self.pairs, self.pair_tables):
+        for k, ((pool, kernels, bias), table) in enumerate(zip(self.pairs, self.pair_tables)):
             oh, ow, channels = pool.out_shape
             n = oh * ow
             cur, ok = _window_keys(ids, oh, ow), None
             ids, hit = table.find(cur)
             missed = np.flatnonzero(ids == UNSTORED)
             new = _pool_windows(batch, missed, pool, kernels, bias) if len(missed) else None
+            if new is not None and k == len(self.pairs) - 1:
+                new = self._with_products(new, missed)
             if len(missed) < n:
                 out = table.gather(ids, hit)  # one gather, then the misses
                 if new is not None:
@@ -546,11 +569,35 @@ class WindowMemo:
             else:
                 unstored = False
             ids = ids.reshape(oh, ow)
-            batch = out.reshape(1, oh, ow, channels)
+            batch = out[:, :channels].reshape(1, oh, ow, channels)
             pools.append(batch)
+        if self.pairs:  # the dense layer after the flatten, from each window's product row
+            _, bias, activation = self.dense
+            batch = sum_windows(out[:, None, channels:], bias)
+            batch = relu(batch) if activation == "relu" else batch
+            batch = softmax(batch) if activation == "softmax" else batch
         steps, params = self.tail
         probs, _ = _run(steps, iter(params), batch, train=False)
         return probs[0], pools
+
+    def _with_products(self, pooled: Tensor, where) -> Tensor:
+        """``[pool output | product row]`` of the windows at ``where``, from their (n, c) outputs.
+
+        A window's product row is its output times its (c, U) block of the dense
+        layer's weights, the product :func:`tensor.dense_forward` runs for it.
+        """
+        blocks = self.dense[0]
+        n, channels = pooled.shape
+        rows = np.empty((n, channels + blocks.shape[2]), pooled.dtype)
+        rows[:, :channels] = pooled
+        if n == len(blocks):  # every window, in order
+            rows[:, channels:] = window_products(pooled[None], blocks)[:, 0]
+            return rows
+        step = max(1, GATHER_BYTES // blocks[0].nbytes)
+        for a in range(0, n, step):
+            part = pooled[None, a : a + step]
+            rows[a : a + step, channels:] = window_products(part, blocks[where[a : a + step]])[:, 0]
+        return rows
 
 
 def _run(steps, tensors, x: Tensor, train: bool):
@@ -564,7 +611,8 @@ def _run(steps, tensors, x: Tensor, train: bool):
             out, argmax = maxpool2d_batch(x, winners=train)
             entry = {"x_shape": x.shape, "argmax": argmax}
         elif layer.kind == "flatten":
-            out = x.reshape(x.shape[0], -1)
+            # one row per pool window: the dense layer sums one product per window
+            out = x.reshape(x.shape[0], -1, x.shape[-1])
             entry = {"in_shape": x.shape}
         else:  # dense
             out = dense_forward(x, next(tensors), next(tensors))

@@ -17,8 +17,11 @@ corners with elementwise maxima, and its training winners come from
 strict comparisons combined bitwise.  The pooling backward pass writes
 ``dout`` times each corner's winner mask straight into that corner of
 ``dx``, so a non-winner's gradient is ``dout * 0``: a zero carrying
-``dout``'s sign, or NaN where ``dout`` is not finite.  The test suite
-checks every kernel element-by-element against naive nested-loop oracles.
+``dout``'s sign, or NaN where ``dout`` is not finite.  A dense layer over a
+(B,P,c) input of P pool windows is one product per window, summed in window
+order; so a caller holding some windows' products gets the layer's bytes
+without the rest of the weights.  The test suite checks every kernel
+element-by-element against naive nested-loop oracles.
 """
 
 from __future__ import annotations
@@ -157,23 +160,56 @@ def maxpool2d_backward(x_shape, argmax: Tensor, dout: Tensor) -> Tensor:
     return dx
 
 
+def window_products(x: Tensor, weights: Tensor) -> Tensor:
+    """The (P,B,U) products ``x[:, p] @ weights[p]`` of a (B,P,c) input and (P,c,U) weights.
+
+    One stacked ``np.matmul``: each window's product is its own BLAS call, so
+    a window's bytes do not depend on the other windows or on their order.
+    """
+    return np.matmul(x.transpose(1, 0, 2), weights)
+
+
+def sum_windows(parts: Tensor, bias: Tensor) -> Tensor:
+    """``parts[0] + parts[1] + ... + bias``: the window products summed in window order.
+
+    ``np.add.reduce`` over the leading axis adds one window's (B,U) block at a
+    time onto the running sum, a left fold; numpy's pairwise summation applies
+    only along a reduced inner loop, and the inner loop here runs over B*U.
+    """
+    return np.add.reduce(parts, axis=0) + bias
+
+
 def dense_forward(x: Tensor, weights: Tensor, bias: Tensor) -> Tensor:
-    """x^T W + b for a single vector or a (B,N) batch."""
+    """x W + b for a (N,) vector, a (B,N) batch or a (B,P,c) batch of P pool windows.
+
+    A (B,P,c) input reads the (P*c,U) weights as P blocks of c rows,
+    W_p = ``weights.reshape(P, c, U)[p]``, and returns
+    Σ_p x[:, p] @ W_p + b: one product per window (:func:`window_products`),
+    summed in window order (:func:`sum_windows`).  A caller that already holds
+    some windows' products can sum them with the same two functions to the
+    same bytes.  A vector or 2-d batch is one ``x @ W + b``.
+    """
     n, m = weights.shape
-    if x.shape[-1] != n:
-        raise ShapeError(
-            f"input length ({x.shape[-1]}) does not match weight rows ({n})"
-        )
+    size = x.shape[-1] if x.ndim < 3 else x.shape[-2] * x.shape[-1]
+    if x.ndim > 3 or size != n:
+        raise ShapeError(f"input length ({size}) does not match weight rows ({n})")
     if bias.shape != (m,):
         raise ShapeError(f"bias must have shape ({m},), got {bias.shape}")
+    if x.ndim == 3:
+        return sum_windows(window_products(x, weights.reshape(x.shape[1], x.shape[2], m)), bias)
     return x @ weights + bias
 
 
 def dense_backward(x: Tensor, weights: Tensor, dout: Tensor):
-    """Gradients for a (B,N) batch dense layer; returns (dx, dweights, dbias)."""
-    dweights = x.T @ dout
+    """Gradients for a (B,N) or (B,P,c) batch dense layer; returns (dx, dweights, dbias).
+
+    Both input shapes are the same layer of N = P*c inputs, so a (B,P,c) input
+    is read as (B,N) and ``dx`` comes back in the input's shape.
+    """
+    flat = x.reshape(len(x), -1)
+    dweights = flat.T @ dout
     dbias = dout.sum(axis=0)
-    dx = dout @ weights.T
+    dx = (dout @ weights.T).reshape(x.shape)
     return dx, dweights, dbias
 
 

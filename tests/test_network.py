@@ -1,8 +1,12 @@
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -247,7 +251,7 @@ def relu_then_pool_reference(spec, params, batch, onehot, lam=0.0):
             out, argmax = tensor.maxpool2d_batch(x)
             saved.append((x.shape, argmax))
         elif layer.kind == "flatten":
-            out = x.reshape(len(x), -1)
+            out = x.reshape(len(x), -1, x.shape[-1])
             saved.append((x.shape, None))
         else:
             kernel = tensor.conv2d_batch if layer.kind == "conv2d" else tensor.dense_forward
@@ -658,6 +662,62 @@ class TestWindowMemo:
             memo(x[:-1])
         with pytest.raises(NetworkError, match="dtype"):
             memo(x.astype(np.float64))
+
+
+# Prints the probability bytes of full forwards of both architectures at three batch sizes,
+# then of a 224 px image, its all-baseline copy and 20 LIME-style coalitions, each through
+# one window memo and through the full forward.
+THREADS_SCRIPT = """
+import numpy as np
+from grainforge import explain, network, synthetic, training
+from grainforge.rng import Rng
+
+for name, build in sorted(network.ARCHITECTURES.items()):
+    spec = build()
+    params = network.init_parameters(spec, Rng(70).child(name), dtype=np.float32)
+    for size in (1, 8, 32):
+        batch = Rng(71).child(str(size)).random((size, *spec.input_shape)).astype(np.float32)
+        probs, _ = network.forward(spec, params, batch, train=False)
+        print(name, size, probs.tobytes().hex())
+spec = network.build_disease_cnn()
+params = network.init_parameters(spec, Rng(70).child("disease"), dtype=np.float32)
+image = synthetic.render_shape("disc", 224, Rng(72))
+superpixels = explain.slic_superpixels(image, 100, 10.0, 10)
+baseline = explain.mean_baseline(image)
+masks = Rng(73).random((20, superpixels.count)) < 0.5
+images = [image, np.full_like(image, baseline)]
+images += [explain.perturb(image, superpixels, mask, baseline) for mask in masks]
+memo = network.WindowMemo(spec, params)
+for i, img in enumerate(images):
+    x = training.preprocess(img[None], spec, training.TrainConfig())[0]
+    probs, _ = memo(x)
+    full, _ = network.forward(spec, params, x, train=False)
+    print("memo", i, probs.tobytes().hex(), full.tobytes().hex())
+"""
+
+
+class TestBlasThreads:
+    def test_probabilities_do_not_depend_on_the_thread_count(self):
+        # the dense layer's window products and their fold, and the memo's stored products,
+        # give the same bytes whether OpenBLAS runs on one thread or two
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(root / "src"), *filter(None, [env.get("PYTHONPATH")])]
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", THREADS_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        one, two = outputs
+        assert len(one) == 6 + 22 and one == two
+        for line in one[6:]:
+            _, _, memo, full = line.split()
+            assert memo == full
 
 
 class TestLoss:

@@ -358,6 +358,61 @@ class TestDense:
     def test_length_mismatch(self, rng):
         with pytest.raises(tensor.ShapeError, match="weight rows"):
             tensor.dense_forward(np.zeros(4), rng.normal(0, 1, (5, 2)), np.zeros(2))
+        with pytest.raises(tensor.ShapeError, match="weight rows"):
+            tensor.dense_forward(np.zeros((1, 2, 3)), rng.normal(0, 1, (5, 2)), np.zeros(2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "batch, windows, channels, units",
+        [(1, 676, 64, 128), (1, 121, 64, 32), (8, 121, 64, 32), (3, 9, 2, 5)],
+    )
+    def test_window_input_is_a_left_fold_over_windows(
+        self, rng, dtype, batch, windows, channels, units
+    ):
+        # the window memo sums stored product rows with the same fold, so these bits matter
+        x = rng.normal(0, 1, (batch, windows, channels)).astype(dtype)
+        w = rng.normal(0, 0.1, (windows * channels, units)).astype(dtype)
+        b = rng.normal(0, 1, (units,)).astype(dtype)
+        blocks = w.reshape(windows, channels, units)
+        acc = x[:, 0] @ blocks[0]
+        for p in range(1, windows):
+            acc = acc + x[:, p] @ blocks[p]
+        want = acc + b
+        out = tensor.dense_forward(x, w, b)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    def test_window_input_matches_scalar_loop(self, rng):
+        x = rng.normal(0, 1, (3, 9, 4))
+        w = rng.normal(0, 1, (36, 5))
+        b = rng.normal(0, 1, (5,))
+        out = tensor.dense_forward(x, w, b)
+        want = np.array([naive_dense(row.reshape(-1), w, b) for row in x])
+        assert out.shape == (3, 5) and np.abs(out - want).max() < 1e-12
+
+    def test_flat_input_is_one_product(self, rng):
+        x = rng.normal(0, 1, (6, 40)).astype(np.float32)
+        w = rng.normal(0, 1, (40, 7)).astype(np.float32)
+        b = rng.normal(0, 1, (7,)).astype(np.float32)
+        assert tensor.dense_forward(x, w, b).tobytes() == (x @ w + b).tobytes()
+        assert tensor.dense_forward(x[0], w, b).tobytes() == (x[0] @ w + b).tobytes()
+
+    def test_backward_reads_windows_as_one_flat_input(self, rng):
+        x = rng.normal(0, 1, (4, 9, 5))
+        w = rng.normal(0, 1, (45, 3))
+        dout = rng.normal(0, 1, (4, 3))
+        dx, dw, db = tensor.dense_backward(x, w, dout)
+        flat_dx, flat_dw, flat_db = tensor.dense_backward(x.reshape(4, -1), w, dout)
+        assert dx.shape == x.shape and dx.tobytes() == flat_dx.tobytes()
+        assert dw.tobytes() == flat_dw.tobytes() and db.tobytes() == flat_db.tobytes()
+        # the gradient of sum(dout * dense_forward(x)) with respect to x, by central differences
+        eps, numeric, zero = 1e-6, np.empty_like(x), np.zeros(3)
+        for i in np.ndindex(x.shape):
+            up, down = x.copy(), x.copy()
+            up[i] += eps
+            down[i] -= eps
+            diff = tensor.dense_forward(up, w, zero) - tensor.dense_forward(down, w, zero)
+            numeric[i] = (dout * diff).sum() / (2 * eps)
+        assert np.abs(dx - numeric).max() < 1e-6
 
 
 class TestActivations:
