@@ -72,9 +72,6 @@ PATCH_MIN_WINDOWS = 8
 # A window memo stores new pixel values, window keys and outputs only while it holds
 # fewer bytes than this; past it, calls stay exact and only recompute more.
 MEMO_BYTES = 24 * 2**20
-# a memoised call copies the first dense layer's weight blocks of the windows it missed
-# at most this many bytes at a time; a call that misses every window reads them in place
-GATHER_BYTES = 2**18
 
 UNSTORED = 255  # the id of a pixel value or pool window that a memo does not hold
 
@@ -494,9 +491,9 @@ class WindowMemo:
     The last pair also stores, beside each window's pool output, its product
     with the window's (c, U) block of the first dense layer's weights, the
     product ``tensor.dense_forward`` runs for that window.  A call computes the
-    products of the windows it missed only, their weight blocks copied at most
-    ``GATHER_BYTES`` at a time (in place when every window missed), then sums
-    all the rows in window order, adds the bias and runs the rest of the network.
+    products of the windows it missed only, each run of consecutive windows as
+    one stacked product that reads their weight blocks in place, then sums all
+    the rows in window order, adds the bias and runs the rest of the network.
     Values, keys and outputs are stored while the memo holds under
     ``MEMO_BYTES``; past it a new one's id is ``UNSTORED``, and a key holding
     that id is never stored or matched, so calls stay exact and recompute more.
@@ -590,13 +587,13 @@ class WindowMemo:
         n, channels = pooled.shape
         rows = np.empty((n, channels + blocks.shape[2]), pooled.dtype)
         rows[:, :channels] = pooled
-        if n == len(blocks):  # every window, in order
-            rows[:, channels:] = window_products(pooled[None], blocks)[:, 0]
-            return rows
-        step = max(1, GATHER_BYTES // blocks[0].nbytes)
-        for a in range(0, n, step):
-            part = pooled[None, a : a + step]
-            rows[a : a + step, channels:] = window_products(part, blocks[where[a : a + step]])[:, 0]
+        # one stacked product per run of consecutive windows, on a view of their blocks:
+        # a call that misses every window reads the whole layer once and copies none of it
+        cuts = np.flatnonzero(np.diff(where) != 1) + 1
+        for a, b in zip([0, *cuts], [*cuts, n]):
+            first = where[a]
+            part = blocks[first : first + b - a]
+            rows[a:b, channels:] = window_products(pooled[None, a:b], part)[:, 0]
         return rows
 
 

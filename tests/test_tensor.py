@@ -358,6 +358,9 @@ class TestDense:
     def test_length_mismatch(self, rng):
         with pytest.raises(tensor.ShapeError, match="weight rows"):
             tensor.dense_forward(np.zeros(4), rng.normal(0, 1, (5, 2)), np.zeros(2))
+
+    def test_window_input_length_mismatch(self, rng):
+        # 2 windows of 3 channels are 6 inputs, not the weights' 5 rows
         with pytest.raises(tensor.ShapeError, match="weight rows"):
             tensor.dense_forward(np.zeros((1, 2, 3)), rng.normal(0, 1, (5, 2)), np.zeros(2))
 
