@@ -6,8 +6,8 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
